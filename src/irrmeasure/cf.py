@@ -16,7 +16,7 @@ from math import isqrt, lcm
 from typing import Callable, Sequence
 
 from .errors import (DepthCapExceeded, DepthExhausted, RadicandError,
-                     UndecidedComparison)
+                     UndecidedComparison, UndecidedOrdering)
 from .surd import QuadraticSurd
 
 #: default hard cap on coefficient indices, so periodic and rule backings
@@ -37,11 +37,15 @@ class ContinuedFraction:
 
     Backings: explicit finite list (test inputs only), eventually periodic
     (preperiod + period), or a generator rule under a declared depth cap.
-    Instances are immutable apart from a cached exact value.
+    Instances are immutable apart from the cached exact value and the memo
+    table of convergent rows (p_nu, q_nu, q_{nu-1}), which grows on demand
+    up to the depth cap and is shared by every reader of the stream. Growth
+    is not synchronised: share a stream across threads only for reading
+    rows it already holds.
     """
 
     __slots__ = ("_finite", "_preperiod", "_period", "_rule", "depth_cap",
-                 "_exact", "_exact_known")
+                 "_exact", "_exact_known", "_table")
 
     def __init__(self, *, finite=None, preperiod=None, period=None, rule=None,
                  depth_cap: int = DEFAULT_DEPTH_CAP, exact=None):
@@ -54,6 +58,7 @@ class ContinuedFraction:
         self.depth_cap = depth_cap
         self._exact = exact
         self._exact_known = exact is not None
+        self._table: list[tuple[int, int, int]] = []
         if finite is not None:
             finite = tuple(finite)
             if not finite:
@@ -91,14 +96,6 @@ class ContinuedFraction:
         return cls(rule=rule, depth_cap=depth_cap)
 
     @property
-    def is_finite(self) -> bool:
-        return self._finite is not None
-
-    @property
-    def is_periodic(self) -> bool:
-        return self._period is not None
-
-    @property
     def a0(self) -> int:
         return self.coefficient(0)
 
@@ -125,6 +122,24 @@ class ContinuedFraction:
         if nu >= 1 and a < 1:
             raise ValueError(f"rule produced coefficient a_{nu} = {a} < 1")
         return a
+
+    def convergent_row(self, nu: int) -> tuple[int, int, int]:
+        """(p_nu, q_nu, q_{nu-1}) by the standard recurrence, read from the
+        memo table. Growing the table reads coefficients in index order, so
+        depth errors surface at the same index as a fresh walk from 0."""
+        if nu < 0:
+            raise ValueError("convergent index must be >= 0")
+        table = self._table
+        while len(table) <= nu:
+            i = len(table)
+            a = self.coefficient(i)
+            if i == 0:
+                table.append((a, 1, 0))
+            else:
+                p, q, q_prev = table[-1]
+                p_prev = table[-2][0] if i >= 2 else 1
+                table.append((a * p + p_prev, a * q + q_prev, q))
+        return table[nu]
 
     def prefix(self, count: int) -> tuple[int, ...]:
         return tuple(self.coefficient(i) for i in range(count))
@@ -211,23 +226,12 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-def _pq_walk(cf: ContinuedFraction, count: int):
-    """Yields (nu, p, q, q_prev) for nu = 0 .. count-1."""
-    p_prev, q_prev = 1, 0
-    p, q = cf.coefficient(0), 1
-    for nu in range(count):
-        yield nu, p, q, q_prev
-        if nu + 1 < count:
-            a = cf.coefficient(nu + 1)
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-
-
 def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
-    """Convergents nu = 0 .. count-1 by the standard recurrence."""
+    """Convergents nu = 0 .. count-1 from the stream's memo table."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [Convergent(nu, p, q) for nu, p, q, _ in _pq_walk(cf, count)]
+    cf.convergent_row(count - 1)
+    return [Convergent(nu, p, q) for nu, (p, q, _) in enumerate(cf._table[:count])]
 
 
 def star_value(cf: ContinuedFraction, nu: int) -> Fraction:
@@ -235,8 +239,7 @@ def star_value(cf: ContinuedFraction, nu: int) -> Fraction:
     [0; a_nu, a_{nu-1}, ..., a_1]."""
     if nu < 1:
         raise ValueError("star values need nu >= 1")
-    for _, _, q, q_prev in _pq_walk(cf, nu + 1):
-        pass
+    _, q, q_prev = cf.convergent_row(nu)
     return Fraction(q_prev, q)
 
 
@@ -261,8 +264,7 @@ class ErrorTerm:
     def __init__(self, owner: ContinuedFraction, index: int) -> None:
         if index < 0:
             raise ValueError("error-term index must be >= 0")
-        for _, p, q, q_prev in _pq_walk(owner, index + 1):
-            pass
+        p, q, q_prev = owner.convergent_row(index)
         self.owner = owner
         self.index = index
         self.depth = 0
@@ -355,6 +357,22 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm, max_depth: int = 64) -> Ordering:
                 f"({x.lo}, {x.hi}) vs ({y.lo}, {y.hi})",
                 origin="cf.compare_errors", left=x, right=y)
         max(refinable, key=lambda t: t.width).refine_once()
+
+
+def certified_order(x: ErrorTerm, y: ErrorTerm, max_depth: int, *, time: int,
+                    pair: tuple[int, int], names: tuple[str, str],
+                    origin: str) -> Ordering:
+    """compare_errors for the step values of two tuple members at one time.
+
+    An undecided comparison becomes UndecidedOrdering naming the time, the
+    member pair (labels as the caller numbers them) and the calling step.
+    """
+    try:
+        return compare_errors(x, y, max_depth)
+    except UndecidedComparison as exc:
+        raise UndecidedOrdering(
+            f"cannot order members {names[0]} and {names[1]} at t = {time}",
+            origin=origin, time=time, pair=pair) from exc
 
 
 class CombinationKind(Enum):

@@ -2,8 +2,10 @@
 
 Subcommands: convergents, psi, trace, kindex, verify, proof-trace, plot.
 Exit codes: 0 success, 1 analysis failure (undecided, dependent, window
-too short, ...), 2 usage or spec-file error. All numbers print as exact
-rationals num/den unless --approx adds a decimal display column.
+too short, ...), 2 usage or spec-file error, 3 internal error (a
+self-check of the program failed, reported as `internal error: ...` on
+stderr; this is a bug, never an analysis result). All numbers print as
+exact rationals num/den unless --approx adds a decimal display column.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hard cap on coefficient indices")
         p.add_argument("--max-compare-depth", type=int, default=None,
                        help="refinement budget for certified comparisons")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized operations (none are "
-                            "randomized today; reserved, no hidden entropy)")
         p.add_argument("--approx", action="store_true",
                        help="append decimal approximations to tables")
         p.add_argument("--out-dir", type=Path, default=None,
@@ -234,6 +233,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

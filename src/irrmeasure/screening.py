@@ -15,10 +15,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .cf import (CombinationKind, ContinuedFraction, ErrorTerm, Ordering,
-                 compare_errors, convergents, integer_combination_check,
-                 star_value)
-from .errors import UndecidedComparison, UndecidedOrdering
-from .stepfunc import StepTrajectory, build_trajectory, psi_at
+                 certified_order, compare_errors, convergents,
+                 integer_combination_check, star_value)
+from .stepfunc import build_trajectory, psi_at
 
 
 class Verdict(Enum):
@@ -245,16 +244,6 @@ class ReversalRecord:
                 f"{self.beta_prev_time}\t{self.reversal_at_beta_prev}")
 
 
-def _pair_order(ta: StepTrajectory, tb: StepTrajectory, t: int,
-                max_depth: int) -> Ordering:
-    try:
-        return compare_errors(psi_at(ta, t), psi_at(tb, t), max_depth)
-    except UndecidedComparison as exc:
-        raise UndecidedOrdering(f"cannot certify the pair order at t = {t}",
-                                origin="screening.check_reversal_pattern",
-                                time=t, pair=(1, 2)) from exc
-
-
 def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
                            depth: int = 40, *, burn_in: int = 0,
                            max_compare_depth: int = 64) -> list[ReversalRecord]:
@@ -284,20 +273,25 @@ def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
     t_top = max(qa[nu] for nu, _ in sites)
     traj_a = build_trajectory(a, t_top)
     traj_b = build_trajectory(b, t_top)
+
+    def order(t: int) -> Ordering:
+        return certified_order(psi_at(traj_a, t), psi_at(traj_b, t),
+                               max_compare_depth, time=t, pair=(1, 2),
+                               names=("a", "b"),
+                               origin="screening.check_reversal_pattern")
+
     records = []
     for nu, mu in sites:
         shared_q = qa[nu]
         t_hyp = shared_q - 1
-        order_hyp = _pair_order(traj_a, traj_b, t_hyp, max_compare_depth)
+        order_hyp = order(t_hyp)
         applicable = order_hyp is Ordering.LESS
         t_alpha = qa[nu - 1] - 1
         t_beta = rb[mu - 1] - 1
         rev_alpha = rev_beta = None
         if applicable:
-            rev_alpha = _pair_order(traj_a, traj_b, t_alpha,
-                                    max_compare_depth) is Ordering.GREATER
-            rev_beta = _pair_order(traj_a, traj_b, t_beta,
-                                   max_compare_depth) is Ordering.GREATER
+            rev_alpha = order(t_alpha) is Ordering.GREATER
+            rev_beta = order(t_beta) is Ordering.GREATER
         enclosures = {
             "a@shared-1": psi_at(traj_a, t_hyp).interval(),
             "b@shared-1": psi_at(traj_b, t_hyp).interval(),

@@ -49,15 +49,12 @@ def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     kept: list[tuple[int, int]] = []
-    p_prev, q_prev = 1, 0
-    p, q = cf.coefficient(0), 1
     nu = 0
+    _, q, _ = cf.convergent_row(0)
     while q <= t_max:
         kept.append((nu, q))
-        a = cf.coefficient(nu + 1)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
         nu += 1
+        _, q, _ = cf.convergent_row(nu)
     if len(kept) >= 2 and kept[1][1] == 1:
         kept = kept[1:]
     terms = tuple((qv, ErrorTerm(cf, index)) for index, qv in kept)

@@ -2,10 +2,12 @@
 
 sigma(t) orders the members by strictly decreasing step-function value,
 certified by enclosure comparison; it is constant between convergent
-denominators, so a sweep only evaluates the merged breakpoint times.
-The report counts distinct orderings on the window (the finite-horizon
-surrogate of the infinitely-recurring count), the jump multiplicities,
-and the per-pair order flips.
+denominators, so a sweep only visits the merged breakpoint times. At each
+one only the jumping members' step values change, so the sweep carries the
+ordering forward and re-inserts just those members. The report counts
+distinct orderings on the window (the finite-horizon surrogate of the
+infinitely-recurring count), the jump multiplicities, and the per-pair
+order flips.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .cf import ContinuedFraction, Ordering, compare_errors
-from .errors import (DependentTuple, UndecidedComparison, UndecidedOrdering,
-                     WindowTooShort)
+from .cf import (ContinuedFraction, ErrorTerm, Ordering, certified_order,
+                 compare_errors)
+from .errors import DependentTuple, WindowTooShort
 from .screening import CoincidenceLog, Verdict, scan_coincidences
 from .stepfunc import build_trajectory, psi_at
 
@@ -86,15 +88,20 @@ def sigma_at(ctx: TupleContext, t: int) -> tuple[int, ...]:
     terms = [psi_at(tr, t) for tr in ctx.trajectories]
 
     def cmp(i: int, j: int) -> int:
-        try:
-            order = compare_errors(terms[i - 1], terms[j - 1], ctx.max_compare_depth)
-        except UndecidedComparison as exc:
-            raise UndecidedOrdering(
-                f"cannot order members {ctx.names[i - 1]} and {ctx.names[j - 1]} "
-                f"at t = {t}", origin="sweep.sigma_at", time=t, pair=(i, j)) from exc
+        order = _member_order(ctx, t, i, terms[i - 1], j, terms[j - 1],
+                              "sweep.sigma_at")
         return -1 if order is Ordering.GREATER else 1
 
     return tuple(sorted(range(1, ctx.n + 1), key=cmp_to_key(cmp)))
+
+
+def _member_order(ctx: TupleContext, t: int, i: int, x: ErrorTerm, j: int,
+                  y: ErrorTerm, origin: str) -> Ordering:
+    """Certified order of members i and j, whose step values at t are x
+    and y."""
+    return certified_order(x, y, ctx.max_compare_depth, time=t, pair=(i, j),
+                           names=(ctx.names[i - 1], ctx.names[j - 1]),
+                           origin=origin)
 
 
 def tau_at(ctx: TupleContext, t: int) -> int:
@@ -136,9 +143,13 @@ class TrajectoryReport:
 def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
 
-    The ordering is constant between breakpoints, so nothing else is
-    evaluated; the before-ordering of each event is re-evaluated at
-    time-1 and checked against the running ordering as a self-test.
+    The ordering is constant between breakpoints, so each event's before
+    is the running ordering. Only the jumpers' step values change at t, so
+    after keeps the other members in their running order and puts each
+    jumper back by a certified binary search. Every adjacency of after is
+    then certified again; an adjacency out of order is an internal fault.
+    Pair flips are counted over the pairs that contain a jumper, the only
+    pairs whose order can change.
     """
     times = sorted(t for t in frozenset().union(*ctx.jump_sets)
                    if ctx.t0 < t <= ctx.t_max)
@@ -149,28 +160,46 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         first, _ = spans.get(perm, (start, end))
         spans[perm] = (first, end)
 
-    counts = {(i, j): 0 for i in range(1, ctx.n + 1)
-              for j in range(i + 1, ctx.n + 1)}
+    members = range(1, ctx.n + 1)
+    counts = {(i, j): 0 for i in members for j in range(i + 1, ctx.n + 1)}
+    terms = [psi_at(tr, ctx.t0) for tr in ctx.trajectories]
     sigma_cur = sigma_at(ctx, ctx.t0)
     seg_start = ctx.t0
     max_tau = 0
     for t in times:
-        before = sigma_at(ctx, t - 1)
-        if before != sigma_cur:
-            raise AssertionError("ordering changed between breakpoints")
-        after = sigma_at(ctx, t)
-        jumpers = frozenset(i for i in range(1, ctx.n + 1)
-                            if t in ctx.jump_sets[i - 1])
+        jumpers = frozenset(i for i in members if t in ctx.jump_sets[i - 1])
         max_tau = max(max_tau, len(jumpers))
-        events.append(PermutationEvent(time=t, before=before, after=after,
+        for i in jumpers:
+            terms[i - 1] = psi_at(ctx.trajectories[i - 1], t)
+        order = [m for m in sigma_cur if m not in jumpers]
+        for i in sorted(jumpers):
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                m = order[mid]
+                if _member_order(ctx, t, i, terms[i - 1], m, terms[m - 1],
+                                 "sweep.sweep") is Ordering.GREATER:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            order.insert(lo, i)
+        after = tuple(order)
+        for upper, lower in zip(after, after[1:]):
+            if compare_errors(terms[upper - 1], terms[lower - 1],
+                              ctx.max_compare_depth) is not Ordering.GREATER:
+                raise AssertionError(
+                    f"members {upper} and {lower} are out of order at t = {t}")
+        events.append(PermutationEvent(time=t, before=sigma_cur, after=after,
                                        jumpers=jumpers))
         stamp(sigma_cur, seg_start, t - 1)
-        bpos = {m: r for r, m in enumerate(before)}
+        bpos = {m: r for r, m in enumerate(sigma_cur)}
         apos = {m: r for r, m in enumerate(after)}
-        for pair in counts:
-            i, j = pair
-            if (bpos[i] < bpos[j]) != (apos[i] < apos[j]):
-                counts[pair] += 1
+        for i in jumpers:
+            for m in members:
+                if m == i or (m in jumpers and m < i):   # each pair once
+                    continue
+                if (bpos[i] < bpos[m]) != (apos[i] < apos[m]):
+                    counts[(min(i, m), max(i, m))] += 1
         sigma_cur = after
         seg_start = t
     stamp(sigma_cur, seg_start, ctx.t_max)
@@ -188,15 +217,9 @@ def sign_change_count(ctx: TupleContext, i: int, j: int) -> int:
                    if ctx.t0 < t <= ctx.t_max)
 
     def order(t: int) -> Ordering:
-        try:
-            return compare_errors(psi_at(ctx.trajectories[i - 1], t),
-                                  psi_at(ctx.trajectories[j - 1], t),
-                                  ctx.max_compare_depth)
-        except UndecidedComparison as exc:
-            raise UndecidedOrdering(
-                f"cannot order members {ctx.names[i - 1]} and "
-                f"{ctx.names[j - 1]} at t = {t}",
-                origin="sweep.sign_change_count", time=t, pair=(i, j)) from exc
+        return _member_order(ctx, t, i, psi_at(ctx.trajectories[i - 1], t),
+                             j, psi_at(ctx.trajectories[j - 1], t),
+                             "sweep.sign_change_count")
 
     current = order(ctx.t0)
     flips = 0

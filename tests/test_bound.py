@@ -5,8 +5,8 @@ import random
 import pytest
 
 from irrmeasure import (TupleContext, build_proof_trace, check_nj_bound,
-                        check_theorem_bound, render_proof_trace, sweep,
-                        verify_with_retries)
+                        check_theorem_bound, render_proof_trace, sigma_at,
+                        sweep, verify_with_retries)
 from irrmeasure.corpus import random_independent_members
 from irrmeasure.errors import WindowTooShort
 
@@ -50,6 +50,76 @@ def test_restricted_orderings_recorded_for_all_s(pair_ctx):
             view = trace.restricted[(j, s)]
             assert set(view) <= set(range(1, trace.n + 1))
             assert len(view) == len(trace.i_sets[j])
+
+
+def _naive_proof_trace(ctx, report):
+    """Reference copy of the quadratic construction: a list scan per event
+    and every restricted view materialised."""
+    sigmas = [sigma_at(ctx, ctx.t0)]
+    new_times, jumpers_at = [], {}
+    for ev in report.events:
+        if ev.after not in sigmas:
+            sigmas.append(ev.after)
+            new_times.append(ev.time)
+            jumpers_at[len(sigmas)] = ev.jumpers
+    k = len(sigmas)
+    i_sets, seen = {}, set()
+    for j in range(2, k + 1):
+        i_sets[j] = frozenset(jumpers_at[j] - seen)
+        seen |= jumpers_at[j]
+    restricted, restricted_ok = {}, {}
+    for j in range(2, k + 1):
+        earlier_views = []
+        for s in range(1, k + 1):
+            view = tuple(m for m in sigmas[s - 1] if m in i_sets[j])
+            restricted[(j, s)] = view
+            if s < j:
+                earlier_views.append(view)
+        restricted_ok[j] = len(set(earlier_views)) <= 1
+    return tuple(sigmas), tuple(new_times), i_sets, restricted, restricted_ok
+
+
+@pytest.mark.parametrize("n", [None, *range(2, 7)],
+                         ids=["pair_ctx", *(f"random_n{n}" for n in range(2, 7))])
+def test_proof_trace_matches_naive_reference(n, pair_ctx):
+    if n is None:
+        ctx = pair_ctx
+    else:
+        ctx = TupleContext(random_independent_members(random.Random(6160 + n), n),
+                           t_max=10 ** 30)
+    report = sweep(ctx)
+    trace = build_proof_trace(ctx, report)
+    sigmas, new_times, i_sets, restricted, restricted_ok = \
+        _naive_proof_trace(ctx, report)
+    assert trace.sigmas == sigmas
+    assert trace.new_times == new_times
+    assert trace.i_sets == i_sets
+    assert trace.restricted_ok == restricted_ok
+    assert len(trace.restricted) == len(restricted) == (trace.k - 1) * trace.k
+    assert list(trace.restricted) == list(restricted)
+    for key, view in restricted.items():
+        assert trace.restricted[key] == view
+    assert (1, 1) not in trace.restricted
+    assert (2, trace.k + 1) not in trace.restricted
+
+
+def test_restricted_disagreement_is_detected(phi_cf, sqrt2_cf):
+    # no certified window disagrees, so replay a hand-made event list in
+    # which sigma_1 and sigma_2 order I_3 = {a, b} differently
+    from irrmeasure import (PermutationEvent, TrajectoryReport, sqrt_of,
+                            surd_to_cf)
+    ctx = TupleContext([phi_cf, sqrt2_cf, surd_to_cf(sqrt_of(3))],
+                       t_max=10, burn_in=1)
+    a, b, c = sigma_at(ctx, 1)
+    events = (PermutationEvent(time=2, before=(a, b, c), after=(b, a, c),
+                               jumpers=frozenset({c})),
+              PermutationEvent(time=3, before=(b, a, c), after=(c, b, a),
+                               jumpers=frozenset({a, b})))
+    report = TrajectoryReport(t0=1, t_max=10, events=events, perm_spans={},
+                              k_hat=3, max_tau=2, sign_changes={})
+    trace = build_proof_trace(ctx, report)
+    *_, restricted_ok = _naive_proof_trace(ctx, report)
+    assert trace.restricted_ok == restricted_ok == {2: True, 3: False}
 
 
 def test_nj_bound_and_theorem_bound(pair_ctx):

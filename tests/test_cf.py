@@ -67,6 +67,58 @@ def test_convergents_depth_errors():
         convergents(capped, 7)
 
 
+def _fresh_rows(cf, count):
+    """(p, q, q_prev) for nu = 0 .. count-1 by a walk of its own, reading
+    coefficients straight from the stream."""
+    rows = []
+    p_prev, q_prev, p, q = 1, 0, cf.coefficient(0), 1
+    for nu in range(count):
+        rows.append((p, q, q_prev))
+        if nu + 1 < count:
+            a = cf.coefficient(nu + 1)
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ContinuedFraction.periodic([2, 5], [1, 3, 7]),
+    lambda: ContinuedFraction.from_rule(lambda nu: nu % 4 + 1, depth_cap=60),
+    lambda: ContinuedFraction.from_coefficients([0, 2, 1, 9, 4, 1, 1, 6, 3, 2, 8]),
+], ids=["periodic", "rule", "finite"])
+def test_error_term_rows_match_a_fresh_recurrence(make):
+    cf = make()
+    count = 10        # the finite backing has 11 coefficients: 0 .. 10
+    rows = _fresh_rows(make(), count)
+    # out of index order, so the memo table is grown piecewise
+    for nu in (6, 0, 9, 3, 1, 8, 2, 7, 5, 4):
+        term = ErrorTerm(cf, nu)
+        assert (term.p, term.q, term.q_prev) == rows[nu]
+        if nu >= 1:
+            assert star_value(cf, nu) == Fraction(rows[nu][2], rows[nu][1])
+    assert [(c.p, c.q) for c in convergents(cf, count)] == [r[:2] for r in rows]
+
+
+@pytest.mark.parametrize("warm", [0, 3])
+def test_depth_errors_surface_at_the_walks_index(warm):
+    finite = ContinuedFraction.from_coefficients([3, 1, 4, 1, 5])
+    capped = ContinuedFraction.periodic([1], [2], depth_cap=5)
+    if warm:          # a partly grown table must fail at the same index
+        convergents(finite, warm)
+        convergents(capped, warm)
+    with pytest.raises(DepthExhausted, match="index 5 requested"):
+        convergents(finite, 9)
+    with pytest.raises(DepthExhausted, match="index 5 requested"):
+        ErrorTerm(finite, 5)
+    with pytest.raises(DepthExhausted, match="index 5 requested"):
+        ErrorTerm(finite, 4)      # the enclosure reads a_5
+    with pytest.raises(DepthCapExceeded, match="index 6 exceeds"):
+        convergents(capped, 9)
+    with pytest.raises(DepthCapExceeded, match="index 6 exceeds"):
+        star_value(capped, 6)
+    assert [c.q for c in convergents(finite, 5)] == [1, 1, 5, 6, 35]
+
+
 # ------------------------------------------------------------- star values
 
 def test_star_values_match_examples(sqrt2_cf, phi_cf):

@@ -1,9 +1,17 @@
 """End-to-end command-line behavior, including the exit-code contract:
-0 success, 1 analysis failure, 2 usage or spec-file problems."""
+0 success, 1 analysis failure, 2 usage or spec-file problems, 3 internal
+error (a failed self-check of the program)."""
+
+import hashlib
+import importlib
+import json
+from pathlib import Path
 
 import pytest
 
 from irrmeasure.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 PAIR = """\
 t_max = 300
@@ -109,6 +117,31 @@ def test_window_too_short_exits_1(pair_spec, capsys):
     assert main(["proof-trace", str(pair_spec), "--t-max", "101",
                  "--retries", "0"]) == 1
     assert "ordering" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
+    # the sweep certifies every adjacency of each new ordering again; a
+    # comparison that contradicts the insertion is a bug, not a result
+    from irrmeasure import Ordering
+    sweep_module = importlib.import_module("irrmeasure.sweep")
+    monkeypatch.setattr(sweep_module, "compare_errors",
+                        lambda *args: Ordering.LESS)
+    assert main(["trace", str(pair_spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "out of order" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["proof-trace", "trace"])
+def test_golden_output_digests(command, capsys):
+    # 8 surd members at t_max 1e60; the digests are of the output the
+    # quadratic-time replay printed, so any byte change shows here
+    spec = DATA / "replay_wide8.spec"
+    expected = json.loads((DATA / "replay_wide8.sha256.json").read_text())
+    assert main([command, str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected[command]
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

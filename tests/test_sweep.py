@@ -84,6 +84,59 @@ def test_event_invariants(pair_ctx):
     assert [ev.time for ev in report.events] == merged
 
 
+@pytest.mark.parametrize("n", [None, *range(2, 7)],
+                         ids=["pair_ctx", *(f"random_n{n}" for n in range(2, 7))])
+def test_incremental_orderings_match_sigma_at(n, pair_ctx):
+    # the sweep carries the ordering forward and re-inserts the jumpers;
+    # the full certified sort at t - 1 and at t is the reference
+    if n is None:
+        ctx = pair_ctx
+    else:
+        ctx = TupleContext(random_independent_members(random.Random(5150 + n), n),
+                           t_max=10 ** 30)
+    report = sweep(ctx)
+    assert report.events
+    for ev in report.events:
+        assert ev.before == sigma_at(ctx, ev.time - 1)
+        assert ev.after == sigma_at(ctx, ev.time)
+    if n is None:
+        assert report.max_tau == 2
+    else:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert report.sign_changes[(i, j)] == sign_change_count(ctx, i, j)
+
+
+def _undecided(call):
+    with pytest.raises(UndecidedOrdering) as info:
+        call()
+    return info.value
+
+
+def test_sweep_undecided_ordering_matches_sigma_at():
+    # the rule-stream tie above: the ordering is undecided from t0 on
+    a = ContinuedFraction.from_rule(lambda nu: 2, depth_cap=400)
+    b = ContinuedFraction.from_rule(lambda nu: 2, depth_cap=400)
+    ctx = TupleContext([a, b], t_max=50, burn_in=1, max_compare_depth=10)
+    swept = _undecided(lambda: sweep(ctx))
+    direct = _undecided(lambda: sigma_at(ctx, swept.time))
+    assert swept.time == direct.time == 1
+    assert set(swept.pair) == set(direct.pair) == {1, 2}
+
+
+def test_sweep_undecided_at_an_event_names_the_jumper_pair():
+    # ||12*sqrt2|| = ||6*sqrt8||: sqrt2 jumps at 12 onto the value sqrt8
+    # has held since 6, and at t0 = 5 the two still differ
+    from irrmeasure import sqrt_of, surd_to_cf
+    ctx = TupleContext([surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(8))],
+                       t_max=20, burn_in=5, max_compare_depth=12)
+    swept = _undecided(lambda: sweep(ctx))
+    direct = _undecided(lambda: sigma_at(ctx, swept.time))
+    assert swept.time == direct.time == 12
+    assert swept.origin == "sweep.sweep"
+    assert set(swept.pair) == set(direct.pair) == {1, 2}
+
+
 def test_event_free_window_has_single_permutation(phi_cf, sqrt2_cf):
     # phi jumps at 144 and 233, root2 at 169: (170, 230] is event-free
     ctx = TupleContext([phi_cf, sqrt2_cf], t_max=230, burn_in=170)
