@@ -17,8 +17,9 @@ from .cf import (DEFAULT_DEPTH_CAP, CombinationKind, ContinuedFraction,
 from .corpus import (SQUAREFREE_POOL, random_independent_members,
                      random_periodic_cf, random_surd)
 from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
-                        RigidityRecord, Verdict, check_reversal_pattern,
-                        check_rigidity, rigidity_scan, scan_coincidences)
+                        RigidityRecord, RigidityScan, Verdict,
+                        check_reversal_pattern, check_rigidity, rigidity_scan,
+                        scan_coincidences)
 from .specfile import (NumberSpec, TupleSpecFile, parse_spec, serialize_spec)
 from .stepfunc import (BruteForceMin, StepTrajectory, brute_force_psi,
                        brute_force_psi_sweep, build_trajectory, psi_at,
@@ -36,8 +37,8 @@ __all__ = [
     "ContinuedFraction", "Convergent", "DEFAULT_DEPTH_CAP", "ErrorTerm",
     "NjCheck", "NumberSpec", "Ordering", "PermutationEvent", "ProofTrace",
     "QuadraticSurd", "ReversalRecord", "RigidityOutcome", "RigidityRecord",
-    "SQUAREFREE_POOL", "StepTrajectory", "TrajectoryReport", "TupleContext",
-    "TupleSpecFile", "Verdict", "VerifiedRun", "brute_force_psi",
+    "RigidityScan", "SQUAREFREE_POOL", "StepTrajectory", "TrajectoryReport",
+    "TupleContext", "TupleSpecFile", "Verdict", "VerifiedRun", "brute_force_psi",
     "brute_force_psi_sweep", "build_proof_trace", "build_trajectory",
     "check_nj_bound", "check_reversal_pattern", "check_rigidity",
     "check_theorem_bound", "compare_errors", "convergents", "error_enclosure",

@@ -141,6 +141,14 @@ class ContinuedFraction:
                 table.append((a * p + p_prev, a * q + q_prev, q))
         return table[nu]
 
+    def denominators(self, count: int) -> list[int]:
+        """q_0 .. q_{count-1} from the memo table, grown as by
+        convergent_row(count - 1)."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self.convergent_row(count - 1)
+        return [q for _, q, _ in self._table[:count]]
+
     def prefix(self, count: int) -> tuple[int, ...]:
         return tuple(self.coefficient(i) for i in range(count))
 

@@ -18,8 +18,8 @@ from .bound import verify_with_retries
 from .cf import DEFAULT_DEPTH_CAP, convergents
 from .errors import LabError, SpecFileError
 from .plotting import render_step_svg
-from .screening import (RigidityOutcome, check_reversal_pattern,
-                        rigidity_scan, scan_coincidences)
+from .screening import (check_reversal_pattern, rigidity_scan,
+                        scan_coincidences)
 from .specfile import TupleSpecFile, parse_spec
 from .stepfunc import build_trajectory, serialize_trajectory
 from .sweep import TupleContext, format_permutation, serialize_report, sweep
@@ -153,16 +153,12 @@ def _cmd_verify(args) -> int:
             if log.verdict.value == "DEPENDENT":
                 failed = True
                 continue
-            records = rigidity_scan(a, b, max_index=args.max_index,
-                                    max_d=args.max_d,
-                                    max_compare_depth=job.max_compare_depth)
-            confirmed = sum(1 for r in records
-                            if r.outcome is RigidityOutcome.CONFIRMED)
-            violations = [r for r in records
-                          if r.outcome is RigidityOutcome.VIOLATION]
-            print(f"rigidity_scan\tchecked\t{len(records)}\tconfirmed\t"
-                  f"{confirmed}\tviolations\t{len(violations)}")
-            for r in violations:
+            scan = rigidity_scan(a, b, max_index=args.max_index,
+                                 max_d=args.max_d,
+                                 max_compare_depth=job.max_compare_depth)
+            print(f"rigidity_scan\tchecked\t{len(scan)}\tconfirmed\t"
+                  f"{scan.tally['CONFIRMED']}\tviolations\t{len(scan.violations)}")
+            for r in scan.violations:
                 failed = True
                 print(r.serialize())
             for r in check_reversal_pattern(a, b, depth=args.scan_depth,

@@ -27,6 +27,30 @@ def random_periodic_cf(rng: random.Random, *, max_coeff: int = 9,
     return ContinuedFraction.periodic(pre, per, depth_cap=depth_cap)
 
 
+def random_shared_prefix_pair(rng: random.Random, *,
+                              prefix: tuple[int, int] = (10, 25),
+                              max_coeff: int = 9, max_period: int = 4,
+                              depth_cap: int = 512
+                              ) -> tuple[ContinuedFraction, ContinuedFraction]:
+    """Two periodic streams with one random preperiod of prefix[0] ..
+    prefix[1] coefficients (a0 included) and periods of 1 .. max_period.
+
+    With m shared coefficients they share q_0 .. q_{m-1}, so matched
+    denominators are frequent, yet they lie in distinct quadratic fields,
+    which makes 1, a, b linearly independent over Q.
+    """
+    while True:
+        shared = [rng.randint(1, max_coeff) for _ in range(rng.randint(*prefix))]
+        periods = [[rng.randint(1, max_coeff)
+                    for _ in range(rng.randint(1, max_period))]
+                   for _ in range(2)]
+        a, b = (ContinuedFraction.periodic(shared, period, depth_cap=depth_cap)
+                for period in periods)
+        va, vb = a.exact_value(), b.exact_value()
+        if va is not None and vb is not None and va.radicand != vb.radicand:
+            return a, b
+
+
 def random_surd(rng: random.Random, *, radicand: int | None = None) -> QuadraticSurd:
     d = radicand if radicand is not None else rng.choice(SQUAREFREE_POOL)
     coef = Fraction(rng.randint(1, 3), rng.randint(1, 2))

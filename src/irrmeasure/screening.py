@@ -6,17 +6,24 @@ shared (q, q') pairs would force the values' sum or difference into Z.
 This module logs such coincidences, screens pairs for independence, and
 runs the executable forms of the rigidity and order-reversal consequences
 on concrete index windows.
+
+The rigidity scan joins the two denominator tables on their values:
+only triples with q_{nu+2} = r_{mu+d} run the full check, and every other
+triple is counted, not stored, so a scan costs O(table length x max_d +
+matched triples) instead of O(triples x table length).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cf import (CombinationKind, ContinuedFraction, ErrorTerm, Ordering,
-                 certified_order, compare_errors, convergents,
-                 integer_combination_check, star_value)
+                 certified_order, compare_errors, integer_combination_check,
+                 star_value)
 from .stepfunc import build_trajectory, psi_at
 
 
@@ -64,8 +71,8 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     """
     if depth < 2:
         raise ValueError("scan depth must be >= 2")
-    qa = [c.q for c in convergents(a, depth + 1)]
-    rb = [c.q for c in convergents(b, depth + 1)]
+    qa = a.denominators(depth + 1)
+    rb = b.denominators(depth + 1)
 
     pair_index: dict[tuple[int, int], list[int]] = {}
     for mu in range(depth):
@@ -122,10 +129,20 @@ class RigidityOutcome(Enum):
     VIOLATION = "VIOLATION"
 
 
+#: the hypotheses check_rigidity tests, in order; a NOT_APPLICABLE record
+#: names the first one that failed
+RIGIDITY_GATES = ("q_{nu+2} = r_{mu+d}", "q_{nu+1} <= r_{mu+1}",
+                  "xi_nu <= eta_mu", "xi_{nu+1} <= eta_{mu+d-1}")
+
+
 @dataclass
 class RigidityRecord:
-    """One instance of the matched-jump rigidity check, with enough data
-    to dump a full certificate when something is off."""
+    """One instance (nu, mu, d) of the matched-jump rigidity check, with
+    enough data to dump a full certificate when something is off.
+
+    failed_hypothesis is set exactly when the outcome is NOT_APPLICABLE;
+    detail is filled only when all four hypotheses hold.
+    """
 
     nu: int
     mu: int
@@ -167,8 +184,8 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     """
     if nu < 0 or mu < 0 or d < 1:
         raise ValueError("need nu, mu >= 0 and d >= 1")
-    qa = [c.q for c in convergents(a, nu + 3)]
-    rb = [c.q for c in convergents(b, max(mu + d, mu + 2) + 1)]
+    qa = a.denominators(nu + 3)
+    rb = b.denominators(max(mu + d, mu + 2) + 1)
     rec = RigidityRecord(nu=nu, mu=mu, d=d, outcome=RigidityOutcome.NOT_APPLICABLE)
     if qa[nu + 2] != rb[mu + d]:
         rec.failed_hypothesis = "q_{nu+2} = r_{mu+d}"
@@ -203,17 +220,97 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     return rec
 
 
+class RigidityScan(Sequence[RigidityRecord]):
+    """Read-only sequence of the records of every triple (nu, mu, d) with
+    nu, mu <= max_index and 1 <= d <= max_d, in lexicographic order.
+
+    Only the examined records, those of triples past the denominator
+    gate, are stored. Any other triple's NOT_APPLICABLE record is built
+    when it is looked up, so such lookups return a fresh object each time.
+    `tally` counts records by first failed hypothesis (RIGIDITY_GATES,
+    in order) and by outcome ("CONFIRMED", "VIOLATION"); `violations`
+    holds the VIOLATION records in scan order.
+    """
+
+    def __init__(self, max_index: int, max_d: int,
+                 examined: dict[tuple[int, int, int], RigidityRecord]) -> None:
+        self._side = max(max_index + 1, 0)
+        self._max_d = max(max_d, 0)
+        self._examined = examined
+        tally = dict.fromkeys(RIGIDITY_GATES + ("CONFIRMED", "VIOLATION"), 0)
+        tally[RIGIDITY_GATES[0]] = len(self) - len(examined)
+        for rec in examined.values():
+            tally[rec.failed_hypothesis or rec.outcome.value] += 1
+        self.tally = MappingProxyType(tally)
+        self.violations = tuple(rec for rec in examined.values()
+                                if rec.outcome is RigidityOutcome.VIOLATION)
+
+    def _record(self, nu: int, mu: int, d: int) -> RigidityRecord:
+        rec = self._examined.get((nu, mu, d))
+        if rec is None:
+            rec = RigidityRecord(nu=nu, mu=mu, d=d,
+                                 outcome=RigidityOutcome.NOT_APPLICABLE,
+                                 failed_hypothesis=RIGIDITY_GATES[0])
+        return rec
+
+    def __len__(self) -> int:
+        return self._side * self._side * self._max_d
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]    # list semantics, errors too
+        if isinstance(index, slice):
+            return [self[i] for i in positions]
+        cell, d = divmod(positions, self._max_d)
+        nu, mu = divmod(cell, self._side)
+        return self._record(nu, mu, d + 1)
+
+    def __iter__(self):
+        for nu in range(self._side):
+            for mu in range(self._side):
+                for d in range(1, self._max_d + 1):
+                    yield self._record(nu, mu, d)
+
+
 def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
                   max_index: int = 25, max_d: int = 4,
-                  max_compare_depth: int = 64) -> list[RigidityRecord]:
-    """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d."""
-    records = []
-    for nu in range(max_index + 1):
+                  max_compare_depth: int = 64) -> RigidityScan:
+    """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
+
+    A hash join on denominator values finds the triples with
+    q_{nu+2} = r_{mu+d}; only those run check_rigidity, in the order of
+    the triple loop. Both tables are grown exactly as that loop grows
+    them (a to index 2, b along row nu = 0, a one index per row), so a
+    depth error or UndecidedComparison comes from the same triple. The
+    cost is O((max_index + max_d) x max_d) integer steps plus one
+    check_rigidity per matched triple, where the loop ran one per triple
+    and each read a denominator list of its own.
+    """
+    examined: dict[tuple[int, int, int], RigidityRecord] = {}
+
+    def examine(nu: int, mu: int, d: int) -> None:
+        examined[nu, mu, d] = check_rigidity(
+            a, b, nu, mu, d, max_compare_depth=max_compare_depth)
+
+    if max_index >= 0 and max_d >= 1:
+        # row nu = 0 is where the triple loop grows b's table, one (mu, d)
+        # at a time; walk it the same way, so a failing matched triple and
+        # a failing growth step come in the loop's order
+        target = a.convergent_row(2)[1]
         for mu in range(max_index + 1):
             for d in range(1, max_d + 1):
-                records.append(check_rigidity(a, b, nu, mu, d,
-                                              max_compare_depth=max_compare_depth))
-    return records
+                b.convergent_row(mu + max(d, 2))
+                if b.convergent_row(mu + d)[1] == target:
+                    examine(0, mu, d)
+        # b's table is complete now: index r_j -> the (mu, d) with mu + d = j
+        matches: dict[int, list[tuple[int, int]]] = {}
+        for j, r in enumerate(b.denominators(max_index + max(max_d, 2) + 1)):
+            for d in range(1, max_d + 1):
+                if 0 <= j - d <= max_index:
+                    matches.setdefault(r, []).append((j - d, d))
+        for nu in range(1, max_index + 1):
+            for mu, d in sorted(matches.get(a.convergent_row(nu + 2)[1], ())):
+                examine(nu, mu, d)
+    return RigidityScan(max_index, max_d, examined)
 
 
 @dataclass
@@ -255,8 +352,8 @@ def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
     kept, marked not applicable); each record carries the compared
     enclosures so the raw data survives into reports.
     """
-    qa = [c.q for c in convergents(a, depth + 1)]
-    rb = [c.q for c in convergents(b, depth + 1)]
+    qa = a.denominators(depth + 1)
+    rb = b.denominators(depth + 1)
     r_pos: dict[int, int] = {}
     for mu in range(2, depth + 1):
         r_pos.setdefault(rb[mu], mu)

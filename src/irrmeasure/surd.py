@@ -76,6 +76,13 @@ def _sign_linear(r: Fraction, c: Fraction, d: int) -> int:
     return 1 if rhs > lhs else -1
 
 
+def _nonzero(coef: Fraction) -> Fraction:
+    if coef == 0:
+        raise RadicandError("root coefficient must be nonzero (value "
+                            "would be rational)", origin="surd.QuadraticSurd")
+    return coef
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Canonical a + b*sqrt(d): d square-free >= 2, b != 0.
@@ -89,10 +96,7 @@ class QuadraticSurd:
 
     def __post_init__(self) -> None:
         rational = Fraction(self.rational)
-        coef = Fraction(self.coef)
-        if coef == 0:
-            raise RadicandError("root coefficient must be nonzero (value "
-                                "would be rational)", origin="surd.QuadraticSurd")
+        coef = _nonzero(Fraction(self.coef))
         s, d = squarefree_decompose(int(self.radicand))
         if d == 1:
             raise RadicandError(
@@ -102,24 +106,40 @@ class QuadraticSurd:
         object.__setattr__(self, "coef", coef * s)
         object.__setattr__(self, "radicand", d)
 
+    @classmethod
+    def _trusted(cls, rational: Fraction, coef: Fraction,
+                 radicand: int) -> "QuadraticSurd":
+        """Same field as a canonical surd: the radicand is already
+        certified square-free, so only the nonzero root part is checked.
+        Both parts must already be Fractions."""
+        surd = object.__new__(cls)
+        object.__setattr__(surd, "rational", rational)
+        object.__setattr__(surd, "coef", _nonzero(coef))
+        object.__setattr__(surd, "radicand", radicand)
+        return surd
+
     # -- arithmetic used by the expansion and error-term machinery --
+    # results stay in this surd's field, so they skip re-certification
 
     def plus_rational(self, x) -> "QuadraticSurd":
-        return QuadraticSurd(self.rational + Fraction(x), self.coef, self.radicand)
+        return QuadraticSurd._trusted(self.rational + Fraction(x), self.coef,
+                                      self.radicand)
 
     def times_rational(self, x) -> "QuadraticSurd":
         x = Fraction(x)
         if x == 0:
             raise ValueError("scaling a surd by zero degenerates it")
-        return QuadraticSurd(self.rational * x, self.coef * x, self.radicand)
+        return QuadraticSurd._trusted(self.rational * x, self.coef * x,
+                                      self.radicand)
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self.rational, -self.coef, self.radicand)
+        return QuadraticSurd._trusted(-self.rational, -self.coef, self.radicand)
 
     def reciprocal(self) -> "QuadraticSurd":
         norm = self.rational * self.rational - self.coef * self.coef * self.radicand
         # norm == 0 would make sqrt(radicand) rational
-        return QuadraticSurd(self.rational / norm, -self.coef / norm, self.radicand)
+        return QuadraticSurd._trusted(self.rational / norm, -self.coef / norm,
+                                      self.radicand)
 
     def sign(self) -> int:
         return _sign_linear(self.rational, self.coef, self.radicand)

@@ -8,20 +8,21 @@ tuned after the fact.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from irrmeasure import (CombinationKind, RigidityOutcome, TupleContext,
-                        brute_force_psi_sweep, build_trajectory,
-                        check_nj_bound, convergents, psi_at,
+from irrmeasure import (CombinationKind, TupleContext, brute_force_psi_sweep,
+                        build_trajectory, check_nj_bound, convergents, psi_at,
                         rigidity_scan, scan_coincidences, serialize_report,
                         sign_change_count, surd_to_cf, sweep,
                         verify_with_retries)
 from irrmeasure.cli import main as cli_main
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
-                               random_surd)
+                               random_shared_prefix_pair, random_surd)
 from irrmeasure.errors import WindowTooShort
+from irrmeasure.screening import RIGIDITY_GATES
 
 from conftest import (fib_sequence, oracle_min_scan, oracle_value_interval,
                       pell_denominators, pell_numerators)
@@ -162,19 +163,26 @@ def test_criterion_5_count_bound_chain(corpus_runs):
 # ----------------------------------------------------------- criterion 6
 
 def test_criterion_6_rigidity_scan_zero_violations():
-    """Exhaustive scan (nu, mu <= 25, d <= 4) over 10 seeded pairs yields
-    no VIOLATION outcome."""
+    """Exhaustive scans yield no VIOLATION outcome, and not vacuously:
+    10 seeded independent surd pairs (nu, mu <= 25, d <= 4) plus 10
+    independent periodic pairs sharing a 10-25 coefficient prefix
+    (nu, mu <= 50, d <= 4), where triples get past every hypothesis gate
+    but the last one."""
+    tally = Counter()
     rng = random.Random(52_06)
-    violations = 0
-    checked = 0
     for _ in range(10):
         a, b = random_independent_members(rng, 2)
-        for rec in rigidity_scan(a, b, max_index=25, max_d=4):
-            checked += 1
-            if rec.outcome is RigidityOutcome.VIOLATION:
-                violations += 1
+        tally.update(rigidity_scan(a, b, max_index=25, max_d=4).tally)
+    rng = random.Random(52_061)
+    for _ in range(10):
+        a, b = random_shared_prefix_pair(rng)
+        tally.update(rigidity_scan(a, b, max_index=50, max_d=4).tally)
+    last_gate = (tally[RIGIDITY_GATES[-1]] + tally["CONFIRMED"]
+                 + tally["VIOLATION"])
     _report(6, "matched-jump rigidity never violated",
-            violations == 0, f"{checked} instances")
+            tally["VIOLATION"] == 0 and last_gate > 0,
+            f"{sum(tally.values())} instances, {last_gate} at the last "
+            f"gate; {dict(tally)}")
 
 
 # ----------------------------------------------------------- criterion 7

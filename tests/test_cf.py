@@ -97,6 +97,7 @@ def test_error_term_rows_match_a_fresh_recurrence(make):
         if nu >= 1:
             assert star_value(cf, nu) == Fraction(rows[nu][2], rows[nu][1])
     assert [(c.p, c.q) for c in convergents(cf, count)] == [r[:2] for r in rows]
+    assert make().denominators(count) == [r[1] for r in rows]
 
 
 @pytest.mark.parametrize("warm", [0, 3])
@@ -108,6 +109,8 @@ def test_depth_errors_surface_at_the_walks_index(warm):
         convergents(capped, warm)
     with pytest.raises(DepthExhausted, match="index 5 requested"):
         convergents(finite, 9)
+    with pytest.raises(DepthExhausted, match="index 5 requested"):
+        finite.denominators(9)
     with pytest.raises(DepthExhausted, match="index 5 requested"):
         ErrorTerm(finite, 5)
     with pytest.raises(DepthExhausted, match="index 5 requested"):

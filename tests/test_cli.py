@@ -133,13 +133,23 @@ def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["proof-trace", "trace"])
+#: command -> (spec stem, extra flags). replay_wide8: 8 surd members at
+#: t_max 1e60, digests of the output the quadratic-time replay printed.
+#: verify_pairs3: 3 periodic members, two sharing a 20-coefficient prefix,
+#: digest of the output the triple-loop rigidity scan printed.
+GOLDEN = {
+    "proof-trace": ("replay_wide8", []),
+    "trace": ("replay_wide8", []),
+    "verify": ("verify_pairs3", ["--max-index", "50", "--max-d", "4",
+                                 "--scan-depth", "60"]),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_output_digests(command, capsys):
-    # 8 surd members at t_max 1e60; the digests are of the output the
-    # quadratic-time replay printed, so any byte change shows here
-    spec = DATA / "replay_wide8.spec"
-    expected = json.loads((DATA / "replay_wide8.sha256.json").read_text())
-    assert main([command, str(spec)]) == 0
+    stem, flags = GOLDEN[command]
+    expected = json.loads((DATA / f"{stem}.sha256.json").read_text())
+    assert main([command, str(DATA / f"{stem}.spec"), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected[command]
 

@@ -10,8 +10,9 @@ from irrmeasure import (ContinuedFraction, QuadraticSurd, RigidityOutcome,
                         Verdict, check_reversal_pattern, check_rigidity,
                         convergents, rigidity_scan, scan_coincidences,
                         sqrt_of, surd_to_cf)
-from irrmeasure.corpus import random_independent_members, random_periodic_cf
-from irrmeasure.errors import UndecidedComparison
+from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
+                               random_shared_prefix_pair)
+from irrmeasure.errors import DepthExhausted, UndecidedComparison
 
 
 # ------------------------------------------------------------------ scans
@@ -96,6 +97,100 @@ def test_rigidity_scan_zero_violations_on_random_pairs():
         outcomes = Counter(r.outcome for r in
                            rigidity_scan(a, b, max_index=12, max_d=4))
         assert outcomes[RigidityOutcome.VIOLATION] == 0
+
+
+def naive_rigidity_scan(a, b, *, max_index, max_d, max_compare_depth=64):
+    """The triple loop rigidity_scan replaced, kept as its reference."""
+    return [check_rigidity(a, b, nu, mu, d, max_compare_depth=max_compare_depth)
+            for nu in range(max_index + 1)
+            for mu in range(max_index + 1)
+            for d in range(1, max_d + 1)]
+
+
+def _pairs(kind):
+    if kind == "independent":
+        rng = random.Random(2417)
+        return [tuple(random_independent_members(rng, 2)) for _ in range(3)]
+    if kind == "shared_prefix":
+        rng = random.Random(2418)
+        return [random_shared_prefix_pair(rng) for _ in range(3)]
+    # b = a + 3: CONFIRMED records at (nu, nu, 2)
+    return [(surd_to_cf(sqrt_of(2)),
+             surd_to_cf(QuadraticSurd(Fraction(3), Fraction(1), 2)))]
+
+
+@pytest.mark.parametrize("max_index", [0, 12])
+@pytest.mark.parametrize("max_d", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["independent", "shared_prefix", "dependent"])
+def test_rigidity_scan_matches_the_triple_loop(kind, max_d, max_index):
+    for a, b in _pairs(kind):
+        naive = naive_rigidity_scan(a, b, max_index=max_index, max_d=max_d)
+        scan = rigidity_scan(a, b, max_index=max_index, max_d=max_d)
+        assert len(scan) == len(naive) == (max_index + 1) ** 2 * max_d
+        assert [r.serialize() for r in scan] == [r.serialize() for r in naive]
+        counts = Counter(r.failed_hypothesis or r.outcome.value for r in naive)
+        assert dict(scan.tally) == {key: counts[key] for key in scan.tally}
+        assert sum(scan.tally.values()) == len(naive)
+        assert scan.violations == tuple(
+            r for r in naive if r.outcome is RigidityOutcome.VIOLATION)
+    if kind == "dependent" and max_d >= 2:
+        assert scan.tally["CONFIRMED"] == max_index + 1
+
+
+def test_rigidity_scan_is_an_indexable_sequence(phi_cf, sqrt2_cf):
+    naive = [r.serialize() for r in
+             naive_rigidity_scan(phi_cf, sqrt2_cf, max_index=6, max_d=3)]
+    scan = rigidity_scan(phi_cf, sqrt2_cf, max_index=6, max_d=3)
+    assert [scan[i].serialize() for i in range(-len(scan), len(scan))] == naive * 2
+    assert [r.serialize() for r in scan[5:40:7]] == naive[5:40:7]
+    with pytest.raises(IndexError):
+        scan[len(scan)]
+    assert len(rigidity_scan(phi_cf, sqrt2_cf, max_index=-1)) == 0
+    assert list(rigidity_scan(phi_cf, sqrt2_cf, max_d=0)) == []
+
+
+def _outcome(scan, *args, **kwargs):
+    try:
+        return [r.serialize() for r in scan(*args, **kwargs)]
+    except (DepthExhausted, UndecidedComparison) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make_a, make_b, max_d", [
+    # a ends before index 2: the first triple fails on a
+    (lambda: ContinuedFraction.from_coefficients([1, 2]),
+     lambda: ContinuedFraction.periodic([1], [2]), 4),
+    # b ends inside row nu = 0, after matched triples that refine into it
+    (lambda: ContinuedFraction.periodic([1], [2]),
+     lambda: ContinuedFraction.from_coefficients([1, 2, 2, 2, 2, 2, 2, 2]), 4),
+    # a ends at a later row
+    (lambda: ContinuedFraction.from_coefficients([1, 3, 1, 4, 1, 5, 9, 2, 6]),
+     lambda: ContinuedFraction.periodic([2], [1, 2]), 2),
+    # an undecided matched triple in row 0 comes before b's end
+    (lambda: ContinuedFraction.from_rule(lambda nu: 2, depth_cap=200),
+     lambda: ContinuedFraction.from_coefficients([2] * 12), 4),
+], ids=["a_short", "b_short", "a_short_late", "undecided_first"])
+def test_rigidity_scan_fails_like_the_triple_loop(make_a, make_b, max_d):
+    kwargs = dict(max_index=12, max_d=max_d, max_compare_depth=8)
+    expected = _outcome(naive_rigidity_scan, make_a(), make_b(), **kwargs)
+    assert isinstance(expected, tuple), "the window must be too short"
+    assert _outcome(rigidity_scan, make_a(), make_b(), **kwargs) == expected
+
+
+def test_rigidity_scan_undecided_from_the_first_matched_triple():
+    # q = 1, 2, 5, ... on both sides: (0, 0, 2) is the first triple with
+    # q_2 = r_{mu+d}, and its head comparison xi_0 vs eta_0 is a tie
+    def make():
+        return ContinuedFraction.from_rule(lambda nu: 2, depth_cap=200)
+
+    with pytest.raises(UndecidedComparison) as naive:
+        naive_rigidity_scan(make(), make(), max_index=12, max_d=4,
+                            max_compare_depth=8)
+    with pytest.raises(UndecidedComparison) as joined:
+        rigidity_scan(make(), make(), max_index=12, max_d=4,
+                      max_compare_depth=8)
+    assert str(joined.value) == str(naive.value)
+    assert joined.value.left.index == joined.value.right.index == 0
 
 
 def test_rigidity_without_backend_raises_undecided_on_equal_values():

@@ -1,10 +1,12 @@
 """Exact quadratic-field elements: canonical form, signs, enclosures."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import irrmeasure.surd as surd_module
 from irrmeasure import QuadraticSurd, sqrt_of, squarefree_decompose
 from irrmeasure.errors import RadicandError
 
@@ -96,6 +98,34 @@ def test_reciprocal_and_shift_arithmetic():
     assert x.plus_rational(Fraction(1, 2)).rational == Fraction(3, 2)
     assert x.times_rational(2) == QuadraticSurd(Fraction(2), Fraction(2), 2)
     assert (-x).abs() == x
+
+
+def test_field_preserving_operations_skip_recertification(monkeypatch):
+    # each derived surd equals the one the certifying constructor builds
+    # from the same parts, though none runs squarefree_decompose again
+    rng = random.Random(2026)
+    surds = [QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                           Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                    rng.randint(1, 9)),
+                           rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+                           * rng.randint(1, 6) ** 2)
+             for _ in range(40)]
+    xs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+          for _ in surds]
+
+    def derived():
+        for s, x in zip(surds, xs):
+            norm = s.rational ** 2 - s.coef ** 2 * s.radicand
+            yield s.plus_rational(x), (s.rational + x, s.coef, s.radicand)
+            yield s.times_rational(x), (s.rational * x, s.coef * x, s.radicand)
+            yield -s, (-s.rational, -s.coef, s.radicand)
+            yield s.reciprocal(), (s.rational / norm, -s.coef / norm, s.radicand)
+
+    expected = [QuadraticSurd(*parts) for _, parts in derived()]
+    monkeypatch.setattr(surd_module, "squarefree_decompose", None)
+    assert [value for value, _ in derived()] == expected
+    with pytest.raises(RadicandError):
+        QuadraticSurd._trusted(Fraction(1), Fraction(0), 2)
 
 
 @given(st.fractions(min_value=-3, max_value=3),
