@@ -5,6 +5,12 @@ classical two-term recurrence. The error terms |q_nu*x - p_nu| are kept as
 strict rational enclosures driven by an integer Moebius state: consuming
 one further coefficient tightens the bracket by a factor greater than two,
 so certified comparisons terminate quickly whenever the values differ.
+
+The enclosure ends are unreduced integer pairs num/den with positive
+denominators, and compare_errors orders them by cross-multiplication
+alone. Fractions appear only where a caller asks for one: ErrorTerm.lo,
+.hi and .interval(), convergent and star values, and the exact values of
+periodic backings.
 """
 
 from __future__ import annotations
@@ -259,15 +265,25 @@ class ErrorTerm:
     """Strict rational enclosure of xi_nu = |q_nu*x - p_nu|.
 
     Exactly xi_nu = 1/(q_nu*x_{nu+1} + q_{nu-1}) with x_{nu+1} the first
-    unconsumed tail. The state is an integer Moebius map applied to that
-    tail; evaluating it on the next coefficient's unit bracket gives the
-    enclosure, and each refinement step consumes one more coefficient.
+    unconsumed tail. The state is an integer Moebius map (e, f; g, h)
+    applied to that tail; evaluating it at the next coefficient b and at
+    b + 1 gives the two ends (e*b + f)/(g*b + h) and (e*(b+1) + f)/(g*(b+1) + h),
+    and each refinement step consumes one more coefficient.
+
+    The ends are stored unreduced as integer pairs (lo_num, lo_den) and
+    (hi_num, hi_den), ordered by cross-multiplication. Every denominator
+    is positive: g >= 1 and h >= 0 are sums of convergent denominators
+    and b >= 1. Certified comparisons work on these pairs alone; `lo`,
+    `hi` and `interval()` build the reduced Fractions on demand, for
+    display and for callers that want rationals.
+
     Refinement mutates only this term; share terms read-only across
     threads and serialize refinement per term.
     """
 
     __slots__ = ("owner", "index", "depth", "p", "q", "q_prev",
-                 "_e", "_f", "_g", "_h", "_next", "_lo", "_hi")
+                 "_e", "_f", "_g", "_h", "_next",
+                 "lo_num", "lo_den", "hi_num", "hi_den")
 
     def __init__(self, owner: ContinuedFraction, index: int) -> None:
         if index < 0:
@@ -283,10 +299,14 @@ class ErrorTerm:
 
     def _reevaluate(self) -> None:
         b = self.owner.coefficient(self._next)
-        e, f, g, h = self._e, self._f, self._g, self._h
-        v1 = Fraction(e * b + f, g * b + h)
-        v2 = Fraction(e * (b + 1) + f, g * (b + 1) + h)
-        self._lo, self._hi = (v1, v2) if v1 < v2 else (v2, v1)
+        e, g = self._e, self._g
+        n1, d1 = e * b + self._f, g * b + self._h
+        n2, d2 = n1 + e, d1 + g
+        # the ends differ (the map is invertible), so one order is strict
+        if n1 * d2 < n2 * d1:
+            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n1, d1, n2, d2
+        else:
+            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n2, d2, n1, d1
 
     def refine_once(self) -> None:
         """Consume one coefficient; the interval strictly shrinks and the
@@ -306,18 +326,14 @@ class ErrorTerm:
 
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return Fraction(self.lo_num, self.lo_den)
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
-
-    @property
-    def width(self) -> Fraction:
-        return self._hi - self._lo
+        return Fraction(self.hi_num, self.hi_den)
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        return self.lo, self.hi
 
     def exact_value(self) -> QuadraticSurd | None:
         """|q_nu*x - p_nu| as an exact surd when the owner has one."""
@@ -328,7 +344,7 @@ class ErrorTerm:
 
     def __repr__(self) -> str:
         return (f"ErrorTerm(index={self.index}, q={self.q}, depth={self.depth}, "
-                f"lo={self._lo}, hi={self._hi})")
+                f"lo={self.lo}, hi={self.hi})")
 
 
 def error_enclosure(cf: ContinuedFraction, nu: int, depth: int = 0) -> ErrorTerm:
@@ -346,25 +362,36 @@ class Ordering(Enum):
 def compare_errors(x: ErrorTerm, y: ErrorTerm, max_depth: int = 64) -> Ordering:
     """Certified order of two error terms.
 
-    Refines the wider enclosure first until the intervals separate.
-    Raises UndecidedComparison when both refinement budgets are spent with
-    the intervals still overlapping; equal values (dependent inputs) can
-    never separate, which is exactly what this error reports.
+    Refines the wider enclosure first (x on equal widths) until the
+    intervals separate. Raises UndecidedComparison when both refinement
+    budgets are spent with the intervals still overlapping; equal values
+    (dependent inputs) can never separate, which is exactly what this
+    error reports. All tests are integer cross-multiplications, valid
+    because every enclosure denominator is positive.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     while True:
-        if x.hi <= y.lo:
+        if x.hi_num * y.lo_den <= y.lo_num * x.hi_den:
             return Ordering.LESS
-        if y.hi <= x.lo:
+        if y.hi_num * x.lo_den <= x.lo_num * y.hi_den:
             return Ordering.GREATER
-        refinable = [t for t in (x, y) if t.depth < max_depth]
-        if not refinable:
+        if x.depth < max_depth:
+            if y.depth < max_depth:
+                # width = (hi_num*lo_den - lo_num*hi_den) / (hi_den*lo_den)
+                x_den, y_den = x.hi_den * x.lo_den, y.hi_den * y.lo_den
+                x_wider = ((x.hi_num * x.lo_den - x.lo_num * x.hi_den) * y_den
+                           >= (y.hi_num * y.lo_den - y.lo_num * y.hi_den) * x_den)
+                (x if x_wider else y).refine_once()
+            else:
+                x.refine_once()
+        elif y.depth < max_depth:
+            y.refine_once()
+        else:
             raise UndecidedComparison(
                 f"enclosures still overlap at depth {max_depth}: "
                 f"({x.lo}, {x.hi}) vs ({y.lo}, {y.hi})",
                 origin="cf.compare_errors", left=x, right=y)
-        max(refinable, key=lambda t: t.width).refine_once()
 
 
 def certified_order(x: ErrorTerm, y: ErrorTerm, max_depth: int, *, time: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bound import verify_with_retries
@@ -25,7 +26,10 @@ from .stepfunc import build_trajectory, serialize_trajectory
 from .sweep import TupleContext, format_permutation, serialize_report, sweep
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args fills a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="irrmeasure",
         description="Exact analyses of irrationality measure step functions.")

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 
 from .cf import (CombinationKind, ContinuedFraction, ErrorTerm, Ordering,
@@ -59,6 +60,12 @@ class CoincidenceLog:
         return "\n".join(lines) + "\n"
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms as an integer pair (den > 0)."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
                       depth: int = 40) -> CoincidenceLog:
     """Exhaustive coincidence log over indices <= depth.
@@ -82,16 +89,18 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
         for mu in pair_index.get((qa[nu], qa[nu + 1]), ()):
             shared_pairs.append((nu, mu))
 
-    star_index: dict[Fraction, list[int]] = {}
+    # each star value q_{mu-1}/q_mu is keyed by its lowest-terms integer
+    # pair; consecutive denominators are coprime, so that pair is the raw
+    # (q_{mu-1}, q_mu), and the assertion below re-checks this lemma on
+    # the raw denominators
+    star_index: dict[tuple[int, int], list[int]] = {}
     for mu in range(1, depth + 1):
-        star_index.setdefault(Fraction(rb[mu - 1], rb[mu]), []).append(mu)
+        star_index.setdefault(_reduced(rb[mu - 1], rb[mu]), []).append(mu)
     equal_stars = []
     for nu in range(1, depth + 1):
-        for mu in star_index.get(Fraction(qa[nu - 1], qa[nu]), ()):
+        for mu in star_index.get(_reduced(qa[nu - 1], qa[nu]), ()):
             equal_stars.append((nu, mu))
-            # equal stars force equal denominators at both indices:
-            # consecutive denominators are coprime, so the reduced
-            # fractions expose them directly
+            # equal stars force equal denominators at both indices
             if qa[nu - 1] != rb[mu - 1] or qa[nu] != rb[mu]:
                 raise AssertionError(
                     f"equal stars at ({nu}, {mu}) without matching denominators")

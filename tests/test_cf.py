@@ -8,9 +8,11 @@ import pytest
 
 from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
                         Ordering, QuadraticSurd, compare_errors, convergents,
-                        error_enclosure, integer_combination_check, sqrt_of,
-                        star_value, surd_to_cf, tail)
-from irrmeasure.corpus import random_periodic_cf
+                        error_enclosure, integer_combination_check,
+                        scan_coincidences, sqrt_of, star_value, surd_to_cf,
+                        tail)
+from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
+                               random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted,
                                UndecidedComparison)
 
@@ -268,6 +270,170 @@ def test_compare_errors_antisymmetric_and_transitive():
                 va, vb = x.exact_value(), y.exact_value()
                 assert va is not None and vb is not None
                 assert va.compare(vb) == 0
+
+
+# ------------------------------------------- integer kernel vs Fraction one
+
+class _FractionTerm:
+    """The Fraction-normalising error term the integer kernel replaced,
+    kept as a reference: same Moebius state, enclosure ends reduced to
+    Fractions after every step."""
+
+    def __init__(self, owner, index):
+        _, q, q_prev = owner.convergent_row(index)
+        self.owner, self.depth = owner, 0
+        self._e, self._f, self._g, self._h = 0, 1, q, q_prev
+        self._next = index + 1
+        self._reevaluate()
+
+    def _reevaluate(self):
+        b = self.owner.coefficient(self._next)
+        e, f, g, h = self._e, self._f, self._g, self._h
+        v1 = Fraction(e * b + f, g * b + h)
+        v2 = Fraction(e * (b + 1) + f, g * (b + 1) + h)
+        self.lo, self.hi = (v1, v2) if v1 < v2 else (v2, v1)
+
+    def refine_once(self):
+        b = self.owner.coefficient(self._next)
+        e, f, g, h = self._e, self._f, self._g, self._h
+        self._e, self._f = e * b + f, e
+        self._g, self._h = g * b + h, g
+        self._next += 1
+        self.depth += 1
+        self._reevaluate()
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+
+def _reference_compare(x, y, max_depth, ties):
+    """compare_errors as it was on Fractions; counts equal-width choices
+    in ties[0]."""
+    while True:
+        if x.hi <= y.lo:
+            return Ordering.LESS
+        if y.hi <= x.lo:
+            return Ordering.GREATER
+        refinable = [t for t in (x, y) if t.depth < max_depth]
+        if not refinable:
+            raise UndecidedComparison(
+                f"enclosures still overlap at depth {max_depth}: "
+                f"({x.lo}, {x.hi}) vs ({y.lo}, {y.hi})",
+                origin="cf.compare_errors")
+        if len(refinable) == 2 and x.width == y.width:
+            ties[0] += 1
+        max(refinable, key=lambda t: t.width).refine_once()
+
+
+def _kernel_streams(rng):
+    """Periodic, surd-backed and rule streams, plus shared-prefix pairs
+    whose error terms have equal widths while their coefficients agree."""
+    streams = [random_periodic_cf(rng) for _ in range(4)]
+    streams += [surd_to_cf(random_surd(rng)) for _ in range(4)]
+    streams += [ContinuedFraction.from_rule(lambda j: (j * j) % 7 + 1, depth_cap=400),
+                ContinuedFraction.from_rule(lambda j: 1 + j % 3, depth_cap=400)]
+    for _ in range(3):
+        streams += random_shared_prefix_pair(rng)
+    return streams
+
+
+def _assert_same_enclosure(term, ref):
+    assert term.interval() == (ref.lo, ref.hi)
+    assert term.depth == ref.depth
+    assert min(term.lo_den, term.hi_den) > 0
+
+
+def test_integer_enclosures_match_the_fraction_kernel():
+    rng = random.Random(8101)
+    for cf in _kernel_streams(rng):
+        for nu in rng.sample(range(30), 6):
+            term, ref = ErrorTerm(cf, nu), _FractionTerm(cf, nu)
+            _assert_same_enclosure(term, ref)
+            for _ in range(rng.randint(1, 12)):
+                term.refine_once()
+                ref.refine_once()
+                _assert_same_enclosure(term, ref)
+
+
+def test_integer_compare_matches_the_fraction_kernel():
+    rng = random.Random(8102)
+    streams = _kernel_streams(rng)
+    ties, compared = [0], 0
+    # shared-prefix partners side by side: equal indices inside the prefix
+    # give identical enclosures, so the equal-width rule picks the side
+    # that refines first
+    pairs = [(streams[i], streams[i + 1], nu, nu)
+             for i in range(len(streams) - 6, len(streams), 2) for nu in range(8)]
+    pairs += [(rng.choice(streams), rng.choice(streams),
+               rng.randrange(25), rng.randrange(25)) for _ in range(300)]
+    for a, b, nu, mu in pairs:
+        depth_x, depth_y = rng.randint(0, 3), rng.randint(0, 3)
+        max_depth = rng.choice((4, 8, 64))
+        x, y = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
+        rx, ry = _FractionTerm(a, nu), _FractionTerm(b, mu)
+        for _ in range(depth_x):
+            rx.refine_once()
+        for _ in range(depth_y):
+            ry.refine_once()
+        try:
+            expected = _reference_compare(rx, ry, max_depth, ties)
+        except UndecidedComparison as exc:
+            expected = str(exc)
+        try:
+            got = compare_errors(x, y, max_depth)
+        except UndecidedComparison as exc:
+            got = str(exc)
+        assert got == expected
+        assert (x.depth, y.depth) == (rx.depth, ry.depth)
+        compared += isinstance(got, Ordering)
+    assert ties[0] > 0 and compared > 250
+
+
+def test_equal_terms_raise_the_reference_message():
+    rng = random.Random(8103)
+    for cf in _kernel_streams(rng):
+        twins = [cf]
+        value = cf.exact_value()
+        if value is not None:     # x + 1 has the same error terms as x
+            twins.append(surd_to_cf(value.plus_rational(1)))
+        for twin in twins:
+            for nu in (0, 3):
+                with pytest.raises(UndecidedComparison) as ref:
+                    _reference_compare(_FractionTerm(cf, nu), _FractionTerm(twin, nu),
+                                       6, [0])
+                with pytest.raises(UndecidedComparison) as got:
+                    compare_errors(ErrorTerm(cf, nu), ErrorTerm(twin, nu), 6)
+                assert str(got.value) == str(ref.value)
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the certified-comparison path")
+
+
+def test_comparison_path_builds_no_fraction(monkeypatch):
+    import irrmeasure.cf
+    import irrmeasure.screening
+    rng = random.Random(8104)
+    members = [surd_to_cf(random_surd(rng, radicand=d)) for d in (2, 3, 5, 7)]
+    partner = surd_to_cf(members[0].exact_value().plus_rational(2))
+    for cf in members + [partner]:
+        cf.denominators(45)      # the memo rows are plain integers anyway
+    monkeypatch.setattr(irrmeasure.cf, "Fraction", _NoFraction)
+    monkeypatch.setattr(irrmeasure.screening, "Fraction", _NoFraction)
+    terms = [ErrorTerm(cf, nu) for cf in members for nu in (2, 5)]
+    terms[0].refine_to(6)
+    # same index on different members: overlapping depth-0 enclosures
+    assert compare_errors(ErrorTerm(members[1], 4), ErrorTerm(members[2], 4)) in Ordering
+    assert compare_errors(ErrorTerm(members[0], 1), ErrorTerm(members[0], 9)) is Ordering.GREATER
+    for x in terms:
+        for y in terms:
+            if x is not y:
+                compare_errors(x, y)
+    for a in members:
+        for b in members + [partner]:
+            scan_coincidences(a, b, depth=40)
 
 
 # ----------------------------------------------------------- surd expansion

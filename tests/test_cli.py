@@ -139,6 +139,7 @@ def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
 #: digest of the output the triple-loop rigidity scan printed.
 GOLDEN = {
     "proof-trace": ("replay_wide8", []),
+    "psi": ("replay_wide8", []),
     "trace": ("replay_wide8", []),
     "verify": ("verify_pairs3", ["--max-index", "50", "--max-d", "4",
                                  "--scan-depth", "60"]),
@@ -152,6 +153,23 @@ def test_golden_output_digests(command, capsys):
     assert main([command, str(DATA / f"{stem}.spec"), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected[command]
+
+
+def test_parser_is_built_once_and_calls_parse_independently(pair_spec, monkeypatch):
+    from irrmeasure import cli
+    seen = []
+    for name in ("verify", "proof-trace"):
+        monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+    spec = str(pair_spec)
+    assert main(["verify", spec, "--max-index", "7", "--approx", "--t-max", "50"]) == 0
+    assert main(["proof-trace", spec, "--retries", "3"]) == 0
+    assert main(["verify", spec]) == 0
+    first, trace, again = seen
+    assert (first.max_index, first.approx, first.t_max) == (7, True, 50)
+    assert (again.max_index, again.approx, again.t_max) == (25, False, None)
+    assert trace.retries == 3 and not hasattr(trace, "max_index")
+    assert not hasattr(again, "retries") and again is not first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

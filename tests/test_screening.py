@@ -249,3 +249,19 @@ def test_reversal_prediction_holds_past_burn_in(sqrt2_cf):
         assert applicable, "the crafted shared denominator must show up"
         for rec in applicable:
             assert rec.reversal_at_alpha_prev is True
+
+
+def test_reversal_prediction_is_not_vacuous_on_shared_prefix_pairs():
+    # independent pairs sharing a 10-25 coefficient prefix meet the
+    # hypothesis at many shared denominators; the a-side prediction must
+    # hold on every one (the b-side reading is raw data, not asserted)
+    rng = random.Random(52061)
+    pairs = [random_shared_prefix_pair(rng) for _ in range(20)]
+    records = [rec for a, b in pairs for x, y in ((a, b), (b, a))
+               for rec in check_reversal_pattern(x, y, depth=50)]
+    applicable = [rec for rec in records if rec.applicable]
+    beta = Counter(rec.reversal_at_beta_prev for rec in applicable)
+    print(f"reversal records {len(records)}, applicable {len(applicable)}, "
+          f"b-side readings {dict(beta)}")
+    assert len(applicable) > 0
+    assert all(rec.reversal_at_alpha_prev is True for rec in applicable)
