@@ -207,8 +207,9 @@ def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Quad
     """Exact value of an eventually periodic stream.
 
     The purely periodic part is the fixed point y > 1 of the Moebius map
-    of one period word; the preperiod is then folded on top with exact
-    field arithmetic.
+    of one period word. The preperiod folds into one more integer map
+    (P, Q; R, S), the homographic form of [a_0; a_1, ..., a_{m-1}, y], so
+    the value is (P*y + Q)/(R*y + S): one division in y's field.
     """
     a11, a12, a21, a22 = 1, 0, 0, 1
     for a in period:
@@ -217,10 +218,19 @@ def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Quad
     y = QuadraticSurd(Fraction(a11 - a22, 2 * a21), Fraction(1, 2 * a21), disc)
     if y.compare_rational(1) <= 0:
         raise AssertionError("periodic fixed point is not > 1")
-    v = y
-    for a in reversed(preperiod):
-        v = v.reciprocal().plus_rational(a)
-    return v
+    if not preperiod:
+        return y
+    P, Q, R, S = 1, 0, 0, 1
+    for a in preperiod:
+        P, Q, R, S = P * a + Q, P, R * a + S, R
+    # (P*y + Q)/(R*y + S) = n/m with n = nr + nc*sqrt(d), m = mr + mc*sqrt(d);
+    # multiplying by the conjugate of m leaves the root part c*(P*S - Q*R)
+    d = y.radicand
+    nr, nc = P * y.rational + Q, P * y.coef
+    mr, mc = R * y.rational + S, R * y.coef
+    norm = mr * mr - mc * mc * d
+    return QuadraticSurd._trusted((nr * mr - nc * mc * d) / norm,
+                                  y.coef * (P * S - Q * R) / norm, d)
 
 
 @dataclass(frozen=True)

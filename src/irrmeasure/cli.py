@@ -118,9 +118,9 @@ def _cmd_psi(args) -> int:
         traj = build_trajectory(cf, job.t_max)
         if job.approx:
             for q, e in traj.breakpoints:
-                mid = (e.lo + e.hi) / 2
-                print(f"{q}\t{e.lo.numerator}/{e.lo.denominator}\t"
-                      f"{e.hi.numerator}/{e.hi.denominator}{_approx(mid)}")
+                lo, hi = e.interval()
+                print(f"{q}\t{lo.numerator}/{lo.denominator}\t"
+                      f"{hi.numerator}/{hi.denominator}{_approx((lo + hi) / 2)}")
         else:
             print(serialize_trajectory(traj), end="")
     return 0

@@ -11,6 +11,12 @@ The rigidity scan joins the two denominator tables on their values:
 only triples with q_{nu+2} = r_{mu+d} run the full check, and every other
 triple is counted, not stored, so a scan costs O(table length x max_d +
 matched triples) instead of O(triples x table length).
+
+The check's error-term signs come from the integer enclosure kernel: a
+strict separation of the two enclosures proves the sign. Exact surd
+algebra runs only on a tie, when the enclosures still overlap at the
+refinement budget or the depth cap, and a sign 0 comes only from that
+exact equality.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from types import MappingProxyType
 from .cf import (CombinationKind, ContinuedFraction, ErrorTerm, Ordering,
                  certified_order, compare_errors, integer_combination_check,
                  star_value)
+from .errors import DepthCapExceeded, DepthExhausted, UndecidedComparison
 from .stepfunc import build_trajectory, psi_at
 
 
@@ -171,12 +178,21 @@ class RigidityRecord:
 
 def _error_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
                 max_depth: int) -> int:
-    """Sign of xi_nu(a) - eta_mu(b); 0 only via exact symbolic equality."""
+    """Sign of xi_nu(a) - eta_mu(b); 0 only via exact symbolic equality.
+
+    compare_errors decides first: a strict separation of the enclosures
+    proves the sign. When they still overlap at max_depth or at a depth
+    cap (equal values never separate), the exact surds decide, if both
+    members carry one; otherwise the comparison's error is raised as is.
+    """
     ta, tb = ErrorTerm(a, nu), ErrorTerm(b, mu)
-    ea, eb = ta.exact_value(), tb.exact_value()
-    if ea is not None and eb is not None:
+    try:
+        return -1 if compare_errors(ta, tb, max_depth) is Ordering.LESS else 1
+    except (UndecidedComparison, DepthCapExceeded, DepthExhausted):
+        ea, eb = ta.exact_value(), tb.exact_value()
+        if ea is None or eb is None:
+            raise
         return ea.compare(eb)
-    return -1 if compare_errors(ta, tb, max_depth) is Ordering.LESS else 1
 
 
 def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
@@ -190,6 +206,10 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     and the reversed-word ratios two steps later must agree. The pattern
     is proven, so a VIOLATION certificate flags an arithmetic bug, never
     new mathematics.
+
+    Each sign of xi - eta comes from a strict enclosure separation, or
+    from exact surd algebra when the enclosures tie; a sign of 0 (the
+    equality the conclusion needs) is only ever an exact equality.
     """
     if nu < 0 or mu < 0 or d < 1:
         raise ValueError("need nu, mu >= 0 and d >= 1")

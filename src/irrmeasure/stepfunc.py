@@ -87,10 +87,10 @@ def psi_left_limit(traj: StepTrajectory, t: int) -> ErrorTerm:
 
 def serialize_trajectory(traj: StepTrajectory) -> str:
     """Line-delimited records: q <tab> xi_lo <tab> xi_hi, rationals as num/den."""
-    lines = [
-        f"{q}\t{e.lo.numerator}/{e.lo.denominator}\t{e.hi.numerator}/{e.hi.denominator}"
-        for q, e in traj.breakpoints
-    ]
+    lines = []
+    for q, e in traj.breakpoints:
+        lo, hi = e.interval()
+        lines.append(f"{q}\t{lo.numerator}/{lo.denominator}\t{hi.numerator}/{hi.denominator}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted,
-                               UndecidedComparison)
+                               RadicandError, UndecidedComparison)
 
 from conftest import (GOLDEN, fib_sequence, intervals_overlap,
                       oracle_sqrt_interval, pell_denominators, pell_numerators)
@@ -476,6 +476,76 @@ def test_periodic_backing_derives_its_value(sqrt2_periodic, phi_periodic):
         assert value is not None
         # the derived value re-expands to the same stream
         assert surd_to_cf(value).prefix(30) == cf.prefix(30)
+
+
+def stepwise_periodic_value(preperiod, period):
+    """The periodic value as _periodic_value computed it before the
+    preperiod became one homographic map: the fixed point of the period
+    word, then one reciprocal() and plus_rational() per preperiod
+    coefficient. Kept as the reference."""
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for a in period:
+        a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21
+    disc = (a11 - a22) ** 2 + 4 * a12 * a21
+    v = QuadraticSurd(Fraction(a11 - a22, 2 * a21), Fraction(1, 2 * a21), disc)
+    for a in reversed(preperiod):
+        v = v.reciprocal().plus_rational(a)
+    return v
+
+
+def _fields(s):
+    return s.rational, s.coef, s.radicand
+
+
+def test_periodic_value_matches_the_stepwise_fold():
+    rng = random.Random(5301)
+    lengths = set()
+    checked = negative_a0 = 0
+    while checked < 300:
+        m = rng.randint(0, 30)
+        pre = ([rng.randint(-12, 12)] + [rng.randint(1, 40) for _ in range(m - 1)]
+               if m else [])
+        period = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        cf = ContinuedFraction.periodic(pre, period)
+        value = cf.exact_value()
+        if value is None:         # radicand too large to certify
+            continue
+        assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
+        # tails past the preperiod are purely periodic (empty preperiod,
+        # rotated period); their value is x_{k+1} = 1/(x_k - a_k) stepped
+        # forward from the whole stream's
+        step = value
+        for nu in range(m + 2 * len(period) + 1):
+            assert _fields(cf.tail(nu).exact_value()) == _fields(step)
+            step = step.plus_rational(-cf.coefficient(nu)).reciprocal()
+        lengths.add(m)
+        checked += 1
+        negative_a0 += m > 0 and pre[0] < 0
+    assert lengths == set(range(31))
+    assert negative_a0 > 0
+
+
+def test_periodic_value_round_trips_random_surds():
+    # long periods give fixed-point discriminants k^2*d whose k has prime
+    # factors past the trial-division bound; such streams have no exact
+    # value (RadicandError -> None), and the stepwise fold fails on them too
+    rng = random.Random(5302)
+    uncertified = 0
+    for _ in range(100):
+        s = QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                   rng.randint(1, 6)),
+                          rng.choice((2, 3, 5, 6, 7, 10, 11, 13, 14, 15)))
+        expansion = surd_to_cf(s)
+        pre, period = expansion._preperiod, expansion._period
+        value = ContinuedFraction.periodic(pre, period).exact_value()
+        if value is None:
+            with pytest.raises(RadicandError):
+                stepwise_periodic_value(pre, period)
+            uncertified += 1
+        else:
+            assert _fields(value) == _fields(s)
+    assert uncertified <= 10
 
 
 # ------------------------------------------------- integer combinations

@@ -137,22 +137,25 @@ def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
 #: t_max 1e60, digests of the output the quadratic-time replay printed.
 #: verify_pairs3: 3 periodic members, two sharing a 20-coefficient prefix,
 #: digest of the output the triple-loop rigidity scan printed.
+#: case -> (command, spec stem, flags); the digests live under the case
+#: name in tests/data/<stem>.sha256.json
 GOLDEN = {
-    "proof-trace": ("replay_wide8", []),
-    "psi": ("replay_wide8", []),
-    "trace": ("replay_wide8", []),
-    "verify": ("verify_pairs3", ["--max-index", "50", "--max-d", "4",
-                                 "--scan-depth", "60"]),
+    "proof-trace": ("proof-trace", "replay_wide8", []),
+    "psi": ("psi", "replay_wide8", []),
+    "psi-approx": ("psi", "replay_wide8", ["--approx"]),
+    "trace": ("trace", "replay_wide8", []),
+    "verify": ("verify", "verify_pairs3", ["--max-index", "50", "--max-d", "4",
+                                           "--scan-depth", "60"]),
 }
 
 
-@pytest.mark.parametrize("command", list(GOLDEN))
-def test_golden_output_digests(command, capsys):
-    stem, flags = GOLDEN[command]
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_output_digests(case, capsys):
+    command, stem, flags = GOLDEN[case]
     expected = json.loads((DATA / f"{stem}.sha256.json").read_text())
     assert main([command, str(DATA / f"{stem}.spec"), *flags]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == expected[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected[case]
 
 
 def test_parser_is_built_once_and_calls_parse_independently(pair_spec, monkeypatch):

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from irrmeasure import (ContinuedFraction, QuadraticSurd, RigidityOutcome,
-                        Verdict, check_reversal_pattern, check_rigidity,
-                        convergents, rigidity_scan, scan_coincidences,
-                        sqrt_of, surd_to_cf)
+import irrmeasure.screening
+from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering, QuadraticSurd,
+                        RigidityOutcome, Verdict, check_reversal_pattern,
+                        check_rigidity, compare_errors, convergents,
+                        rigidity_scan, scan_coincidences, sqrt_of, surd_to_cf)
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair)
-from irrmeasure.errors import DepthExhausted, UndecidedComparison
+from irrmeasure.errors import DepthExhausted, LabError, UndecidedComparison
+from irrmeasure.screening import RIGIDITY_GATES
 
 
 # ------------------------------------------------------------------ scans
@@ -198,6 +200,107 @@ def test_rigidity_without_backend_raises_undecided_on_equal_values():
     b = ContinuedFraction.from_rule(lambda nu: 2, depth_cap=200)
     with pytest.raises(UndecidedComparison):
         check_rigidity(a, b, 2, 2, 2, max_compare_depth=8)
+
+
+# ------------------------------------------------ enclosure-first signs
+
+def exact_first_error_sign(a, nu, b, mu, max_depth):
+    """_error_sign as it was before the enclosures decided first: exact
+    surd comparison whenever both members carry a value, compare_errors
+    otherwise. Kept as the reference."""
+    ta, tb = ErrorTerm(a, nu), ErrorTerm(b, mu)
+    ea, eb = ta.exact_value(), tb.exact_value()
+    if ea is not None and eb is not None:
+        return ea.compare(eb)
+    return -1 if compare_errors(ta, tb, max_depth) is Ordering.LESS else 1
+
+
+def _e_rule(nu):
+    """e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]."""
+    if nu == 0:
+        return 2
+    return 2 * (nu + 1) // 3 if nu % 3 == 2 else 1
+
+
+def _sign_corpus(kind, *, capped=False):
+    """(a, b, max_index) for scans with max_d = 4; capped streams stop
+    just past the last coefficient a scan reads (max_index + max_d + 1),
+    so a comparison that needs to refine hits the depth cap."""
+    def cap(max_index):
+        return max_index + 4 + 2 if capped else 512
+
+    def resurd(cf, max_index):
+        return surd_to_cf(cf.exact_value(), depth_cap=cap(max_index))
+
+    if kind == "independent":        # criterion 6's surd pairs
+        rng = random.Random(52_06)
+        pairs = [random_independent_members(rng, 2) for _ in range(10)]
+        return [(resurd(a, 25), resurd(b, 25), 25) for a, b in pairs]
+    if kind == "shared_prefix":
+        rng = random.Random(52_061)
+        return [(*random_shared_prefix_pair(rng, depth_cap=cap(50)), 50)
+                for _ in range(20)]
+    sqrt2_plus_3 = surd_to_cf(QuadraticSurd(Fraction(3), Fraction(1), 2),
+                              depth_cap=cap(12))
+    if kind == "dependent":          # equal error terms at (nu, nu)
+        return [(surd_to_cf(sqrt_of(2), depth_cap=cap(12)), sqrt2_plus_3, 12)]
+    # rule-backed members carry no exact value: against an unrelated
+    # surd, and against a surd with the same tail, whose tie stays open
+    return [(ContinuedFraction.from_rule(_e_rule, depth_cap=cap(25)),
+             surd_to_cf(sqrt_of(3), depth_cap=cap(25)), 25),
+            (ContinuedFraction.from_rule(lambda nu: 2 if nu else 1,
+                                         depth_cap=cap(12)), sqrt2_plus_3, 12)]
+
+
+def _scan_outcome(a, b, max_index, **kwargs):
+    try:
+        scan = rigidity_scan(a, b, max_index=max_index, max_d=4, **kwargs)
+    except LabError as exc:
+        return type(exc), str(exc)
+    return [r.serialize() for r in scan], dict(scan.tally)
+
+
+@pytest.mark.parametrize("setting", ["default", "max_compare_depth_1", "depth_cap"])
+@pytest.mark.parametrize("kind", ["independent", "shared_prefix", "dependent", "rule"])
+def test_error_signs_match_the_exact_first_reference(kind, setting, monkeypatch):
+    kwargs = {"max_compare_depth": 1} if setting == "max_compare_depth_1" else {}
+    outcomes = []
+    for a, b, max_index in _sign_corpus(kind, capped=setting == "depth_cap"):
+        with monkeypatch.context() as patch:
+            patch.setattr(irrmeasure.screening, "_error_sign",
+                          exact_first_error_sign)
+            expected = _scan_outcome(a, b, max_index, **kwargs)
+        got = _scan_outcome(a, b, max_index, **kwargs)
+        assert got == expected
+        outcomes.append(got)
+    if kind == "dependent":
+        (_, tally), = outcomes
+        assert tally["CONFIRMED"] == 13
+    if kind == "rule":          # the rule-backed tie raises, as it did
+        assert issubclass(outcomes[1][0], LabError)
+
+
+def _exact_path_reached(*args, **kwargs):
+    raise AssertionError("exact surd algebra reached")
+
+
+def test_rigidity_signs_run_exact_algebra_only_on_ties(monkeypatch):
+    corpora = {kind: _sign_corpus(kind) for kind in ("independent", "shared_prefix")}
+    tallies = {kind: [dict(rigidity_scan(a, b, max_index=m, max_d=4).tally)
+                      for a, b, m in corpus] for kind, corpus in corpora.items()}
+    # records past the second gate are those that took an error sign
+    signed = sum(tally[key] for runs in tallies.values() for tally in runs
+                 for key in RIGIDITY_GATES[2:] + ("CONFIRMED", "VIOLATION"))
+    assert signed > 0
+    monkeypatch.setattr(QuadraticSurd, "compare", _exact_path_reached)
+    monkeypatch.setattr(ErrorTerm, "exact_value", _exact_path_reached)
+    for kind, corpus in corpora.items():
+        assert [dict(rigidity_scan(a, b, max_index=m, max_d=4).tally)
+                for a, b, m in corpus] == tallies[kind]
+    # equal error terms never separate: the exact fallback is live
+    (sqrt2, sqrt2_plus_3, top), = _sign_corpus("dependent")
+    with pytest.raises(AssertionError, match="exact surd algebra reached"):
+        rigidity_scan(sqrt2, sqrt2_plus_3, max_index=top, max_d=4)
 
 
 # --------------------------------------------------------------- reversal
