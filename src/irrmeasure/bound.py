@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import VerificationFailed, WindowTooShort
 from .sweep import (TrajectoryReport, TupleContext, format_permutation,
@@ -68,6 +69,13 @@ class ProofTrace:
     def k(self) -> int:
         return len(self.sigmas)
 
+    @cached_property
+    def nj_checks(self) -> tuple[NjCheck, ...]:
+        """Per-j verdicts for n_j <= k - j + 2, built once per trace."""
+        k = self.k
+        return tuple(NjCheck(j, n_j, k - j + 2, n_j <= k - j + 2)
+                     for j, n_j in sorted(self.n_counts.items()))
+
 
 def build_proof_trace(ctx: TupleContext,
                       report: TrajectoryReport | None = None) -> ProofTrace:
@@ -80,6 +88,7 @@ def build_proof_trace(ctx: TupleContext,
     coincide, and that equality is evaluated, not assumed: each earlier
     ordering's view is compared with sigma_1's through per-ordering rank
     maps, so the check costs O(k n log n) rather than building k^2 views.
+    The maps are built only when some I_j has two or more members.
     """
     if report is None:
         report = sweep(ctx)
@@ -106,7 +115,9 @@ def build_proof_trace(ctx: TupleContext,
         i_sets[j] = frozenset(jumpers_at[j] - seen)
         seen |= jumpers_at[j]
     n_counts = {j: len(s) for j, s in i_sets.items()}
-    ranks = [{m: r for r, m in enumerate(sigma)} for sigma in sigmas]
+    # rank maps of sigma_1, sigma_2, ..., built only as far as some I_j
+    # with two or more members needs them
+    ranks: list[dict[int, int]] = []
     restricted_ok: dict[int, bool] = {}
     for j in range(2, k + 1):
         members = i_sets[j]
@@ -114,6 +125,8 @@ def build_proof_trace(ctx: TupleContext,
         if len(members) <= 1:
             restricted_ok[j] = True
             continue
+        while len(ranks) < j - 1:
+            ranks.append({m: r for r, m in enumerate(sigmas[len(ranks)])})
         first = sorted(members, key=ranks[0].__getitem__)
         restricted_ok[j] = all(sorted(members, key=ranks[s].__getitem__) == first
                                for s in range(1, j - 1))
@@ -140,11 +153,9 @@ class NjCheck:
 
 
 def check_nj_bound(trace: ProofTrace) -> list[NjCheck]:
-    """Per-j verdicts for n_j <= k - j + 2."""
-    k = trace.k
-    return [NjCheck(j, trace.n_counts[j], k - j + 2,
-                    trace.n_counts[j] <= k - j + 2)
-            for j in sorted(trace.n_counts)]
+    """Per-j verdicts for n_j <= k - j + 2, read from the trace's
+    nj_checks, so a verification and its report share one evaluation."""
+    return list(trace.nj_checks)
 
 
 @dataclass(frozen=True)

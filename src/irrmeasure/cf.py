@@ -292,7 +292,7 @@ class ErrorTerm:
     """
 
     __slots__ = ("owner", "index", "depth", "p", "q", "q_prev",
-                 "_e", "_f", "_g", "_h", "_next",
+                 "_e", "_f", "_g", "_h", "_next", "_b",
                  "lo_num", "lo_den", "hi_num", "hi_den")
 
     def __init__(self, owner: ContinuedFraction, index: int) -> None:
@@ -303,31 +303,31 @@ class ErrorTerm:
         self.index = index
         self.depth = 0
         self.p, self.q, self.q_prev = p, q, q_prev
-        self._e, self._f, self._g, self._h = 0, 1, q, q_prev
-        self._next = index + 1
-        self._reevaluate()
+        self._advance(0, 1, q, q_prev, index + 1)
 
-    def _reevaluate(self) -> None:
-        b = self.owner.coefficient(self._next)
-        e, g = self._e, self._g
-        n1, d1 = e * b + self._f, g * b + self._h
+    def _advance(self, e: int, f: int, g: int, h: int, nxt: int) -> None:
+        """Take the Moebius state (e, f; g, h), whose first unconsumed
+        coefficient has index nxt, and evaluate the ends at that b. The
+        coefficient is read before anything is assigned, so a depth error
+        leaves the term as it was."""
+        b = self.owner.coefficient(nxt)
+        n1, d1 = e * b + f, g * b + h
         n2, d2 = n1 + e, d1 + g
         # the ends differ (the map is invertible), so one order is strict
         if n1 * d2 < n2 * d1:
             self.lo_num, self.lo_den, self.hi_num, self.hi_den = n1, d1, n2, d2
         else:
             self.lo_num, self.lo_den, self.hi_num, self.hi_den = n2, d2, n1, d1
+        self._e, self._f, self._g, self._h, self._next, self._b = e, f, g, h, nxt, b
 
     def refine_once(self) -> None:
         """Consume one coefficient; the interval strictly shrinks and the
-        new enclosure nests inside the old one."""
-        b = self.owner.coefficient(self._next)
-        e, f, g, h = self._e, self._f, self._g, self._h
-        self._e, self._f = e * b + f, e
-        self._g, self._h = g * b + h, g
-        self._next += 1
+        new enclosure nests inside the old one. The coefficient consumed
+        is the b the current ends were evaluated at, kept from that
+        evaluation, so each step reads one coefficient."""
+        b, e, g = self._b, self._e, self._g
+        self._advance(e * b + self._f, e, g * b + self._h, g, self._next + 1)
         self.depth += 1
-        self._reevaluate()
 
     def refine_to(self, depth: int) -> "ErrorTerm":
         while self.depth < depth:
@@ -402,6 +402,26 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm, max_depth: int = 64) -> Ordering:
                 f"enclosures still overlap at depth {max_depth}: "
                 f"({x.lo}, {x.hi}) vs ({y.lo}, {y.hi})",
                 origin="cf.compare_errors", left=x, right=y)
+
+
+def first_misordered(terms: Sequence[ErrorTerm], max_depth: int = 64) -> int | None:
+    """Certify that terms[0] > terms[1] > ... strictly; return the index r
+    of the first adjacency (terms[r], terms[r + 1]) that is not certified
+    GREATER, or None when every one is.
+
+    Each adjacency first gets the integer separation test compare_errors
+    starts with, lower.hi <= upper.lo by cross-multiplication; only
+    overlapping enclosures go to compare_errors, so the refinement steps
+    taken are exactly those of one compare_errors(upper, lower) call per
+    adjacency. An undecided adjacency raises UndecidedComparison.
+    """
+    for r in range(len(terms) - 1):
+        upper, lower = terms[r], terms[r + 1]
+        if lower.hi_num * upper.lo_den <= upper.lo_num * lower.hi_den:
+            continue
+        if compare_errors(upper, lower, max_depth) is not Ordering.GREATER:
+            return r
+    return None
 
 
 def certified_order(x: ErrorTerm, y: ErrorTerm, max_depth: int, *, time: int,

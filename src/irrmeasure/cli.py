@@ -190,7 +190,7 @@ def _cmd_plot(args) -> int:
     trajectories = [build_trajectory(cf, job.t_max) for cf in job.cfs]
     series = []
     for name, traj in zip(job.names, trajectories):
-        points = [(q, float((e.lo + e.hi) / 2)) for q, e in traj.breakpoints]
+        points = [(q, float(sum(e.interval()) / 2)) for q, e in traj.breakpoints]
         series.append((name, points))
     seen: dict[int, int] = {}
     for traj in trajectories:

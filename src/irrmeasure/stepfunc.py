@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cf import ContinuedFraction, ErrorTerm, Ordering, compare_errors
+from .cf import ContinuedFraction, ErrorTerm, first_misordered
 from .errors import OutOfHorizon, PrecisionInsufficient
 
 
@@ -59,10 +59,9 @@ def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
         kept = kept[1:]
     terms = tuple((qv, ErrorTerm(cf, index)) for index, qv in kept)
     # consecutive terms must be certified strictly decreasing; the
-    # depth-0 enclosures already separate, this loop just certifies it
-    for (_, hi_term), (_, lo_term) in zip(terms, terms[1:]):
-        if compare_errors(lo_term, hi_term) is not Ordering.LESS:
-            raise AssertionError("breakpoint error terms are not strictly decreasing")
+    # depth-0 enclosures already separate, this check just certifies it
+    if first_misordered([e for _, e in terms]) is not None:
+        raise AssertionError("breakpoint error terms are not strictly decreasing")
     return StepTrajectory(owner=cf, breakpoints=terms,
                           qs=tuple(qv for qv, _ in terms), next_q=q)
 

@@ -2,21 +2,30 @@
 
 sigma(t) orders the members by strictly decreasing step-function value,
 certified by enclosure comparison; it is constant between convergent
-denominators, so a sweep only visits the merged breakpoint times. At each
-one only the jumping members' step values change, so the sweep carries the
-ordering forward and re-inserts just those members. The report counts
-distinct orderings on the window (the finite-horizon surrogate of the
-infinitely-recurring count), the jump multiplicities, and the per-pair
-order flips.
+denominators, so a sweep only visits the merged breakpoint times. The
+sweep is a kinetic sorted list in the sense of Basch, Guibas and
+Hershberger ("Data Structures for Mobile Data", SODA 1997): its events
+come from one schedule of all members' breakpoints, merged and sorted
+once; at each event only the jumping members' step values change, so it
+carries the ordering forward and re-inserts just those members; and its
+certificates are the adjacencies of the new ordering, each certified
+again on that event's enclosures. Ranks and pair flips live in lists
+indexed by member label. The report counts distinct orderings on the
+window (the finite-horizon surrogate of the infinitely-recurring count),
+the jump multiplicities, and the per-pair order flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import groupby
+from operator import itemgetter
 
+# the sweep no longer calls compare_errors directly; the name stays bound
+# here because the benchmark's self-tests read sweep.compare_errors
 from .cf import (ContinuedFraction, ErrorTerm, Ordering, certified_order,
-                 compare_errors)
+                 compare_errors, first_misordered)
 from .errors import DependentTuple, WindowTooShort
 from .screening import CoincidenceLog, Verdict, scan_coincidences
 from .stepfunc import build_trajectory, psi_at
@@ -143,69 +152,92 @@ class TrajectoryReport:
 def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
 
-    The ordering is constant between breakpoints, so each event's before
-    is the running ordering. Only the jumpers' step values change at t, so
-    after keeps the other members in their running order and puts each
-    jumper back by a certified binary search. Every adjacency of after is
-    then certified again; an adjacency out of order is an internal fault.
-    Pair flips are counted over the pairs that contain a jumper, the only
-    pairs whose order can change.
+    The schedule holds every breakpoint (q, label, term) of every member
+    with t0 < q <= t_max, sorted once; equal q form one event, whose
+    jumpers come in ascending label order with their new step values.
+    Each event's before is the running ordering. After keeps the other
+    members in their running order and puts each jumper back by a
+    certified binary search; then every adjacency of after is certified
+    again on this event's enclosures by first_misordered, and one out of
+    order is an internal fault. Step values, ranks and pair flips live in
+    lists indexed by label (slot 0 unused); the rank list of after is the
+    next event's before. Only pairs containing a jumper can flip.
     """
-    times = sorted(t for t in frozenset().union(*ctx.jump_sets)
-                   if ctx.t0 < t <= ctx.t_max)
+    n, t0 = ctx.n, ctx.t0
+    schedule = sorted((q, i, term)
+                      for i, tr in enumerate(ctx.trajectories, start=1)
+                      for q, term in tr.breakpoints if t0 < q <= ctx.t_max)
+    terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
+    sigma = sigma_at(ctx, t0)
+    pos = _ranks(sigma)
+    flips = [[0] * (n + 1) for _ in range(n + 1)]
+    members = range(1, n + 1)
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def stamp(perm: tuple[int, ...], start: int, end: int) -> None:
-        first, _ = spans.get(perm, (start, end))
-        spans[perm] = (first, end)
-
-    members = range(1, ctx.n + 1)
-    counts = {(i, j): 0 for i in members for j in range(i + 1, ctx.n + 1)}
-    terms = [psi_at(tr, ctx.t0) for tr in ctx.trajectories]
-    sigma_cur = sigma_at(ctx, ctx.t0)
-    seg_start = ctx.t0
+    seg_start = t0
     max_tau = 0
-    for t in times:
-        jumpers = frozenset(i for i in members if t in ctx.jump_sets[i - 1])
-        max_tau = max(max_tau, len(jumpers))
+    for t, group in groupby(schedule, itemgetter(0)):
+        jumpers = []
+        for _, i, term in group:
+            terms[i] = term
+            jumpers.append(i)
+        if len(jumpers) > max_tau:
+            max_tau = len(jumpers)
+        order = [m for m in sigma if m not in jumpers]
         for i in jumpers:
-            terms[i - 1] = psi_at(ctx.trajectories[i - 1], t)
-        order = [m for m in sigma_cur if m not in jumpers]
-        for i in sorted(jumpers):
+            x = terms[i]
             lo, hi = 0, len(order)
             while lo < hi:
                 mid = (lo + hi) // 2
                 m = order[mid]
-                if _member_order(ctx, t, i, terms[i - 1], m, terms[m - 1],
-                                 "sweep.sweep") is Ordering.GREATER:
+                y = terms[m]
+                # compare_errors' own separation tests, then the certified
+                # comparison only for overlapping enclosures
+                if y.hi_num * x.lo_den <= x.lo_num * y.hi_den:
+                    above = True
+                elif x.hi_num * y.lo_den <= y.lo_num * x.hi_den:
+                    above = False
+                else:
+                    above = _member_order(ctx, t, i, x, m, y,
+                                          "sweep.sweep") is Ordering.GREATER
+                if above:
                     hi = mid
                 else:
                     lo = mid + 1
             order.insert(lo, i)
         after = tuple(order)
-        for upper, lower in zip(after, after[1:]):
-            if compare_errors(terms[upper - 1], terms[lower - 1],
-                              ctx.max_compare_depth) is not Ordering.GREATER:
-                raise AssertionError(
-                    f"members {upper} and {lower} are out of order at t = {t}")
-        events.append(PermutationEvent(time=t, before=sigma_cur, after=after,
-                                       jumpers=jumpers))
-        stamp(sigma_cur, seg_start, t - 1)
-        bpos = {m: r for r, m in enumerate(sigma_cur)}
-        apos = {m: r for r, m in enumerate(after)}
+        bad = first_misordered([terms[m] for m in after], ctx.max_compare_depth)
+        if bad is not None:
+            raise AssertionError(f"members {after[bad]} and {after[bad + 1]} "
+                                 f"are out of order at t = {t}")
+        events.append(PermutationEvent(time=t, before=sigma, after=after,
+                                       jumpers=frozenset(jumpers)))
+        span = spans.get(sigma)
+        spans[sigma] = (seg_start if span is None else span[0], t - 1)
+        new_pos = _ranks(after)
         for i in jumpers:
+            bi, ai, row = pos[i], new_pos[i], flips[i]
             for m in members:
-                if m == i or (m in jumpers and m < i):   # each pair once
-                    continue
-                if (bpos[i] < bpos[m]) != (apos[i] < apos[m]):
-                    counts[(min(i, m), max(i, m))] += 1
-        sigma_cur = after
-        seg_start = t
-    stamp(sigma_cur, seg_start, ctx.t_max)
-    return TrajectoryReport(t0=ctx.t0, t_max=ctx.t_max, events=tuple(events),
+                # a pair of jumpers is counted once, in the smaller one's row
+                if ((pos[m] < bi) != (new_pos[m] < ai)
+                        and not (m < i and m in jumpers)):
+                    row[m] += 1
+        sigma, pos, seg_start = after, new_pos, t
+    span = spans.get(sigma)
+    spans[sigma] = (seg_start if span is None else span[0], ctx.t_max)
+    sign_changes = {(i, j): flips[i][j] + flips[j][i]
+                    for i in members for j in range(i + 1, n + 1)}
+    return TrajectoryReport(t0=t0, t_max=ctx.t_max, events=tuple(events),
                             perm_spans=spans, k_hat=len(spans),
-                            max_tau=max_tau, sign_changes=counts)
+                            max_tau=max_tau, sign_changes=sign_changes)
+
+
+def _ranks(perm: tuple[int, ...]) -> list[int]:
+    """The rank of each member in perm, as a list indexed by label."""
+    ranks = [0] * (len(perm) + 1)
+    for r, m in enumerate(perm):
+        ranks[m] = r
+    return ranks
 
 
 def sign_change_count(ctx: TupleContext, i: int, j: int) -> int:

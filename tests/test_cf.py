@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
-                        Ordering, QuadraticSurd, compare_errors, convergents,
-                        error_enclosure, integer_combination_check,
-                        scan_coincidences, sqrt_of, star_value, surd_to_cf,
-                        tail)
+                        Ordering, QuadraticSurd, build_trajectory,
+                        compare_errors, convergents, error_enclosure,
+                        integer_combination_check, scan_coincidences, sqrt_of,
+                        star_value, surd_to_cf, tail)
+from irrmeasure.cf import first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted,
@@ -405,6 +406,76 @@ def test_equal_terms_raise_the_reference_message():
                 with pytest.raises(UndecidedComparison) as got:
                     compare_errors(ErrorTerm(cf, nu), ErrorTerm(twin, nu), 6)
                 assert str(got.value) == str(ref.value)
+
+
+def test_refinement_reads_one_coefficient_per_step(monkeypatch):
+    reads = []
+    coefficient = ContinuedFraction.coefficient
+
+    def counted(cf, nu):
+        reads.append(nu)
+        return coefficient(cf, nu)
+
+    capped = ContinuedFraction.periodic([1], [2], depth_cap=9)
+    capped.denominators(6)
+    monkeypatch.setattr(ContinuedFraction, "coefficient", counted)
+    term = ErrorTerm(capped, 5).refine_to(3)
+    assert reads == [6, 7, 8, 9]
+    # a step past the cap fails at the same index every time and leaves
+    # the enclosure and depth as they were
+    ends, depth = term.interval(), term.depth
+    for _ in range(2):
+        with pytest.raises(DepthCapExceeded, match="index 10 exceeds"):
+            term.refine_once()
+        assert (term.interval(), term.depth) == (ends, depth)
+
+
+# ------------------------------------------------------- first_misordered
+
+def test_first_misordered_finds_the_out_of_order_adjacency(sqrt2_cf, phi_cf):
+    rng = random.Random(8105)
+    streams = [sqrt2_cf, phi_cf, *_kernel_streams(rng)]
+    for cf in streams[:2]:
+        terms = [e for _, e in build_trajectory(cf, 10 ** 20).breakpoints]
+        assert first_misordered(terms) is None
+        assert first_misordered(terms[::-1]) == 0
+    for cf in streams:
+        terms = [ErrorTerm(cf, nu) for nu in range(25)]
+        assert first_misordered(terms) is None
+        r = rng.randrange(24)
+        terms[r], terms[r + 1] = terms[r + 1], terms[r]
+        assert first_misordered(terms) == r
+    assert first_misordered([]) is first_misordered(terms[:1]) is None
+
+
+def test_first_misordered_agrees_with_compare_errors():
+    rng = random.Random(8106)
+    streams = _kernel_streams(rng)
+    # shared-prefix partners at equal indices overlap, so compare_errors
+    # refines; the same term twice never separates
+    pairs = [(streams[i], streams[i + 1], nu, nu)
+             for i in range(len(streams) - 6, len(streams), 2) for nu in range(8)]
+    pairs += [(cf, cf, 3, 3) for cf in streams[:3]]
+    pairs += [(rng.choice(streams), rng.choice(streams),
+               rng.randrange(25), rng.randrange(25)) for _ in range(300)]
+    refined = 0
+    for a, b, nu, mu in pairs:
+        depth_x, depth_y = rng.randint(0, 3), rng.randint(0, 3)
+        max_depth = rng.choice((4, 8, 64))
+        x, y = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
+        rx, ry = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
+        try:
+            expected = None if compare_errors(rx, ry, max_depth) is Ordering.GREATER else 0
+        except UndecidedComparison as exc:
+            expected = str(exc)
+        try:
+            got = first_misordered([x, y], max_depth)
+        except UndecidedComparison as exc:
+            got = str(exc)
+        assert got == expected
+        assert (x.depth, y.depth) == (rx.depth, ry.depth)
+        refined += (x.depth, y.depth) != (depth_x, depth_y)
+    assert refined > 20
 
 
 class _NoFraction:

@@ -121,11 +121,9 @@ def test_window_too_short_exits_1(pair_spec, capsys):
 
 def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
     # the sweep certifies every adjacency of each new ordering again; a
-    # comparison that contradicts the insertion is a bug, not a result
-    from irrmeasure import Ordering
+    # certificate that contradicts the insertion is a bug, not a result
     sweep_module = importlib.import_module("irrmeasure.sweep")
-    monkeypatch.setattr(sweep_module, "compare_errors",
-                        lambda *args: Ordering.LESS)
+    monkeypatch.setattr(sweep_module, "first_misordered", lambda *args: 0)
     assert main(["trace", str(pair_spec)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")

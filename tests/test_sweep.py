@@ -4,17 +4,93 @@ import random
 
 import pytest
 
-from irrmeasure import (ContinuedFraction, TupleContext, serialize_report,
-                        sigma_at, sign_change_count, sweep, tau_at)
-from irrmeasure.corpus import random_independent_members
+from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering,
+                        PermutationEvent, TrajectoryReport, TupleContext,
+                        compare_errors, psi_at, serialize_report, sigma_at,
+                        sign_change_count, sqrt_of, surd_to_cf, sweep, tau_at)
+from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
+                               random_shared_prefix_pair)
 from irrmeasure.errors import (DependentTuple, UndecidedOrdering,
                                WindowTooShort)
+from irrmeasure.sweep import _member_order
+
+from conftest import GOLDEN
 
 
 @pytest.fixture
 def pair_ctx(phi_cf, sqrt2_cf):
     return TupleContext([phi_cf, sqrt2_cf], t_max=10_000, burn_in=1,
                         names=["phi", "root2"])
+
+
+def shared_prefix_triple(seed: int) -> TupleContext:
+    """A shared-prefix pair plus one periodic member, burn-in 2: the pair's
+    common denominators make events where two or three members jump."""
+    rng = random.Random(seed)
+    members = [*random_shared_prefix_pair(rng), random_periodic_cf(rng)]
+    return TupleContext(members, t_max=10 ** 30, burn_in=2)
+
+
+def naive_sweep(ctx: TupleContext) -> TrajectoryReport:
+    """The sweep before the merged schedule, kept as the reference: it scans
+    every member's jump set per event, bisects each jumper's step value,
+    re-certifies each adjacency with compare_errors, and counts flips
+    through per-event position dicts."""
+    times = sorted(t for t in frozenset().union(*ctx.jump_sets)
+                   if ctx.t0 < t <= ctx.t_max)
+    events: list[PermutationEvent] = []
+    spans: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def stamp(perm: tuple[int, ...], start: int, end: int) -> None:
+        first, _ = spans.get(perm, (start, end))
+        spans[perm] = (first, end)
+
+    members = range(1, ctx.n + 1)
+    counts = {(i, j): 0 for i in members for j in range(i + 1, ctx.n + 1)}
+    terms = [psi_at(tr, ctx.t0) for tr in ctx.trajectories]
+    sigma_cur = sigma_at(ctx, ctx.t0)
+    seg_start = ctx.t0
+    max_tau = 0
+    for t in times:
+        jumpers = frozenset(i for i in members if t in ctx.jump_sets[i - 1])
+        max_tau = max(max_tau, len(jumpers))
+        for i in jumpers:
+            terms[i - 1] = psi_at(ctx.trajectories[i - 1], t)
+        order = [m for m in sigma_cur if m not in jumpers]
+        for i in sorted(jumpers):
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                m = order[mid]
+                if _member_order(ctx, t, i, terms[i - 1], m, terms[m - 1],
+                                 "sweep.sweep") is Ordering.GREATER:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            order.insert(lo, i)
+        after = tuple(order)
+        for upper, lower in zip(after, after[1:]):
+            if compare_errors(terms[upper - 1], terms[lower - 1],
+                              ctx.max_compare_depth) is not Ordering.GREATER:
+                raise AssertionError(
+                    f"members {upper} and {lower} are out of order at t = {t}")
+        events.append(PermutationEvent(time=t, before=sigma_cur, after=after,
+                                       jumpers=jumpers))
+        stamp(sigma_cur, seg_start, t - 1)
+        bpos = {m: r for r, m in enumerate(sigma_cur)}
+        apos = {m: r for r, m in enumerate(after)}
+        for i in jumpers:
+            for m in members:
+                if m == i or (m in jumpers and m < i):   # each pair once
+                    continue
+                if (bpos[i] < bpos[m]) != (apos[i] < apos[m]):
+                    counts[(min(i, m), max(i, m))] += 1
+        sigma_cur = after
+        seg_start = t
+    stamp(sigma_cur, seg_start, ctx.t_max)
+    return TrajectoryReport(t0=ctx.t0, t_max=ctx.t_max, events=tuple(events),
+                            perm_spans=spans, k_hat=len(spans),
+                            max_tau=max_tau, sign_changes=counts)
 
 
 # ---------------------------------------------------------------- sigma
@@ -84,13 +160,16 @@ def test_event_invariants(pair_ctx):
     assert [ev.time for ev in report.events] == merged
 
 
-@pytest.mark.parametrize("n", [None, *range(2, 7)],
-                         ids=["pair_ctx", *(f"random_n{n}" for n in range(2, 7))])
+@pytest.mark.parametrize("n", [None, *range(2, 7), "shared_prefix"],
+                         ids=["pair_ctx", *(f"random_n{n}" for n in range(2, 7)),
+                              "shared_prefix"])
 def test_incremental_orderings_match_sigma_at(n, pair_ctx):
     # the sweep carries the ordering forward and re-inserts the jumpers;
     # the full certified sort at t - 1 and at t is the reference
     if n is None:
         ctx = pair_ctx
+    elif n == "shared_prefix":
+        ctx = shared_prefix_triple(6100)
     else:
         ctx = TupleContext(random_independent_members(random.Random(5150 + n), n),
                            t_max=10 ** 30)
@@ -102,9 +181,50 @@ def test_incremental_orderings_match_sigma_at(n, pair_ctx):
     if n is None:
         assert report.max_tau == 2
     else:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
+        for i in range(1, ctx.n + 1):
+            for j in range(i + 1, ctx.n + 1):
                 assert report.sign_changes[(i, j)] == sign_change_count(ctx, i, j)
+
+
+def _equivalence_cases():
+    yield "pair_ctx", lambda: TupleContext(
+        [surd_to_cf(GOLDEN), surd_to_cf(sqrt_of(2))], t_max=10_000, burn_in=1,
+        names=["phi", "root2"])
+    for n in range(2, 9):
+        members = random_independent_members(random.Random(6200 + n), n)
+        yield f"random_n{n}", lambda members=members: TupleContext(members,
+                                                                   t_max=10 ** 30)
+    for seed in range(6100, 6106):
+        yield f"shared_prefix_{seed}", lambda seed=seed: shared_prefix_triple(seed)
+
+
+@pytest.mark.parametrize("case", list(_equivalence_cases()),
+                         ids=lambda case: case[0])
+def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
+    # each sweep gets a fresh context, so both start from depth-0 terms;
+    # every refinement step is logged with the enclosure it refines, so
+    # the two sweeps must refine the same terms in the same order
+    name, make = case
+    fresh, reference = make(), make()
+    steps = []
+    refine_once = ErrorTerm.refine_once
+
+    def logged(term):
+        steps.append((term.lo_num, term.lo_den, term.hi_num, term.hi_den))
+        refine_once(term)
+
+    monkeypatch.setattr(ErrorTerm, "refine_once", logged)
+    got = sweep(fresh)
+    got_steps = steps[:]
+    steps.clear()
+    want = naive_sweep(reference)
+    assert got.events == want.events
+    assert list(got.perm_spans.items()) == list(want.perm_spans.items())
+    assert (got.k_hat, got.max_tau) == (want.k_hat, want.max_tau)
+    assert list(got.sign_changes.items()) == list(want.sign_changes.items())
+    assert got_steps == steps
+    if name.startswith("shared_prefix"):
+        assert got.max_tau >= 2
 
 
 def _undecided(call):
