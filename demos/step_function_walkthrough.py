@@ -4,7 +4,7 @@ and the brute-force cross-check.
 Run: python demos/step_function_walkthrough.py
 """
 
-from irrmeasure import (brute_force_psi, build_trajectory, psi_at,
+from irrmeasure import (brute_force_psi_sweep, build_trajectory, psi_at,
                         psi_left_limit, serialize_trajectory, sqrt_of,
                         surd_to_cf)
 
@@ -35,7 +35,7 @@ print()
 # of the value itself, here taken from the exact backend
 value = sqrt2.exact_value()
 vlo, vhi = value.enclosure(30)
-result = brute_force_psi(vlo, vhi, t)
+result = brute_force_psi_sweep(vlo, vhi, t)[-1]
 print(f"brute-force scan at t = {t}: argmin q = {result.q}, "
       f"value in ({result.lo}, {result.hi})")
 print("agrees with the trajectory:", result.q == psi_at(traj, t).q)

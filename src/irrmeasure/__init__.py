@@ -13,7 +13,7 @@ from .bound import (BoundVerdict, NjCheck, ProofTrace, VerifiedRun,
 from .cf import (DEFAULT_DEPTH_CAP, CombinationKind, ContinuedFraction,
                  Convergent, ErrorTerm, Ordering, compare_errors, convergents,
                  error_enclosure, integer_combination_check, star_value,
-                 surd_to_cf, tail)
+                 surd_to_cf)
 from .corpus import (SQUAREFREE_POOL, random_independent_members,
                      random_periodic_cf, random_surd)
 from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
@@ -21,9 +21,9 @@ from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
                         check_reversal_pattern, check_rigidity, rigidity_scan,
                         scan_coincidences)
 from .specfile import (NumberSpec, TupleSpecFile, parse_spec, serialize_spec)
-from .stepfunc import (BruteForceMin, StepTrajectory, brute_force_psi,
-                       brute_force_psi_sweep, build_trajectory, psi_at,
-                       psi_left_limit, serialize_trajectory)
+from .stepfunc import (BruteForceMin, StepTrajectory, brute_force_psi_sweep,
+                       build_trajectory, psi_at, psi_left_limit,
+                       serialize_trajectory)
 from .surd import QuadraticSurd, sqrt_enclosure, sqrt_of, squarefree_decompose
 from .sweep import (PermutationEvent, TrajectoryReport, TupleContext,
                     format_permutation, serialize_report, sigma_at,
@@ -38,7 +38,7 @@ __all__ = [
     "NjCheck", "NumberSpec", "Ordering", "PermutationEvent", "ProofTrace",
     "QuadraticSurd", "ReversalRecord", "RigidityOutcome", "RigidityRecord",
     "RigidityScan", "SQUAREFREE_POOL", "StepTrajectory", "TrajectoryReport",
-    "TupleContext", "TupleSpecFile", "Verdict", "VerifiedRun", "brute_force_psi",
+    "TupleContext", "TupleSpecFile", "Verdict", "VerifiedRun",
     "brute_force_psi_sweep", "build_proof_trace", "build_trajectory",
     "check_nj_bound", "check_reversal_pattern", "check_rigidity",
     "check_theorem_bound", "compare_errors", "convergents", "error_enclosure",
@@ -48,5 +48,5 @@ __all__ = [
     "rigidity_scan", "scan_coincidences", "serialize_report",
     "serialize_spec", "serialize_trajectory", "sigma_at", "sign_change_count",
     "sqrt_enclosure", "sqrt_of", "squarefree_decompose", "star_value",
-    "surd_to_cf", "sweep", "tail", "tau_at", "verify_with_retries",
+    "surd_to_cf", "sweep", "tau_at", "verify_with_retries",
 ]

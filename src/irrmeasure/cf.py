@@ -1,7 +1,8 @@
 """Continued-fraction streams, convergents, and certified error terms.
 
-Coefficient access is lazy behind a hard depth cap. Convergents follow the
-classical two-term recurrence. The error terms |q_nu*x - p_nu| are kept as
+Every stream reads its coefficients from one memo list, filled lazily by
+a source behind a hard depth cap. Convergents follow the classical
+two-term recurrence. The error terms |q_nu*x - p_nu| are kept as
 strict rational enclosures driven by an integer Moebius state: consuming
 one further coefficient tightens the bracket by a factor greater than two,
 so certified comparisons terminate quickly whenever the values differ.
@@ -25,8 +26,8 @@ from .errors import (DepthCapExceeded, DepthExhausted, RadicandError,
                      UndecidedComparison, UndecidedOrdering)
 from .surd import QuadraticSurd
 
-#: default hard cap on coefficient indices, so periodic and rule backings
-#: can never be consumed forever by a runaway analysis
+#: default hard cap on coefficient indices, so no stream can be read
+#: forever by a runaway analysis
 DEFAULT_DEPTH_CAP = 512
 
 
@@ -41,93 +42,100 @@ def _validate_coeffs(values: Sequence[int], *, first_is_a0: bool, what: str) -> 
 class ContinuedFraction:
     """A stream a0; a1, a2, ... of partial quotients of an irrational.
 
-    Backings: explicit finite list (test inputs only), eventually periodic
-    (preperiod + period), or a generator rule under a declared depth cap.
-    Instances are immutable apart from the cached exact value and the memo
-    table of convergent rows (p_nu, q_nu, q_{nu-1}), which grows on demand
-    up to the depth cap and is shared by every reader of the stream. Growth
-    is not synchronised: share a stream across threads only for reading
-    rows it already holds.
+    Every stream reads its coefficients one way: from a memo list that a
+    source fills in index order. The source is a callable taking the next
+    index. The constructors differ only in the source and the exact value
+    they pass:
+
+    - from_coefficients: an explicit list (test inputs only); reading past
+      its end raises DepthExhausted;
+    - periodic: the preperiod, then the period cycled; the exact value is
+      the period word's fixed point, computed on first request;
+    - from_rule: rule(i), validated, under a declared depth cap;
+    - surd_to_cf: complete quotients of a quadratic surd, computed only as
+      far as a reader asks.
+
+    No index past depth_cap is ever read. A source error leaves the memo
+    as it was, so the next read of that index asks the source again and
+    meets the same error. The memo and the table of convergent rows
+    (p_nu, q_nu, q_{nu-1}) grow on demand and are shared by every reader
+    of the stream. Growth is not synchronised: share a stream across
+    threads only for reading what it already holds.
     """
 
-    __slots__ = ("_finite", "_preperiod", "_period", "_rule", "depth_cap",
-                 "_exact", "_exact_known", "_table")
+    __slots__ = ("_source", "_coeffs", "depth_cap", "_exact", "_table")
 
-    def __init__(self, *, finite=None, preperiod=None, period=None, rule=None,
+    def __init__(self, source: Callable[[int], int],
                  depth_cap: int = DEFAULT_DEPTH_CAP, exact=None):
-        if depth_cap < 1:
-            raise ValueError("depth cap must be positive")
-        self._finite = None
-        self._preperiod = None
-        self._period = None
-        self._rule = None
+        """`exact` is the stream's value, None, or a callable without
+        arguments that returns one of those on first request. A depth cap
+        of 0, as on the tail at the cap, leaves only a0 readable."""
+        if depth_cap < 0:
+            raise ValueError("depth cap must be >= 0")
+        self._source = source
+        self._coeffs: list[int] = []
         self.depth_cap = depth_cap
         self._exact = exact
-        self._exact_known = exact is not None
         self._table: list[tuple[int, int, int]] = []
-        if finite is not None:
-            finite = tuple(finite)
-            if not finite:
-                raise ValueError("finite backing needs at least a0")
-            _validate_coeffs(finite, first_is_a0=True, what="finite backing")
-            self._finite = finite
-        elif period is not None:
-            preperiod = tuple(preperiod or ())
-            period = tuple(period)
-            if not period:
-                raise ValueError("periodic backing needs a nonempty period")
-            _validate_coeffs(preperiod, first_is_a0=True, what="preperiod")
-            # period entries recur at indices >= 1, so all must be >= 1
-            _validate_coeffs(period, first_is_a0=False, what="period")
-            self._preperiod = preperiod
-            self._period = period
-        elif rule is not None:
-            self._rule = rule
-        else:
-            raise ValueError("one of finite/period/rule is required")
 
     @classmethod
     def from_coefficients(cls, coefficients: Sequence[int],
                           depth_cap: int = DEFAULT_DEPTH_CAP) -> "ContinuedFraction":
-        return cls(finite=coefficients, depth_cap=depth_cap)
+        values = tuple(coefficients)
+        if not values:
+            raise ValueError("finite backing needs at least a0")
+        _validate_coeffs(values, first_is_a0=True, what="finite backing")
+
+        def source(i: int) -> int:
+            if i < len(values):
+                return values[i]
+            raise DepthExhausted(
+                f"finite backing has {len(values)} coefficients, "
+                f"index {i} requested", origin="cf.coefficient")
+        return cls(source, depth_cap)
 
     @classmethod
     def periodic(cls, preperiod: Sequence[int], period: Sequence[int],
                  depth_cap: int = DEFAULT_DEPTH_CAP) -> "ContinuedFraction":
-        return cls(preperiod=preperiod, period=period, depth_cap=depth_cap)
+        preperiod, period = tuple(preperiod), tuple(period)
+        if not period:
+            raise ValueError("periodic backing needs a nonempty period")
+        _validate_coeffs(preperiod, first_is_a0=True, what="preperiod")
+        # period entries recur at indices >= 1, so all must be >= 1
+        _validate_coeffs(period, first_is_a0=False, what="period")
+        m = len(preperiod)
+        return cls(lambda i: preperiod[i] if i < m else period[(i - m) % len(period)],
+                   depth_cap, exact=lambda: _periodic_value(preperiod, period))
 
     @classmethod
     def from_rule(cls, rule: Callable[[int], int], depth_cap: int) -> "ContinuedFraction":
         """Rule backings require an explicit hard cap."""
-        return cls(rule=rule, depth_cap=depth_cap)
+        def source(nu: int) -> int:
+            a = rule(nu)
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValueError(f"rule produced non-integer coefficient {a!r} at {nu}")
+            if nu >= 1 and a < 1:
+                raise ValueError(f"rule produced coefficient a_{nu} = {a} < 1")
+            return a
+        return cls(source, depth_cap)
 
     @property
     def a0(self) -> int:
         return self.coefficient(0)
 
     def coefficient(self, nu: int) -> int:
+        coeffs = self._coeffs
+        if 0 <= nu < len(coeffs):
+            return coeffs[nu]
         if nu < 0:
             raise ValueError("coefficient index must be >= 0")
         if nu > self.depth_cap:
             raise DepthCapExceeded(
                 f"coefficient index {nu} exceeds the depth cap {self.depth_cap}",
                 origin="cf.coefficient")
-        if self._finite is not None:
-            if nu >= len(self._finite):
-                raise DepthExhausted(
-                    f"finite backing has {len(self._finite)} coefficients, "
-                    f"index {nu} requested", origin="cf.coefficient")
-            return self._finite[nu]
-        if self._period is not None:
-            if nu < len(self._preperiod):
-                return self._preperiod[nu]
-            return self._period[(nu - len(self._preperiod)) % len(self._period)]
-        a = self._rule(nu)
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise ValueError(f"rule produced non-integer coefficient {a!r} at {nu}")
-        if nu >= 1 and a < 1:
-            raise ValueError(f"rule produced coefficient a_{nu} = {a} < 1")
-        return a
+        while len(coeffs) <= nu:
+            coeffs.append(self._source(len(coeffs)))
+        return coeffs[nu]
 
     def convergent_row(self, nu: int) -> tuple[int, int, int]:
         """(p_nu, q_nu, q_{nu-1}) by the standard recurrence, read from the
@@ -159,52 +167,43 @@ class ContinuedFraction:
         return tuple(self.coefficient(i) for i in range(count))
 
     def tail(self, nu: int) -> "ContinuedFraction":
-        """The shifted stream a_nu; a_{nu+1}, ... (periodicity preserved)."""
+        """The shifted stream a_nu; a_{nu+1}, ..., read from this one, with
+        depth cap depth_cap - nu."""
         if nu < 0:
             raise ValueError("tail index must be >= 0")
         if nu == 0:
             return self
         self.coefficient(nu)  # availability check up front
-        if self._finite is not None:
-            return ContinuedFraction(finite=self._finite[nu:], depth_cap=self.depth_cap)
-        if self._period is not None:
-            m = len(self._preperiod)
-            if nu < m:
-                return ContinuedFraction(preperiod=self._preperiod[nu:],
-                                         period=self._period, depth_cap=self.depth_cap)
-            shift = (nu - m) % len(self._period)
-            rotated = self._period[shift:] + self._period[:shift]
-            return ContinuedFraction(preperiod=(), period=rotated,
-                                     depth_cap=self.depth_cap)
-        rule = self._rule
-        return ContinuedFraction(rule=lambda j: rule(j + nu),
-                                 depth_cap=self.depth_cap - nu)
+
+        def value() -> QuadraticSurd | None:
+            x = self.exact_value()
+            if x is None:
+                return None
+            for j in range(nu):
+                x = x.plus_rational(-self.coefficient(j)).reciprocal()
+            return x
+        return ContinuedFraction(lambda j: self.coefficient(nu + j),
+                                 self.depth_cap - nu, exact=value)
 
     def exact_value(self) -> QuadraticSurd | None:
-        """Exact quadratic value when derivable: attached by surd_to_cf or
-        reconstructed from a periodic backing. None for rule and finite
-        backings (and for periodic ones whose radicand cannot be certified
-        square-free)."""
-        if not self._exact_known:
-            self._exact_known = True
-            if self._period is not None:
-                try:
-                    self._exact = _periodic_value(self._preperiod, self._period)
-                except RadicandError:
-                    self._exact = None
+        """Exact quadratic value when derivable, computed once: the surd
+        given to surd_to_cf, or the fixed-point value of a periodic
+        backing. A tail steps its parent's value forward by
+        x -> 1/(x - a_j), so it has a value exactly when the parent has.
+        None for rule and finite backings, and for periodic ones whose
+        radicand cannot be certified square-free."""
+        if callable(self._exact):
+            self._exact = self._exact()
         return self._exact
 
     def __repr__(self) -> str:
-        if self._finite is not None:
-            return f"ContinuedFraction(finite={list(self._finite)})"
-        if self._period is not None:
-            return (f"ContinuedFraction(preperiod={list(self._preperiod)}, "
-                    f"period={list(self._period)})")
-        return f"ContinuedFraction(rule=..., depth_cap={self.depth_cap})"
+        return f"ContinuedFraction(read={self._coeffs}, depth_cap={self.depth_cap})"
 
 
-def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> QuadraticSurd:
-    """Exact value of an eventually periodic stream.
+def _periodic_value(preperiod: tuple[int, ...],
+                    period: tuple[int, ...]) -> QuadraticSurd | None:
+    """Exact value of an eventually periodic stream, or None when the
+    fixed point's discriminant cannot be certified square-free.
 
     The purely periodic part is the fixed point y > 1 of the Moebius map
     of one period word. The preperiod folds into one more integer map
@@ -215,7 +214,10 @@ def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Quad
     for a in period:
         a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21
     disc = (a11 - a22) ** 2 + 4 * a12 * a21
-    y = QuadraticSurd(Fraction(a11 - a22, 2 * a21), Fraction(1, 2 * a21), disc)
+    try:
+        y = QuadraticSurd(Fraction(a11 - a22, 2 * a21), Fraction(1, 2 * a21), disc)
+    except RadicandError:
+        return None
     if y.compare_rational(1) <= 0:
         raise AssertionError("periodic fixed point is not > 1")
     if not preperiod:
@@ -265,10 +267,6 @@ def star_value(cf: ContinuedFraction, nu: int) -> Fraction:
         raise ValueError("star values need nu >= 1")
     _, q, q_prev = cf.convergent_row(nu)
     return Fraction(q_prev, q)
-
-
-def tail(cf: ContinuedFraction, nu: int) -> ContinuedFraction:
-    return cf.tail(nu)
 
 
 class ErrorTerm:
@@ -469,11 +467,13 @@ def _floor_quadratic(p: int, s: int, q: int) -> int:
 
 
 def surd_to_cf(s: QuadraticSurd, depth_cap: int = DEFAULT_DEPTH_CAP) -> ContinuedFraction:
-    """Eventually periodic expansion of a quadratic surd.
+    """Lazy expansion of a quadratic surd, with s as its exact value.
 
-    Classical complete-quotient iteration on (P + sqrt(N))/Q states with
-    the invariant Q | N - P^2; the cycle is detected by the first repeated
-    state. The exact value is attached to the result.
+    Classical complete-quotient iteration (Khinchin, Continued Fractions,
+    section 10): x_i = (P + sqrt(N))/Q with Q | N - P^2 gives a_i = floor(x_i),
+    then P' = a_i*Q - P and Q' = (N - P'^2)/Q. Each new index takes one
+    step, so only the quotients a reader asks for are computed, and never
+    one past the depth cap.
     """
     f = lcm(s.rational.denominator, s.coef.denominator)
     e = int(s.rational * f)
@@ -488,17 +488,11 @@ def surd_to_cf(s: QuadraticSurd, depth_cap: int = DEFAULT_DEPTH_CAP) -> Continue
         n *= q * q
         q *= abs(q)
     sq = isqrt(n)
-    seen: dict[tuple[int, int], int] = {}
-    coeffs: list[int] = []
-    while (p, q) not in seen:
-        if len(coeffs) > 8 * isqrt(n) + 10_000:
-            raise AssertionError("complete-quotient iteration failed to cycle")
-        seen[(p, q)] = len(coeffs)
+
+    def source(_: int) -> int:
+        nonlocal p, q
         a = _floor_quadratic(p, sq, q)
-        coeffs.append(a)
         p = a * q - p
         q = (n - p * p) // q
-    start = seen[(p, q)]
-    cf = ContinuedFraction(preperiod=coeffs[:start], period=coeffs[start:],
-                           depth_cap=depth_cap, exact=s)
-    return cf
+        return a
+    return ContinuedFraction(source, depth_cap, exact=s)

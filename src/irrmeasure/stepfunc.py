@@ -5,8 +5,8 @@ integer. It is right-continuous, non-increasing, and constant between
 convergent denominators, so a trajectory is just the ordered breakpoints
 (q_nu, xi_nu) plus the first denominator beyond the horizon.
 
-`brute_force_psi` is the independent oracle: a direct scan over all q
-with certified interval arithmetic. It never touches the convergent
+`brute_force_psi_sweep` is the independent oracle: a direct scan over
+all q with certified interval arithmetic. It never touches the convergent
 machinery, so trajectory and oracle can check each other.
 """
 
@@ -103,13 +103,6 @@ class BruteForceMin:
     hi: Fraction
 
 
-def _scaled(value_lo: Fraction, value_hi: Fraction) -> tuple[int, int, int]:
-    den = lcm(value_lo.denominator, value_hi.denominator)
-    return (value_lo.numerator * (den // value_lo.denominator),
-            value_hi.numerator * (den // value_hi.denominator),
-            den)
-
-
 def _dist_bracket(lo_num: int, hi_num: int, den: int) -> tuple[int, int]:
     """Bracket of distance-to-nearest-integer over (lo_num/den, hi_num/den),
     as integer numerators over 2*den. Interval width must be < 1/2."""
@@ -125,15 +118,29 @@ def _dist_bracket(lo_num: int, hi_num: int, den: int) -> tuple[int, int]:
     return 0, max(2 * (den - ra), 2 * rb)
 
 
-def _sweep_core(lo_num: int, hi_num: int, den: int, t_max: int,
-                origin: str) -> list[tuple[int, int, int]]:
+def brute_force_psi_sweep(value_lo: Fraction, value_hi: Fraction,
+                          t_max: int) -> list[BruteForceMin]:
+    """Direct certified scan of min ||q*x|| over 1 <= q <= t, for every
+    t = 1 .. t_max in one incremental pass, for x strictly inside
+    (value_lo, value_hi).
+
+    The enclosure must be narrower than 1/(4*t_max^2); when the candidate
+    intervals cannot be separated the scan raises PrecisionInsufficient
+    instead of guessing, and the caller re-derives a tighter enclosure.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    value_lo, value_hi = Fraction(value_lo), Fraction(value_hi)
+    den = lcm(value_lo.denominator, value_hi.denominator)
+    lo_num = value_lo.numerator * (den // value_lo.denominator)
+    hi_num = value_hi.numerator * (den // value_hi.denominator)
     if not lo_num < hi_num:
         raise ValueError("need a strict enclosure value_lo < value_hi")
     if (hi_num - lo_num) * 4 * t_max * t_max >= den:
         raise PrecisionInsufficient(
             f"enclosure width {Fraction(hi_num - lo_num, den)} is not below "
-            f"1/(4*{t_max}^2)", origin=origin)
-    results: list[tuple[int, int, int]] = []
+            f"1/(4*{t_max}^2)", origin="stepfunc.brute_force_psi_sweep")
+    results: list[BruteForceMin] = []
     best_q = best_lo = best_hi = None
     for t in range(1, t_max + 1):
         dlo, dhi = _dist_bracket(t * lo_num, t * hi_num, den)
@@ -141,35 +148,8 @@ def _sweep_core(lo_num: int, hi_num: int, den: int, t_max: int,
             best_q, best_lo, best_hi = t, dlo, dhi
         elif dlo < best_hi:
             raise PrecisionInsufficient(
-                f"cannot separate ||{t}x|| from ||{best_q}x||", origin=origin)
-        results.append((best_q, best_lo, best_hi))
+                f"cannot separate ||{t}x|| from ||{best_q}x||",
+                origin="stepfunc.brute_force_psi_sweep")
+        results.append(BruteForceMin(best_q, Fraction(best_lo, 2 * den),
+                                     Fraction(best_hi, 2 * den)))
     return results
-
-
-def brute_force_psi(value_lo: Fraction, value_hi: Fraction, t: int) -> BruteForceMin:
-    """Direct certified scan of min ||q*x|| over 1 <= q <= t for x strictly
-    inside (value_lo, value_hi).
-
-    The enclosure must be narrower than 1/(4*t^2); when the candidate
-    intervals cannot be separated the scan raises PrecisionInsufficient
-    instead of guessing, and the caller re-derives a tighter enclosure.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    lo_num, hi_num, den = _scaled(Fraction(value_lo), Fraction(value_hi))
-    q, d_lo, d_hi = _sweep_core(lo_num, hi_num, den, t,
-                                "stepfunc.brute_force_psi")[-1]
-    return BruteForceMin(q, Fraction(d_lo, 2 * den), Fraction(d_hi, 2 * den))
-
-
-def brute_force_psi_sweep(value_lo: Fraction, value_hi: Fraction,
-                          t_max: int) -> list[BruteForceMin]:
-    """Batch form of brute_force_psi: the certified minimum for every
-    t = 1 .. t_max in one incremental pass."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    lo_num, hi_num, den = _scaled(Fraction(value_lo), Fraction(value_hi))
-    rows = _sweep_core(lo_num, hi_num, den, t_max, "stepfunc.brute_force_psi_sweep")
-    half = 2 * den
-    return [BruteForceMin(q, Fraction(d_lo, half), Fraction(d_hi, half))
-            for q, d_lo, d_hi in rows]

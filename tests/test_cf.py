@@ -3,6 +3,7 @@ certified comparison, and the expansion of quadratic values."""
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -10,7 +11,7 @@ from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
                         Ordering, QuadraticSurd, build_trajectory,
                         compare_errors, convergents, error_enclosure,
                         integer_combination_check, scan_coincidences, sqrt_of,
-                        star_value, surd_to_cf, tail)
+                        star_value, surd_to_cf)
 from irrmeasure.cf import first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
@@ -149,24 +150,90 @@ def test_star_equals_reversed_word_fold():
 # ------------------------------------------------------------------- tails
 
 def test_tail_of_sqrt2_is_purely_periodic(sqrt2_cf):
-    t = tail(sqrt2_cf, 1)
+    t = sqrt2_cf.tail(1)
     assert t.prefix(5) == (2, 2, 2, 2, 2)
 
 
 def test_tail_of_finite_list_shifts():
     cf = ContinuedFraction.from_coefficients([3, 1, 4, 1, 5])
-    assert tail(cf, 2).prefix(3) == (4, 1, 5)
+    assert cf.tail(2).prefix(3) == (4, 1, 5)
 
 
 def test_tail_of_phi_is_fixed_point(phi_cf):
     for k in (1, 3, 10):
-        assert tail(phi_cf, k).prefix(8) == phi_cf.prefix(8)
+        assert phi_cf.tail(k).prefix(8) == phi_cf.prefix(8)
 
 
 def test_tail_depth_check():
     cf = ContinuedFraction.from_coefficients([3, 1])
     with pytest.raises(DepthExhausted):
-        tail(cf, 2)
+        cf.tail(2)
+
+
+def _backings():
+    """One stream per constructor, each with a small cap."""
+    return {
+        "finite": ContinuedFraction.from_coefficients([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
+                                                      depth_cap=40),
+        "periodic": ContinuedFraction.periodic([2, 5], [1, 3, 7], depth_cap=40),
+        "rule": ContinuedFraction.from_rule(lambda j: j % 4 + 1, depth_cap=40),
+        "surd": surd_to_cf(QuadraticSurd(Fraction(-3, 2), Fraction(5, 3), 7),
+                           depth_cap=40),
+    }
+
+
+@pytest.mark.parametrize("kind", ["finite", "periodic", "rule", "surd"])
+def test_tail_reads_the_parent_under_a_shifted_cap(kind):
+    parent = _backings()[kind]
+    length = 11 if kind == "finite" else parent.depth_cap + 1
+    for nu in (1, 2, 4, 7):
+        t = parent.tail(nu)
+        k = min(length - nu, 20)
+        assert t.prefix(k) == parent.prefix(nu + k)[nu:]
+        assert t.depth_cap == parent.depth_cap - nu
+        assert t.tail(2).prefix(k - 2) == parent.prefix(nu + k)[nu + 2:]
+    t = parent.tail(5)
+    if kind == "finite":
+        # the parent's source raises, at the parent's index
+        with pytest.raises(DepthExhausted, match="index 11 requested"):
+            t.coefficient(6)
+    else:
+        assert t.prefix(t.depth_cap + 1) == parent.prefix(parent.depth_cap + 1)[5:]
+        with pytest.raises(DepthCapExceeded, match=f"index {t.depth_cap + 1} exceeds"):
+            t.coefficient(t.depth_cap + 1)
+        last = parent.tail(parent.depth_cap)
+        assert last.prefix(1) == (parent.coefficient(parent.depth_cap),)
+        with pytest.raises(DepthCapExceeded, match="index 1 exceeds the depth cap 0"):
+            last.coefficient(1)
+
+
+def test_rule_error_repeats_on_retry():
+    calls = []
+
+    def rule(j):
+        calls.append(j)
+        return 0 if j == 3 else j + 1
+
+    cf = ContinuedFraction.from_rule(rule, depth_cap=20)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="a_3 = 0"):
+            cf.coefficient(3)
+        assert cf.coefficient(2) == 3
+    # the memo fills in index order, so a read past a_3 meets its error
+    with pytest.raises(ValueError, match="a_3 = 0"):
+        cf.coefficient(5)
+    # every read of a_3 asks the rule again; earlier indices come from
+    # the memo
+    assert calls == [0, 1, 2, 3, 3, 3]
+    assert cf.prefix(3) == (1, 2, 3)
+
+
+def test_finite_exhaustion_repeats_on_retry():
+    cf = ContinuedFraction.from_coefficients([3, 1, 4])
+    for _ in range(3):
+        with pytest.raises(DepthExhausted, match="index 3 requested"):
+            cf.coefficient(3)
+        assert cf.prefix(3) == (3, 1, 4)
 
 
 # ------------------------------------------------------------- error terms
@@ -596,19 +663,22 @@ def test_periodic_value_matches_the_stepwise_fold():
     assert negative_a0 > 0
 
 
+def _round_trip_surds():
+    rng = random.Random(5302)
+    return [QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                   rng.randint(1, 6)),
+                          rng.choice((2, 3, 5, 6, 7, 10, 11, 13, 14, 15)))
+            for _ in range(100)]
+
+
 def test_periodic_value_round_trips_random_surds():
     # long periods give fixed-point discriminants k^2*d whose k has prime
     # factors past the trial-division bound; such streams have no exact
     # value (RadicandError -> None), and the stepwise fold fails on them too
-    rng = random.Random(5302)
     uncertified = 0
-    for _ in range(100):
-        s = QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
-                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
-                                   rng.randint(1, 6)),
-                          rng.choice((2, 3, 5, 6, 7, 10, 11, 13, 14, 15)))
-        expansion = surd_to_cf(s)
-        pre, period = expansion._preperiod, expansion._period
+    for s in _round_trip_surds():
+        pre, period = eager_expansion(s)
         value = ContinuedFraction.periodic(pre, period).exact_value()
         if value is None:
             with pytest.raises(RadicandError):
@@ -617,6 +687,82 @@ def test_periodic_value_round_trips_random_surds():
         else:
             assert _fields(value) == _fields(s)
     assert uncertified <= 10
+
+
+def test_surd_tails_step_the_exact_value():
+    # a periodic rebuild of the tail would lose the value on the surds
+    # whose fixed-point discriminant cannot be certified
+    for s in _round_trip_surds():
+        cf = surd_to_cf(s)
+        step = s
+        for nu in range(12):
+            t = cf.tail(nu)
+            value = t.exact_value()
+            assert _fields(value) == _fields(step)
+            assert surd_to_cf(value).prefix(10) == t.prefix(10)
+            step = step.plus_rational(-cf.coefficient(nu)).reciprocal()
+
+
+# ------------------------------------------------ lazy surd expansion
+
+def _initial_state(s):
+    """(P, Q, N, rescaled): s = (P + sqrt(N))/Q with Q | N - P^2; rescaled
+    tells whether the divisibility needed P, Q, N scaled by |Q|, Q^2."""
+    f = lcm(s.rational.denominator, s.coef.denominator)
+    e, g = int(s.rational * f), int(s.coef * f)
+    n = g * g * s.radicand
+    p, q = (e, f) if g > 0 else (-e, -f)
+    if (n - p * p) % q == 0:
+        return p, q, n, False
+    return p * abs(q), q * abs(q), n * q * q, True
+
+
+def eager_expansion(s):
+    """(preperiod, period) of s by the eager loop surd_to_cf ran before it
+    became lazy: complete quotients up to the first repeated state. Kept
+    as the reference for the lazy expansion."""
+    p, q, n, _ = _initial_state(s)
+    sq = isqrt(n)
+    seen, coeffs = {}, []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(coeffs)
+        a = (p + sq) // q if q > 0 else (-p - sq - 1) // (-q)
+        coeffs.append(a)
+        p = a * q - p
+        q = (n - p * p) // q
+    start = seen[(p, q)]
+    return coeffs[:start], coeffs[start:]
+
+
+def test_lazy_expansion_matches_the_eager_one():
+    rng = random.Random(5303)
+    radicands = (2, 3, 5, 6, 7, 10, 13, 19, 22, 31, 43, 46, 94, 103, 151, 331)
+    negative = fractional = rescaled = 0
+    for _ in range(240):
+        s = QuadraticSurd(Fraction(rng.randint(-20, 20), rng.randint(1, 8)),
+                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                                   rng.randint(1, 8)),
+                          rng.choice(radicands))
+        cap = rng.choice((8, 64, 512))
+        pre, period = eager_expansion(s)
+        expected = pre + [period[i % len(period)] for i in range(cap + 1)]
+        cf = surd_to_cf(s, depth_cap=cap)
+        assert cf.prefix(cap + 1) == tuple(expected[:cap + 1])
+        for _ in range(2):
+            with pytest.raises(DepthCapExceeded, match=f"index {cap + 1} exceeds"):
+                cf.coefficient(cap + 1)
+        assert len(cf._coeffs) == cap + 1
+        negative += s.compare_rational(0) < 0
+        fractional += s.rational.denominator > 1 or s.coef.denominator > 1
+        rescaled += _initial_state(s)[3]
+    assert min(negative, fractional, rescaled) >= 50
+
+
+def test_surd_expansion_computes_only_what_is_read():
+    # the whole period of this root has 1,103,497 coefficients
+    cf = surd_to_cf(sqrt_of(999999999989))
+    assert cf.prefix(12)[0] == 999999
+    assert len(cf._coeffs) == 12
 
 
 # ------------------------------------------------- integer combinations

@@ -199,3 +199,16 @@ def test_reports_are_byte_deterministic(pair_spec, tmp_path, capsys):
     assert main(["plot", str(pair_spec), "--out-dir", str(d2)]) == 0
     capsys.readouterr()
     assert (d1 / "phi.svg").read_bytes() == (d2 / "phi.svg").read_bytes()
+
+
+def test_psi_on_a_huge_period_reads_only_what_it_prints(tmp_path, capsys):
+    # 30030 * 999999999989, square-free: sqrt of it has a period far too
+    # long to build, and psi up to 10^6 needs only its first quotients
+    path = tmp_path / "hostile.spec"
+    path.write_text("t_max = 1000000\n\n[h]\nkind = surd\nrational = 0\n"
+                    "root = 1\nradicand = 30029999999669670\n")
+    assert main(["psi", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[0] == "# h"
+    qs = [int(line.split("\t")[0]) for line in lines[1:]]
+    assert qs == sorted(qs) and qs[-1] <= 10 ** 6

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from irrmeasure import (ContinuedFraction, Ordering, brute_force_psi,
-                        brute_force_psi_sweep, build_trajectory, compare_errors,
-                        psi_at, psi_left_limit, serialize_trajectory)
+from irrmeasure import (ContinuedFraction, Ordering, brute_force_psi_sweep,
+                        build_trajectory, compare_errors, psi_at,
+                        psi_left_limit, serialize_trajectory)
 from irrmeasure.corpus import random_periodic_cf
 from irrmeasure.errors import OutOfHorizon, PrecisionInsufficient
 
@@ -127,35 +127,27 @@ def test_serialization_format(sqrt2_cf):
 
 def test_brute_force_examples():
     lo, hi = oracle_sqrt_interval(2, 30)
-    got = brute_force_psi(lo, hi, 4)
+    got = brute_force_psi_sweep(lo, hi, 4)[-1]
     assert got.q == 2
     # |2*sqrt2 - 3| = 0.1715728752...
     assert Fraction(171572, 10 ** 6) < got.lo < got.hi < Fraction(171573, 10 ** 6)
-    got = brute_force_psi(lo, hi, 12)
+    got = brute_force_psi_sweep(lo, hi, 12)[-1]
     assert got.q == 12
     # |12*sqrt2 - 17| = 0.0294372515...
     assert Fraction(29437, 10 ** 6) < got.lo < got.hi < Fraction(29438, 10 ** 6)
     # phi at t = 1: the nearest integer to phi is 2, so the minimum is
     # 2 - phi = 0.3819660112..., attained at q = 1
     glo, ghi = GOLDEN.enclosure(30)
-    got = brute_force_psi(glo, ghi, 1)
+    got = brute_force_psi_sweep(glo, ghi, 1)[-1]
     assert got.q == 1
     assert Fraction(381966, 10 ** 6) < got.lo < got.hi < Fraction(381967, 10 ** 6)
 
 
 def test_brute_force_rejects_wide_enclosures():
     with pytest.raises(PrecisionInsufficient):
-        brute_force_psi(Fraction(141, 100), Fraction(142, 100), 10)
+        brute_force_psi_sweep(Fraction(141, 100), Fraction(142, 100), 10)
     with pytest.raises(ValueError):
-        brute_force_psi(Fraction(1, 2), Fraction(1, 2), 3)
-
-
-def test_sweep_matches_single_calls():
-    lo, hi = oracle_sqrt_interval(2, 30)
-    rows = brute_force_psi_sweep(lo, hi, 40)
-    for t in (1, 2, 7, 25, 40):
-        single = brute_force_psi(lo, hi, t)
-        assert rows[t - 1] == single
+        brute_force_psi_sweep(Fraction(1, 2), Fraction(1, 2), 3)
 
 
 def test_trajectory_agrees_with_oracle_scan():
