@@ -5,8 +5,7 @@ Run: python demos/step_function_walkthrough.py
 """
 
 from irrmeasure import (brute_force_psi_sweep, build_trajectory, psi_at,
-                        psi_left_limit, serialize_trajectory, sqrt_of,
-                        surd_to_cf)
+                        serialize_trajectory, sqrt_of, surd_to_cf)
 
 sqrt2 = surd_to_cf(sqrt_of(2))
 traj = build_trajectory(sqrt2, 1000)
@@ -18,7 +17,8 @@ t = 100
 term = psi_at(traj, t)
 print(f"psi(t={t}) is the step of q = {term.q}: "
       f"({term.lo}, {term.hi}) ~{float((term.lo + term.hi) / 2):.8f}")
-before = psi_left_limit(traj, 169)
+# all jumps sit at integers, so the left limit at t is the value at t - 1
+before = psi_at(traj, 169 - 1)
 print(f"left limit at the jump t = 169 is still the q = {before.q} step")
 print()
 

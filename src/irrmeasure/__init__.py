@@ -8,12 +8,11 @@ distinct-ordering count bound n <= k(k+1)/2.
 """
 
 from .bound import (BoundVerdict, NjCheck, ProofTrace, VerifiedRun,
-                    build_proof_trace, check_nj_bound, check_theorem_bound,
-                    render_proof_trace, verify_with_retries)
+                    build_proof_trace, check_theorem_bound, render_proof_trace,
+                    verify_with_retries)
 from .cf import (DEFAULT_DEPTH_CAP, CombinationKind, ContinuedFraction,
                  Convergent, ErrorTerm, Ordering, compare_errors, convergents,
-                 error_enclosure, integer_combination_check, star_value,
-                 surd_to_cf)
+                 integer_combination_check, star_value, surd_to_cf)
 from .corpus import (SQUAREFREE_POOL, random_independent_members,
                      random_periodic_cf, random_surd)
 from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
@@ -22,8 +21,7 @@ from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
                         scan_coincidences)
 from .specfile import (NumberSpec, TupleSpecFile, parse_spec, serialize_spec)
 from .stepfunc import (BruteForceMin, StepTrajectory, brute_force_psi_sweep,
-                       build_trajectory, psi_at, psi_left_limit,
-                       serialize_trajectory)
+                       build_trajectory, psi_at, serialize_trajectory)
 from .surd import QuadraticSurd, sqrt_enclosure, sqrt_of, squarefree_decompose
 from .sweep import (PermutationEvent, TrajectoryReport, TupleContext,
                     format_permutation, serialize_report, sigma_at,
@@ -40,10 +38,10 @@ __all__ = [
     "RigidityScan", "SQUAREFREE_POOL", "StepTrajectory", "TrajectoryReport",
     "TupleContext", "TupleSpecFile", "Verdict", "VerifiedRun",
     "brute_force_psi_sweep", "build_proof_trace", "build_trajectory",
-    "check_nj_bound", "check_reversal_pattern", "check_rigidity",
-    "check_theorem_bound", "compare_errors", "convergents", "error_enclosure",
-    "errors", "format_permutation", "integer_combination_check", "parse_spec",
-    "psi_at", "psi_left_limit", "random_independent_members",
+    "check_reversal_pattern", "check_rigidity", "check_theorem_bound",
+    "compare_errors", "convergents", "errors", "format_permutation",
+    "integer_combination_check", "parse_spec", "psi_at",
+    "random_independent_members",
     "random_periodic_cf", "random_surd", "render_proof_trace",
     "rigidity_scan", "scan_coincidences", "serialize_report",
     "serialize_spec", "serialize_trajectory", "sigma_at", "sign_change_count",

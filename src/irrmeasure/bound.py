@@ -15,9 +15,10 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
+from .cf import DEFAULT_COMPARE_DEPTH
 from .errors import VerificationFailed, WindowTooShort
-from .sweep import (TrajectoryReport, TupleContext, format_permutation,
-                    sigma_at, sweep)
+from .screening import DEFAULT_SCAN_DEPTH
+from .sweep import TrajectoryReport, TupleContext, format_permutation, sweep
 
 
 class RestrictedViews(Mapping[tuple[int, int], tuple[int, ...]]):
@@ -49,17 +50,15 @@ class RestrictedViews(Mapping[tuple[int, int], tuple[int, ...]]):
 class ProofTrace:
     """Combinatorial skeleton of the bound on one window.
 
-    All member labels are the caller's original 1-based labels; the
-    relabeling that makes sigma(T_1) the identity is recorded so the
-    window-ordering view can be reconstructed.
+    All member labels are the caller's original 1-based labels. The
+    relabeling that makes sigma(T_1) the identity, relabeling[i-1] = the
+    label of rank i, is sigma_1; n_counts maps j to n_j = |I_j|.
     """
 
     t1: int
     new_times: tuple[int, ...]                 # T_2 .. T_k
     sigmas: tuple[tuple[int, ...], ...]        # sigma_1 .. sigma_k
-    relabeling: tuple[int, ...]                # relabeling[i-1] = original label of rank i
     i_sets: dict[int, frozenset[int]]          # j -> original labels
-    n_counts: dict[int, int]
     restricted: RestrictedViews                # (j, s) -> restricted ordering, lazy
     restricted_ok: dict[int, bool]
     coverage_ok: bool
@@ -68,6 +67,15 @@ class ProofTrace:
     @property
     def k(self) -> int:
         return len(self.sigmas)
+
+    @property
+    def relabeling(self) -> tuple[int, ...]:
+        return self.sigmas[0]
+
+    @cached_property
+    def n_counts(self) -> dict[int, int]:
+        """Built once per trace: render_proof_trace reads it for every j."""
+        return {j: len(s) for j, s in self.i_sets.items()}
 
     @cached_property
     def nj_checks(self) -> tuple[NjCheck, ...]:
@@ -81,7 +89,8 @@ def build_proof_trace(ctx: TupleContext,
                       report: TrajectoryReport | None = None) -> ProofTrace:
     """T_1 is the burn-in time; T_j (j >= 2) is the first time after T_1
     whose ordering differs from all of sigma_1 .. sigma_{j-1}, exactly as
-    the inductive definition reads.
+    the inductive definition reads. sigma_1 is the first event's `before`,
+    the ordering the sweep certified at T_1.
 
     I_j collects members jumping at T_j and at no earlier T_i (i >= 2);
     the restricted orderings of sigma_1 .. sigma_{j-1} on each I_j must
@@ -92,10 +101,9 @@ def build_proof_trace(ctx: TupleContext,
     """
     if report is None:
         report = sweep(ctx)
-    t1 = ctx.t0
-    sigma1 = sigma_at(ctx, t1)
-    sigmas: list[tuple[int, ...]] = [sigma1]
-    seen_sigmas = {sigma1}
+    # an empty event list leaves no sigma_1 and fails the k >= 2 check below
+    sigmas: list[tuple[int, ...]] = [ev.before for ev in report.events[:1]]
+    seen_sigmas = set(sigmas)
     new_times: list[int] = []
     jumpers_at: dict[int, frozenset[int]] = {}
     for ev in report.events:
@@ -114,7 +122,6 @@ def build_proof_trace(ctx: TupleContext,
     for j in range(2, k + 1):
         i_sets[j] = frozenset(jumpers_at[j] - seen)
         seen |= jumpers_at[j]
-    n_counts = {j: len(s) for j, s in i_sets.items()}
     # rank maps of sigma_1, sigma_2, ..., built only as far as some I_j
     # with two or more members needs them
     ranks: list[dict[int, int]] = []
@@ -134,12 +141,11 @@ def build_proof_trace(ctx: TupleContext,
     # must land in exactly one I_j once the window saw all pair flips
     coverage_ok = all(
         sum(1 for s in i_sets.values() if member in s) == 1
-        for member in sigma1[:-1]
+        for member in sigmas[0][:-1]
     )
     frozen = tuple(sigmas)
-    return ProofTrace(t1=t1, new_times=tuple(new_times), sigmas=frozen,
-                      relabeling=sigma1, i_sets=i_sets, n_counts=n_counts,
-                      restricted=RestrictedViews(frozen, i_sets),
+    return ProofTrace(t1=ctx.t0, new_times=tuple(new_times), sigmas=frozen,
+                      i_sets=i_sets, restricted=RestrictedViews(frozen, i_sets),
                       restricted_ok=restricted_ok,
                       coverage_ok=coverage_ok, n=ctx.n)
 
@@ -150,12 +156,6 @@ class NjCheck:
     n_j: int
     bound: int
     ok: bool
-
-
-def check_nj_bound(trace: ProofTrace) -> list[NjCheck]:
-    """Per-j verdicts for n_j <= k - j + 2, read from the trace's
-    nj_checks, so a verification and its report share one evaluation."""
-    return list(trace.nj_checks)
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,19 @@ class VerifiedRun:
     ctx: TupleContext
     report: TrajectoryReport
     trace: ProofTrace
-    nj_checks: list[NjCheck]
     bound: BoundVerdict
     doublings: int
 
 
+#: default number of horizon doublings before a window artifact is final
+DEFAULT_RETRIES = 8
+
+
 def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = None,
-                        retries: int = 8, screen_depth: int = 40,
-                        max_compare_depth: int = 64) -> VerifiedRun:
+                        retries: int = DEFAULT_RETRIES,
+                        screen_depth: int = DEFAULT_SCAN_DEPTH,
+                        max_compare_depth: int = DEFAULT_COMPARE_DEPTH
+                        ) -> VerifiedRun:
     """Build, sweep, trace and check; double the horizon on window
     artifacts (short windows, missing pair flips, bound failures) up to
     `retries` times before raising the failure as hard.
@@ -208,7 +213,6 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
                                max_compare_depth=max_compare_depth)
             report = sweep(ctx)
             trace = build_proof_trace(ctx, report)
-            nj_checks = check_nj_bound(trace)
             bound = check_theorem_bound(trace)
             problems = []
             if report.max_tau > report.k_hat:
@@ -217,14 +221,13 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
                 problems.append("jump coverage incomplete")
             if not all(trace.restricted_ok.values()):
                 problems.append("restricted orderings disagree")
-            if not all(c.ok for c in nj_checks):
+            if not all(c.ok for c in trace.nj_checks):
                 problems.append("per-step size bound violated")
             if not bound.ok:
                 problems.append("count bound violated")
             if not problems:
                 return VerifiedRun(ctx=ctx, report=report, trace=trace,
-                                   nj_checks=nj_checks, bound=bound,
-                                   doublings=attempt)
+                                   bound=bound, doublings=attempt)
             last_error = VerificationFailed(
                 "; ".join(problems) + f" at t_max = {cur}\n" +
                 render_proof_trace(trace),
@@ -248,7 +251,7 @@ def render_proof_trace(trace: ProofTrace) -> str:
         members = ",".join(map(str, sorted(trace.i_sets[j]))) or "-"
         lines.append(f"I_{j}\t{{{members}}}\tn_{j}\t{trace.n_counts[j]}\t"
                      f"restricted_equal\t{trace.restricted_ok[j]}")
-    for check in check_nj_bound(trace):
+    for check in trace.nj_checks:
         lines.append(f"n_{check.j}\t{check.n_j}\t<=\t{check.bound}\t"
                      f"{'ok' if check.ok else 'FAIL'}")
     verdict = check_theorem_bound(trace)

@@ -30,6 +30,10 @@ from .surd import QuadraticSurd
 #: forever by a runaway analysis
 DEFAULT_DEPTH_CAP = 512
 
+#: default refinement budget of a certified comparison: how many further
+#: coefficients each enclosure may consume before the order is undecided
+DEFAULT_COMPARE_DEPTH = 64
+
 
 def _validate_coeffs(values: Sequence[int], *, first_is_a0: bool, what: str) -> None:
     for i, a in enumerate(values):
@@ -118,10 +122,6 @@ class ContinuedFraction:
                 raise ValueError(f"rule produced coefficient a_{nu} = {a} < 1")
             return a
         return cls(source, depth_cap)
-
-    @property
-    def a0(self) -> int:
-        return self.coefficient(0)
 
     def coefficient(self, nu: int) -> int:
         coeffs = self._coeffs
@@ -355,19 +355,13 @@ class ErrorTerm:
                 f"lo={self.lo}, hi={self.hi})")
 
 
-def error_enclosure(cf: ContinuedFraction, nu: int, depth: int = 0) -> ErrorTerm:
-    """Error term for index nu refined with `depth` extra coefficients."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return ErrorTerm(cf, nu).refine_to(depth)
-
-
 class Ordering(Enum):
     LESS = "LESS"
     GREATER = "GREATER"
 
 
-def compare_errors(x: ErrorTerm, y: ErrorTerm, max_depth: int = 64) -> Ordering:
+def compare_errors(x: ErrorTerm, y: ErrorTerm,
+                   max_depth: int = DEFAULT_COMPARE_DEPTH) -> Ordering:
     """Certified order of two error terms.
 
     Refines the wider enclosure first (x on equal widths) until the
@@ -402,7 +396,8 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm, max_depth: int = 64) -> Ordering:
                 origin="cf.compare_errors", left=x, right=y)
 
 
-def first_misordered(terms: Sequence[ErrorTerm], max_depth: int = 64) -> int | None:
+def first_misordered(terms: Sequence[ErrorTerm],
+                     max_depth: int = DEFAULT_COMPARE_DEPTH) -> int | None:
     """Certify that terms[0] > terms[1] > ... strictly; return the index r
     of the first adjacency (terms[r], terms[r + 1]) that is not certified
     GREATER, or None when every one is.

@@ -6,24 +6,40 @@ too short, ...), 2 usage or spec-file error, 3 internal error (a
 self-check of the program failed, reported as `internal error: ...` on
 stderr; this is a bug, never an analysis result). All numbers print as
 exact rationals num/den unless --approx adds a decimal display column.
+Exit code 2, with nothing printed, is an unknown subcommand or flag, a
+spec file that cannot be read or validated, or a numeric flag that is not
+an integer at or above its minimum: 2 for --scan-depth, 0 for --max-index
+and --retries, 1 for the rest.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
-from .bound import verify_with_retries
-from .cf import DEFAULT_DEPTH_CAP, convergents
+from .bound import DEFAULT_RETRIES, render_proof_trace, verify_with_retries
+from .cf import DEFAULT_COMPARE_DEPTH, DEFAULT_DEPTH_CAP, convergents
 from .errors import LabError, SpecFileError
 from .plotting import render_step_svg
-from .screening import (check_reversal_pattern, rigidity_scan,
+from .screening import (DEFAULT_MAX_D, DEFAULT_MAX_INDEX, DEFAULT_SCAN_DEPTH,
+                        check_reversal_pattern, rigidity_scan,
                         scan_coincidences)
 from .specfile import TupleSpecFile, parse_spec
 from .stepfunc import build_trajectory, serialize_trajectory
-from .sweep import TupleContext, format_permutation, serialize_report, sweep
+from .sweep import TupleContext, serialize_report, summary_lines, sweep
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, or a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"   # argparse names it in "invalid int value"
+    return parse
 
 
 @cache
@@ -38,13 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", type=Path, help="tuple-spec file")
-        p.add_argument("--t-max", type=int, default=None,
+        p.add_argument("--t-max", type=_int_at_least(1), default=None,
                        help="override the spec's horizon")
-        p.add_argument("--burn-in", type=int, default=None,
+        p.add_argument("--burn-in", type=_int_at_least(1), default=None,
                        help="override the spec's burn-in time")
-        p.add_argument("--depth-cap", type=int, default=None,
+        p.add_argument("--depth-cap", type=_int_at_least(1), default=None,
                        help="hard cap on coefficient indices")
-        p.add_argument("--max-compare-depth", type=int, default=None,
+        p.add_argument("--max-compare-depth", type=_int_at_least(1), default=None,
                        help="refinement budget for certified comparisons")
         p.add_argument("--approx", action="store_true",
                        help="append decimal approximations to tables")
@@ -53,16 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("convergents", "print the convergent table of every member")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_int_at_least(1), default=10)
     add("psi", "print the step-function records of every member")
     add("trace", "sweep the tuple and print events plus the summary block")
     add("kindex", "print the distinct-ordering census of the window")
     p = add("verify", "coincidence logs, rigidity scan, reversal records")
-    p.add_argument("--scan-depth", type=int, default=40)
-    p.add_argument("--max-index", type=int, default=25)
-    p.add_argument("--max-d", type=int, default=4)
+    p.add_argument("--scan-depth", type=_int_at_least(2), default=DEFAULT_SCAN_DEPTH)
+    p.add_argument("--max-index", type=_int_at_least(0), default=DEFAULT_MAX_INDEX)
+    p.add_argument("--max-d", type=_int_at_least(1), default=DEFAULT_MAX_D)
     p = add("proof-trace", "replay the count bound with retry doubling")
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--retries", type=_int_at_least(0), default=DEFAULT_RETRIES)
     p = add("plot", "write one SVG per member with all step functions overlaid")
     p.add_argument("--linear", action="store_true",
                    help="linear axes instead of the default log-log")
@@ -70,22 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Job:
-    """Effective settings: spec-file globals overridden by flags."""
+    """Effective settings: spec-file globals overridden by flags. Each is
+    None when unset and positive when set (both parsers check that), so
+    `or` picks the first one set."""
 
     def __init__(self, args) -> None:
         self.spec: TupleSpecFile = parse_spec(args.spec.read_bytes())
-        self.t_max = args.t_max if args.t_max is not None else self.spec.t_max
-        self.burn_in = args.burn_in if args.burn_in is not None else self.spec.burn_in
-        self.depth_cap = (args.depth_cap if args.depth_cap is not None
-                          else self.spec.depth_cap) or DEFAULT_DEPTH_CAP
-        self.max_compare_depth = (args.max_compare_depth
-                                  if args.max_compare_depth is not None
-                                  else self.spec.max_compare_depth) or 64
-        out = args.out_dir if args.out_dir is not None else self.spec.out_dir
-        self.out_dir = Path(out) if out is not None else Path(".")
+        self.t_max = args.t_max or self.spec.t_max
+        self.burn_in = args.burn_in or self.spec.burn_in
+        self.depth_cap = args.depth_cap or self.spec.depth_cap or DEFAULT_DEPTH_CAP
+        self.max_compare_depth = (args.max_compare_depth or self.spec.max_compare_depth
+                                  or DEFAULT_COMPARE_DEPTH)
+        self.out_dir = Path(args.out_dir or self.spec.out_dir or ".")
         self.approx = args.approx
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
         self.names = [n.name for n in self.spec.numbers]
         self.cfs = [n.to_cf(depth_cap=self.depth_cap) for n in self.spec.numbers]
         if not self.cfs:
@@ -134,12 +147,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_kindex(args) -> int:
     job = _Job(args)
-    report = sweep(job.context())
-    print(f"window\t{report.t0}\t{report.t_max}")
-    print(f"k_hat\t{report.k_hat}")
-    print(f"max_tau\t{report.max_tau}")
-    for perm, (first, last) in report.perm_spans.items():
-        print(f"perm\t{format_permutation(perm)}\t{first}\t{last}")
+    print("\n".join(summary_lines(sweep(job.context()))))
     return 0
 
 
@@ -179,7 +187,6 @@ def _cmd_proof_trace(args) -> int:
     run = verify_with_retries(job.cfs, t_max=job.t_max, names=job.names,
                               burn_in=job.burn_in, retries=args.retries,
                               max_compare_depth=job.max_compare_depth)
-    from .bound import render_proof_trace
     print(f"t_max\t{run.report.t_max}\tdoublings\t{run.doublings}")
     print(render_proof_trace(run.trace), end="")
     return 0
@@ -188,20 +195,14 @@ def _cmd_proof_trace(args) -> int:
 def _cmd_plot(args) -> int:
     job = _Job(args)
     trajectories = [build_trajectory(cf, job.t_max) for cf in job.cfs]
-    series = []
-    for name, traj in zip(job.names, trajectories):
-        points = [(q, float(sum(e.interval()) / 2)) for q, e in traj.breakpoints]
-        series.append((name, points))
-    seen: dict[int, int] = {}
-    for traj in trajectories:
-        for t in traj.jump_times():
-            seen[t] = seen.get(t, 0) + 1
+    series = [(name, [(q, float(sum(e.interval()) / 2)) for q, e in traj.breakpoints])
+              for name, traj in zip(job.names, trajectories)]
+    seen = Counter(t for traj in trajectories for t in traj.jump_times())
     markers = sorted(t for t, count in seen.items() if count >= 2)
     job.out_dir.mkdir(parents=True, exist_ok=True)
-    log = not args.linear
     for focus, name in enumerate(job.names):
         svg = render_step_svg(series, focus, markers, t_max=job.t_max,
-                              log_x=log, log_y=log,
+                              log=not args.linear,
                               title=f"step functions up to t = {job.t_max}")
         path = job.out_dir / f"{name}.svg"
         path.write_text(svg)

@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cf import ContinuedFraction, surd_to_cf
-from .screening import Verdict, scan_coincidences
+from .cf import DEFAULT_DEPTH_CAP, ContinuedFraction, surd_to_cf
+from .screening import DEFAULT_SCAN_DEPTH, Verdict, scan_coincidences
 from .surd import QuadraticSurd
 
 SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23,
@@ -19,7 +19,7 @@ SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23,
 
 def random_periodic_cf(rng: random.Random, *, max_coeff: int = 9,
                        max_preperiod: int = 2, max_period: int = 4,
-                       depth_cap: int = 512) -> ContinuedFraction:
+                       depth_cap: int = DEFAULT_DEPTH_CAP) -> ContinuedFraction:
     a0 = rng.randint(1, max_coeff)
     pre = [a0] + [rng.randint(1, max_coeff)
                   for _ in range(rng.randint(0, max_preperiod))]
@@ -30,7 +30,7 @@ def random_periodic_cf(rng: random.Random, *, max_coeff: int = 9,
 def random_shared_prefix_pair(rng: random.Random, *,
                               prefix: tuple[int, int] = (10, 25),
                               max_coeff: int = 9, max_period: int = 4,
-                              depth_cap: int = 512
+                              depth_cap: int = DEFAULT_DEPTH_CAP
                               ) -> tuple[ContinuedFraction, ContinuedFraction]:
     """Two periodic streams with one random preperiod of prefix[0] ..
     prefix[1] coefficients (a0 included) and periods of 1 .. max_period.
@@ -59,7 +59,7 @@ def random_surd(rng: random.Random, *, radicand: int | None = None) -> Quadratic
 
 
 def random_independent_members(rng: random.Random, n: int, *,
-                               screen_depth: int = 40,
+                               screen_depth: int = DEFAULT_SCAN_DEPTH,
                                max_attempts: int = 200) -> list[ContinuedFraction]:
     """n pairwise-independent surd-backed streams.
 

@@ -16,6 +16,8 @@ _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 36.0
 _MARGIN_BOTTOM = 44.0
+_WIDTH = 840
+_HEIGHT = 520
 
 
 def _fmt(x: float) -> str:
@@ -23,10 +25,9 @@ def _fmt(x: float) -> str:
 
 
 def render_step_svg(series, focus: int, markers, *, t_max: int,
-                    log_x: bool = True, log_y: bool = True,
-                    width: int = 840, height: int = 520,
-                    title: str = "") -> str:
-    """One SVG with every member's step polyline overlaid.
+                    log: bool = True, title: str = "") -> str:
+    """One SVG with every member's step polyline overlaid, on log-log
+    axes, or linear ones when `log` is false.
 
     series: list of (name, [(q, value), ...]) with float values; the
     entry at index `focus` is emphasized. markers are vertical lines at
@@ -42,10 +43,10 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
         raise ValueError("series contain no breakpoints")
 
     def tx(t: float) -> float:
-        return log10(t) if log_x else float(t)
+        return log10(t) if log else float(t)
 
     def ty(v: float) -> float:
-        return log10(v) if log_y else float(v)
+        return log10(v) if log else float(v)
 
     x_lo, x_hi = tx(xs[0]), tx(xs[1])
     y_lo, y_hi = min(map(ty, ys)), max(map(ty, ys))
@@ -53,8 +54,8 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(t: float) -> float:
         return _MARGIN_LEFT + (tx(t) - x_lo) / (x_hi - x_lo) * plot_w
@@ -63,10 +64,10 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
         return _MARGIN_TOP + (y_hi - ty(v)) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # frame
@@ -75,30 +76,23 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
         f'stroke="#333333" stroke-width="1"/>')
     # x ticks at powers of ten (log) or quarters (linear)
-    if log_x:
-        for e in range(int(floor(x_lo)), int(ceil(x_hi)) + 1):
-            t = 10 ** e
-            if t < xs[0] or t > xs[1]:
-                continue
-            x = px(t)
-            parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
-                         f'x2="{_fmt(x)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
-                         f'stroke="#333333"/>')
-            parts.append(f'<text x="{_fmt(x)}" y="{_fmt(height - 22)}" '
-                         f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="11">1e{e}</text>')
+    if log:
+        x_ticks = [(10 ** e, f"1e{e}")
+                   for e in range(int(floor(x_lo)), int(ceil(x_hi)) + 1)
+                   if xs[0] <= 10 ** e <= xs[1]]
     else:
-        for i in range(5):
-            t = xs[0] + (xs[1] - xs[0]) * i / 4
-            x = px(t)
-            parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
-                         f'x2="{_fmt(x)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
-                         f'stroke="#333333"/>')
-            parts.append(f'<text x="{_fmt(x)}" y="{_fmt(height - 22)}" '
-                         f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="11">{_fmt(t)}</text>')
+        x_ticks = [(t, _fmt(t))
+                   for t in (xs[0] + (xs[1] - xs[0]) * i / 4 for i in range(5))]
+    for t, label in x_ticks:
+        x = px(t)
+        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
+                     f'x2="{_fmt(x)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
+                     f'stroke="#333333"/>')
+        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(_HEIGHT - 22)}" '
+                     f'text-anchor="middle" font-family="sans-serif" '
+                     f'font-size="11">{label}</text>')
     # y ticks
-    if log_y:
+    if log:
         for e in range(int(floor(y_lo)), int(ceil(y_hi)) + 1):
             v = 10.0 ** e
             if ty(v) < y_lo or ty(v) > y_hi:

@@ -28,11 +28,17 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
-from .cf import (CombinationKind, ContinuedFraction, ErrorTerm, Ordering,
-                 certified_order, compare_errors, integer_combination_check,
-                 star_value)
+from .cf import (DEFAULT_COMPARE_DEPTH, CombinationKind, ContinuedFraction,
+                 ErrorTerm, Ordering, certified_order, compare_errors,
+                 integer_combination_check, star_value)
 from .errors import DepthCapExceeded, DepthExhausted, UndecidedComparison
 from .stepfunc import build_trajectory, psi_at
+
+#: default index bound of the coincidence and reversal scans, and the
+#: default rigidity window nu, mu <= DEFAULT_MAX_INDEX, d <= DEFAULT_MAX_D
+DEFAULT_SCAN_DEPTH = 40
+DEFAULT_MAX_INDEX = 25
+DEFAULT_MAX_D = 4
 
 
 class Verdict(Enum):
@@ -74,7 +80,7 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 
 def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
-                      depth: int = 40) -> CoincidenceLog:
+                      depth: int = DEFAULT_SCAN_DEPTH) -> CoincidenceLog:
     """Exhaustive coincidence log over indices <= depth.
 
     DEPENDENT needs a symbolic proof (sum or difference in Z) from exact
@@ -197,7 +203,7 @@ def _error_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
 
 def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
                    nu: int, mu: int, d: int, *,
-                   max_compare_depth: int = 64) -> RigidityRecord:
+                   max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> RigidityRecord:
     """Tests the forced-equality pattern at matched denominators.
 
     Hypotheses: xi_nu <= eta_mu, xi_{nu+1} <= eta_{mu+d-1},
@@ -301,8 +307,9 @@ class RigidityScan(Sequence[RigidityRecord]):
 
 
 def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
-                  max_index: int = 25, max_d: int = 4,
-                  max_compare_depth: int = 64) -> RigidityScan:
+                  max_index: int = DEFAULT_MAX_INDEX,
+                  max_d: int = DEFAULT_MAX_D,
+                  max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> RigidityScan:
     """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
 
     A hash join on denominator values finds the triples with
@@ -371,8 +378,9 @@ class ReversalRecord:
 
 
 def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
-                           depth: int = 40, *, burn_in: int = 0,
-                           max_compare_depth: int = 64) -> list[ReversalRecord]:
+                           depth: int = DEFAULT_SCAN_DEPTH, *, burn_in: int = 0,
+                           max_compare_depth: int = DEFAULT_COMPARE_DEPTH
+                           ) -> list[ReversalRecord]:
     """At every shared denominator q_nu(a) = r_mu(b) past burn_in: when
     the a-side step sits strictly below the b-side just before the shared
     jump, the order one a-side step earlier is predicted to be reversed.

@@ -23,12 +23,16 @@ integers, fractions `p/q`, integer lists `[a, b, c]`, or bare words
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cf import ContinuedFraction, DEFAULT_DEPTH_CAP, surd_to_cf
 from .errors import RadicandError, SpecSemanticError, SpecSyntaxError
 from .surd import QuadraticSurd
+
+#: horizon of a spec file that sets no t_max
+DEFAULT_T_MAX = 10_000
 
 KINDS = ("periodic", "finite", "surd")
 GLOBAL_KEYS = ("t_max", "burn_in", "depth_cap", "max_compare_depth", "out_dir")
@@ -47,7 +51,9 @@ _LIST = re.compile(r"\[(.*)\]$")
 
 @dataclass(frozen=True)
 class NumberSpec:
-    """One named number entry; the payload fields used depend on kind."""
+    """One named number entry; the payload fields used depend on kind.
+    A surd entry's value is certified once: parsing validates it and
+    to_cf reuses it. Equality compares the fields only."""
 
     name: str
     kind: str
@@ -65,14 +71,17 @@ class NumberSpec:
         if self.kind == "finite":
             return ContinuedFraction.from_coefficients(self.coefficients,
                                                        depth_cap=depth_cap)
-        surd = QuadraticSurd(self.rational, self.root, self.radicand)
-        return surd_to_cf(surd, depth_cap=depth_cap)
+        return surd_to_cf(self._surd, depth_cap=depth_cap)
+
+    @cached_property
+    def _surd(self) -> QuadraticSurd:
+        return QuadraticSurd(self.rational, self.root, self.radicand)
 
 
 @dataclass(frozen=True)
 class TupleSpecFile:
     numbers: tuple[NumberSpec, ...]
-    t_max: int = 10_000
+    t_max: int = DEFAULT_T_MAX
     burn_in: int | None = None
     depth_cap: int | None = None
     max_compare_depth: int | None = None
@@ -108,7 +117,10 @@ def _parse_value(raw: str, line_no: int, column: int):
                           column=column)
 
 
-def _positive_int(value, key: str, entity: str) -> int:
+def _positive_int(value, key: str, entity: str) -> int | None:
+    """value when it is None or a positive integer."""
+    if value is None:
+        return None
     if not isinstance(value, int) or value < 1:
         raise SpecSemanticError(f"{key} must be a positive integer, got {value!r}",
                                 entity=entity)
@@ -176,12 +188,13 @@ def _build_number(name: str, pairs: dict[str, object]) -> NumberSpec:
         raise SpecSemanticError("radicand must be an integer", entity=name)
     if root == 0:
         raise SpecSemanticError("root coefficient must be nonzero", entity=name)
+    number = NumberSpec(name=name, kind=kind, rational=rational, root=root,
+                        radicand=radicand)
     try:
-        QuadraticSurd(rational, root, radicand)
+        number._surd  # certified here once; to_cf reuses it
     except RadicandError as exc:
         raise SpecSemanticError(str(exc), entity=name) from exc
-    return NumberSpec(name=name, kind=kind, rational=rational, root=root,
-                      radicand=radicand)
+    return number
 
 
 def parse_spec(data: bytes | str) -> TupleSpecFile:
@@ -234,21 +247,13 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
         target[key] = value
 
     numbers = tuple(_build_number(name, pairs) for name, pairs in blocks)
-    t_max = _positive_int(globals_seen.get("t_max", 10_000), "t_max", "global settings")
-    burn_in = globals_seen.get("burn_in")
-    if burn_in is not None:
-        burn_in = _positive_int(burn_in, "burn_in", "global settings")
-        if t_max < burn_in:
-            raise SpecSemanticError(
-                f"t_max = {t_max} must be >= burn_in = {burn_in}",
-                entity="global settings")
-    depth_cap = globals_seen.get("depth_cap")
-    if depth_cap is not None:
-        depth_cap = _positive_int(depth_cap, "depth_cap", "global settings")
-    max_compare_depth = globals_seen.get("max_compare_depth")
-    if max_compare_depth is not None:
-        max_compare_depth = _positive_int(max_compare_depth, "max_compare_depth",
-                                          "global settings")
+    globals_seen.setdefault("t_max", DEFAULT_T_MAX)
+    t_max, burn_in, depth_cap, max_compare_depth = (
+        _positive_int(globals_seen.get(key), key, "global settings")
+        for key in ("t_max", "burn_in", "depth_cap", "max_compare_depth"))
+    if burn_in is not None and t_max < burn_in:
+        raise SpecSemanticError(f"t_max = {t_max} must be >= burn_in = {burn_in}",
+                                entity="global settings")
     out_dir = globals_seen.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         out_dir = str(out_dir)
@@ -269,19 +274,10 @@ def _format_list(xs: tuple[int, ...]) -> str:
 
 def serialize_spec(spec: TupleSpecFile) -> str:
     """Canonical text form; parse_spec(serialize_spec(s)) == s."""
-    lines = [f"t_max = {spec.t_max}"]
-    if spec.burn_in is not None:
-        lines.append(f"burn_in = {spec.burn_in}")
-    if spec.depth_cap is not None:
-        lines.append(f"depth_cap = {spec.depth_cap}")
-    if spec.max_compare_depth is not None:
-        lines.append(f"max_compare_depth = {spec.max_compare_depth}")
-    if spec.out_dir is not None:
-        lines.append(f"out_dir = {spec.out_dir}")
+    lines = [f"{key} = {value}" for key in GLOBAL_KEYS
+             if (value := getattr(spec, key)) is not None]
     for number in spec.numbers:
-        lines.append("")
-        lines.append(f"[{number.name}]")
-        lines.append(f"kind = {number.kind}")
+        lines += ["", f"[{number.name}]", f"kind = {number.kind}"]
         if number.kind == "periodic":
             lines.append(f"preperiod = {_format_list(number.preperiod)}")
             lines.append(f"period = {_format_list(number.period)}")

@@ -76,14 +76,6 @@ def psi_at(traj: StepTrajectory, t: int) -> ErrorTerm:
     return traj.breakpoints[bisect_right(traj.qs, t) - 1][1]
 
 
-def psi_left_limit(traj: StepTrajectory, t: int) -> ErrorTerm:
-    """The left limit at t; since all jumps sit at integers this is the
-    value at t - 1."""
-    if t < 2:
-        raise ValueError("left limits need t >= 2")
-    return psi_at(traj, t - 1)
-
-
 def serialize_trajectory(traj: StepTrajectory) -> str:
     """Line-delimited records: q <tab> xi_lo <tab> xi_hi, rationals as num/den."""
     lines = []

@@ -24,10 +24,11 @@ from operator import itemgetter
 
 # the sweep no longer calls compare_errors directly; the name stays bound
 # here because the benchmark's self-tests read sweep.compare_errors
-from .cf import (ContinuedFraction, ErrorTerm, Ordering, certified_order,
-                 compare_errors, first_misordered)
+from .cf import (DEFAULT_COMPARE_DEPTH, ContinuedFraction, ErrorTerm, Ordering,
+                 certified_order, compare_errors, first_misordered)
 from .errors import DependentTuple, WindowTooShort
-from .screening import CoincidenceLog, Verdict, scan_coincidences
+from .screening import (DEFAULT_SCAN_DEPTH, CoincidenceLog, Verdict,
+                        scan_coincidences)
 from .stepfunc import build_trajectory, psi_at
 
 #: default lower bound for the burn-in time; the structural statements
@@ -45,8 +46,8 @@ class TupleContext:
     """
 
     def __init__(self, cfs, *, t_max: int, burn_in: int | None = None,
-                 names=None, screen_depth: int = 40,
-                 max_compare_depth: int = 64) -> None:
+                 names=None, screen_depth: int = DEFAULT_SCAN_DEPTH,
+                 max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> None:
         cfs = tuple(cfs)
         if len(cfs) < 2:
             raise ValueError("a tuple context needs at least two members")
@@ -267,20 +268,23 @@ def format_permutation(perm: tuple[int, ...]) -> str:
     return ",".join(map(str, perm))
 
 
+def summary_lines(report: TrajectoryReport) -> list[str]:
+    """The window, k_hat, max_tau and one `perm` line per ordering seen."""
+    return [f"window\t{report.t0}\t{report.t_max}", f"k_hat\t{report.k_hat}",
+            f"max_tau\t{report.max_tau}",
+            *(f"perm\t{format_permutation(perm)}\t{first}\t{last}"
+              for perm, (first, last) in report.perm_spans.items())]
+
+
 def serialize_report(report: TrajectoryReport) -> str:
     """Event records `t <tab> before <tab> after <tab> jumpers`, then a
-    blank line and the summary block."""
+    blank line, the summary lines and the per-pair sign changes."""
     lines = [
         f"{ev.time}\t{format_permutation(ev.before)}\t"
         f"{format_permutation(ev.after)}\t{','.join(map(str, sorted(ev.jumpers)))}"
         for ev in report.events
     ]
-    lines.append("")
-    lines.append(f"window\t{report.t0}\t{report.t_max}")
-    lines.append(f"k_hat\t{report.k_hat}")
-    lines.append(f"max_tau\t{report.max_tau}")
-    for perm, (first, last) in report.perm_spans.items():
-        lines.append(f"perm\t{format_permutation(perm)}\t{first}\t{last}")
+    lines += ["", *summary_lines(report)]
     for (i, j), count in sorted(report.sign_changes.items()):
         lines.append(f"sign_changes\t{i},{j}\t{count}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from irrmeasure import (CombinationKind, TupleContext, brute_force_psi_sweep,
-                        build_trajectory, check_nj_bound, convergents, psi_at,
+                        build_trajectory, convergents, psi_at,
                         rigidity_scan, scan_coincidences, serialize_report,
                         sign_change_count, surd_to_cf, sweep,
                         verify_with_retries)
@@ -149,7 +149,7 @@ def test_criterion_5_count_bound_chain(corpus_runs):
             verdict.ok,
             trace.coverage_ok,
             all(trace.restricted_ok.values()),
-            all(c.ok for c in check_nj_bound(trace)),
+            all(c.ok for c in trace.nj_checks),
         ]
         # disjointness, re-checked from the raw sets
         union_size = sum(len(s) for s in trace.i_sets.values())

@@ -1,12 +1,13 @@
 """Window replay of the distinct-ordering count bound."""
 
+import importlib
 import random
 
 import pytest
 
-from irrmeasure import (TupleContext, build_proof_trace, check_nj_bound,
-                        check_theorem_bound, render_proof_trace, sigma_at,
-                        sweep, verify_with_retries)
+from irrmeasure import (TupleContext, build_proof_trace, check_theorem_bound,
+                        render_proof_trace, sigma_at, sweep,
+                        verify_with_retries)
 from irrmeasure.corpus import random_independent_members
 from irrmeasure.errors import WindowTooShort
 
@@ -124,7 +125,7 @@ def test_restricted_disagreement_is_detected(phi_cf, sqrt2_cf):
 
 def test_nj_bound_and_theorem_bound(pair_ctx):
     trace = build_proof_trace(pair_ctx)
-    checks = check_nj_bound(trace)
+    checks = trace.nj_checks
     assert all(c.ok for c in checks)
     assert checks[0].j == 2 and checks[0].bound == trace.k  # weakest bound
     verdict = check_theorem_bound(trace)
@@ -133,6 +134,38 @@ def test_nj_bound_and_theorem_bound(pair_ctx):
     assert verdict.margin_count >= 0 and verdict.margin_k >= 0
     # n = 2 <= k(k+1)/2 = 3
     assert verdict.n <= verdict.k * (verdict.k + 1) // 2
+
+
+def test_counts_are_derived_once_from_the_sets(pair_ctx):
+    trace = build_proof_trace(pair_ctx)
+    assert trace.relabeling is trace.sigmas[0]
+    assert trace.n_counts == {j: len(s) for j, s in trace.i_sets.items()}
+    # render reads n_counts[j] for every j: one dict per trace, not per read
+    assert trace.n_counts is trace.n_counts
+
+
+def test_one_attempt_sorts_the_burn_in_ordering_once(pair_ctx, phi_cf,
+                                                      sqrt2_cf, monkeypatch):
+    # the sweep certifies sigma(t0); the trace takes sigma_1 from its first
+    # event instead of sorting the members again. irrmeasure.sweep is also
+    # a function name, so the modules come from importlib
+    bound_module = importlib.import_module("irrmeasure.bound")
+    sweep_module = importlib.import_module("irrmeasure.sweep")
+    calls = []
+
+    def counting(ctx, t):
+        calls.append(t)
+        return original(ctx, t)
+
+    original = sweep_module.sigma_at
+    for module in (sweep_module, bound_module):
+        if "sigma_at" in vars(module):
+            monkeypatch.setattr(module, "sigma_at", counting)
+    run = verify_with_retries([phi_cf, sqrt2_cf], t_max=10_000, burn_in=1,
+                              retries=0)
+    assert run.doublings == 0
+    assert calls == [1]
+    assert run.trace.sigmas[0] == original(pair_ctx, 1)
 
 
 def test_window_too_short_without_second_permutation(phi_cf, sqrt2_cf):
@@ -164,7 +197,7 @@ def test_random_tuples_verify(seed=4001):
         assert verdict.ok
         assert trace.coverage_ok
         assert all(trace.restricted_ok.values())
-        assert all(c.ok for c in check_nj_bound(trace))
+        assert all(c.ok for c in trace.nj_checks)
         assert run.report.max_tau <= run.report.k_hat
         # every member except the lowest-ranked appears in exactly one set
         for member in trace.relabeling[:-1]:

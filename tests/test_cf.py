@@ -9,9 +9,8 @@ import pytest
 
 from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
                         Ordering, QuadraticSurd, build_trajectory,
-                        compare_errors, convergents, error_enclosure,
-                        integer_combination_check, scan_coincidences, sqrt_of,
-                        star_value, surd_to_cf)
+                        compare_errors, convergents, integer_combination_check,
+                        scan_coincidences, sqrt_of, star_value, surd_to_cf)
 from irrmeasure.cf import first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
@@ -239,13 +238,13 @@ def test_finite_exhaustion_repeats_on_retry():
 # ------------------------------------------------------------- error terms
 
 def test_error_enclosure_examples(sqrt2_cf, phi_cf):
-    e = error_enclosure(sqrt2_cf, 1)
+    e = ErrorTerm(sqrt2_cf, 1)
     assert e.interval() == (Fraction(1, 7), Fraction(1, 5))
     # |2*sqrt2 - 3| from the decimal oracle
     lo, hi = oracle_sqrt_interval(2, 30)
     assert e.lo < abs(2 * lo - 3) and abs(2 * hi - 3) < e.hi
 
-    e0 = error_enclosure(phi_cf, 0)
+    e0 = ErrorTerm(phi_cf, 0)
     assert e0.interval() == (Fraction(1, 2), Fraction(1, 1))
     glo, ghi = GOLDEN.enclosure(30)
     assert e0.lo < glo - 1 and ghi - 1 < e0.hi
@@ -253,7 +252,7 @@ def test_error_enclosure_examples(sqrt2_cf, phi_cf):
 
 def test_refinement_nests_and_strictly_shrinks(sqrt2_cf, phi_cf):
     for cf, nu in ((sqrt2_cf, 1), (phi_cf, 0), (phi_cf, 3)):
-        term = error_enclosure(cf, nu)
+        term = ErrorTerm(cf, nu)
         prev = term.interval()
         for _ in range(12):
             term.refine_once()
@@ -269,7 +268,7 @@ def test_initial_enclosure_formula_everywhere():
         cf = random_periodic_cf(rng)
         cs = convergents(cf, 12)
         for nu in range(10):
-            e = error_enclosure(cf, nu)
+            e = ErrorTerm(cf, nu)
             q, q_next = cs[nu].q, cs[nu + 1].q
             assert e.interval() == (Fraction(1, q_next + q), Fraction(1, q_next))
             assert e.q == q
@@ -283,16 +282,16 @@ def test_error_recurrence_interval_consistency():
         cf = random_periodic_cf(rng)
         for nu in (1, 2, 4):
             for depth in (0, 1, 3):
-                before = error_enclosure(cf, nu - 1, depth)
-                mid = error_enclosure(cf, nu, depth)
-                after = error_enclosure(cf, nu + 1, depth)
+                before = ErrorTerm(cf, nu - 1).refine_to(depth)
+                mid = ErrorTerm(cf, nu).refine_to(depth)
+                after = ErrorTerm(cf, nu + 1).refine_to(depth)
                 a = cf.coefficient(nu + 1)
                 combined = (a * mid.lo + after.lo, a * mid.hi + after.hi)
                 assert intervals_overlap(before.interval(), combined)
 
 
 def test_exact_error_value_when_backed_by_surd(sqrt2_cf):
-    e = error_enclosure(sqrt2_cf, 1)
+    e = ErrorTerm(sqrt2_cf, 1)
     exact = e.exact_value()
     assert exact == QuadraticSurd(Fraction(3), Fraction(-2), 2)  # 3 - 2*sqrt2
     assert exact.compare_rational(e.lo) > 0 > exact.compare_rational(e.hi)

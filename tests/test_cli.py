@@ -138,6 +138,7 @@ def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
 #: case -> (command, spec stem, flags); the digests live under the case
 #: name in tests/data/<stem>.sha256.json
 GOLDEN = {
+    "kindex": ("kindex", "replay_wide8", []),
     "proof-trace": ("proof-trace", "replay_wide8", []),
     "psi": ("psi", "replay_wide8", []),
     "psi-approx": ("psi", "replay_wide8", ["--approx"]),
@@ -154,6 +155,17 @@ def test_golden_output_digests(case, capsys):
     assert main([command, str(DATA / f"{stem}.spec"), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected[case]
+
+
+def test_plot_golden_digest(tmp_path, capsys):
+    # the SVG files, concatenated in member order, under the "plot" key
+    expected = json.loads((DATA / "replay_wide8.sha256.json").read_text())
+    assert main(["plot", str(DATA / "replay_wide8.spec"),
+                 "--out-dir", str(tmp_path)]) == 0
+    paths = capsys.readouterr().out.splitlines()
+    assert [Path(p).name for p in paths] == [f"x{i}.svg" for i in range(1, 9)]
+    svg = b"".join(Path(p).read_bytes() for p in paths)
+    assert hashlib.sha256(svg).hexdigest() == expected["plot"]
 
 
 def test_parser_is_built_once_and_calls_parse_independently(pair_spec, monkeypatch):
@@ -189,6 +201,35 @@ def test_usage_error_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("psi", "--depth-cap", "0"),
+    ("trace", "--max-compare-depth", "0"),
+    ("trace", "--burn-in", "0"),
+    ("trace", "--burn-in", "-5"),
+    ("verify", "--max-index", "-1"),
+    ("verify", "--max-d", "0"),
+    ("verify", "--scan-depth", "1"),
+    ("convergents", "--count", "0"),
+    ("psi", "--t-max", "1e3"),
+])
+def test_bad_flag_value_exits_2_before_any_output(command, flag, value,
+                                                  pair_spec, capsys):
+    # a bad value must neither fall back to a default, nor pass vacuously,
+    # nor look like an analysis failure, nor print a partial report
+    with pytest.raises(SystemExit) as info:
+        main([command, str(pair_spec), flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+
+
+def test_depth_cap_flag_reaches_the_streams(pair_spec, capsys):
+    # psi up to 300 reads phi past index 3, so a cap of 3 must stop it
+    assert main(["psi", str(pair_spec), "--depth-cap", "3"]) == 1
+    assert "exceeds the depth cap 3" in capsys.readouterr().err
+
+
 def test_reports_are_byte_deterministic(pair_spec, tmp_path, capsys):
     assert main(["trace", str(pair_spec)]) == 0
     first = capsys.readouterr().out
@@ -201,14 +242,37 @@ def test_reports_are_byte_deterministic(pair_spec, tmp_path, capsys):
     assert (d1 / "phi.svg").read_bytes() == (d2 / "phi.svg").read_bytes()
 
 
-def test_psi_on_a_huge_period_reads_only_what_it_prints(tmp_path, capsys):
-    # 30030 * 999999999989, square-free: sqrt of it has a period far too
-    # long to build, and psi up to 10^6 needs only its first quotients
+#: 30030 * 999999999989, square-free: sqrt of it has a period far too long
+#: to build, and certifying it square-free trial-divides up to 10^6
+HOSTILE = ("t_max = 1000000\n\n[h]\nkind = surd\nrational = 0\n"
+           "root = 1\nradicand = 30029999999669670\n")
+
+
+@pytest.fixture
+def hostile_spec(tmp_path):
     path = tmp_path / "hostile.spec"
-    path.write_text("t_max = 1000000\n\n[h]\nkind = surd\nrational = 0\n"
-                    "root = 1\nradicand = 30029999999669670\n")
-    assert main(["psi", str(path)]) == 0
+    path.write_text(HOSTILE)
+    return path
+
+
+def test_psi_on_a_huge_period_reads_only_what_it_prints(hostile_spec, capsys):
+    # psi up to 10^6 needs only the first quotients
+    assert main(["psi", str(hostile_spec)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[0] == "# h"
     qs = [int(line.split("\t")[0]) for line in lines[1:]]
     assert qs == sorted(qs) and qs[-1] <= 10 ** 6
+
+
+def test_psi_certifies_a_surd_entry_once(hostile_spec, monkeypatch, capsys):
+    surd_module = importlib.import_module("irrmeasure.surd")
+    original = surd_module.squarefree_decompose
+    calls = []
+
+    def counting(n, *args):
+        calls.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(surd_module, "squarefree_decompose", counting)
+    assert main(["psi", str(hostile_spec)]) == 0
+    assert calls == [30029999999669670]

@@ -7,7 +7,7 @@ import pytest
 
 from irrmeasure import (ContinuedFraction, Ordering, brute_force_psi_sweep,
                         build_trajectory, compare_errors, psi_at,
-                        psi_left_limit, serialize_trajectory)
+                        serialize_trajectory)
 from irrmeasure.corpus import random_periodic_cf
 from irrmeasure.errors import OutOfHorizon, PrecisionInsufficient
 
@@ -78,18 +78,6 @@ def test_psi_at_examples(sqrt2_cf, phi_cf):
     # t = 1 only has q = 1 available
     assert psi_at(t2, 1).q == 1 and psi_at(t2, 1).index == 0
     assert psi_at(tp, 1).q == 1 and psi_at(tp, 1).index == 1
-
-
-def test_psi_left_limit(sqrt2_cf, phi_cf):
-    t2 = build_trajectory(sqrt2_cf, 20)
-    tp = build_trajectory(phi_cf, 20)
-    # before the jump at q = 5 psi is still the q = 2 step
-    assert psi_left_limit(t2, 5) is psi_at(t2, 4)
-    # 4 is not a denominator of sqrt2: left limit equals the value
-    assert psi_left_limit(t2, 4) is psi_at(t2, 4)
-    assert psi_left_limit(tp, 2) is psi_at(tp, 1)
-    with pytest.raises(ValueError):
-        psi_left_limit(t2, 1)
 
 
 def test_monotone_non_increasing(sqrt2_cf):
