@@ -11,9 +11,11 @@ it hard.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .cf import DEFAULT_COMPARE_DEPTH
 from .errors import VerificationFailed, WindowTooShort
@@ -85,6 +87,14 @@ class ProofTrace:
                      for j, n_j in sorted(self.n_counts.items()))
 
 
+def _covered_once(members: Iterable[int],
+                  sets: Iterable[frozenset[int]]) -> bool:
+    """Whether each of members lies in exactly one of sets, counted in one
+    pass over the sets: O(len(members) + total set size)."""
+    counts = Counter(chain.from_iterable(sets))
+    return all(counts[m] == 1 for m in members)
+
+
 def build_proof_trace(ctx: TupleContext,
                       report: TrajectoryReport | None = None) -> ProofTrace:
     """T_1 is the burn-in time; T_j (j >= 2) is the first time after T_1
@@ -139,10 +149,7 @@ def build_proof_trace(ctx: TupleContext,
                                for s in range(1, j - 1))
     # under the window ordering, every member except the last-ranked one
     # must land in exactly one I_j once the window saw all pair flips
-    coverage_ok = all(
-        sum(1 for s in i_sets.values() if member in s) == 1
-        for member in sigmas[0][:-1]
-    )
+    coverage_ok = _covered_once(sigmas[0][:-1], i_sets.values())
     frozen = tuple(sigmas)
     return ProofTrace(t1=ctx.t0, new_times=tuple(new_times), sigmas=frozen,
                       i_sets=i_sets, restricted=RestrictedViews(frozen, i_sets),

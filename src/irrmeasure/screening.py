@@ -7,10 +7,15 @@ This module logs such coincidences, screens pairs for independence, and
 runs the executable forms of the rigidity and order-reversal consequences
 on concrete index windows.
 
-The rigidity scan joins the two denominator tables on their values:
-only triples with q_{nu+2} = r_{mu+d} run the full check, and every other
-triple is counted, not stored, so a scan costs O(table length x max_d +
-matched triples) instead of O(triples x table length).
+The rigidity scan joins the two denominator tables on their values,
+once for every row nu: only triples with q_{nu+2} = r_{mu+d} run the full
+check, and every other triple is counted, not stored. When the second
+stream's table ends inside the window, the triple at which the triple
+loop would fail is computed from the first row that fails, not found by
+replaying the loop. Each error-term sign is evaluated once per scan. A
+scan costs O(max_index x max_d) integer steps plus O(1) table reads per
+matched triple and one certified comparison per distinct sign, instead
+of O(triples x table length).
 
 The check's error-term signs come from the integer enclosure kernel: a
 strict separation of the two enclosures proves the sign. Exact surd
@@ -21,7 +26,7 @@ exact equality.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +36,8 @@ from types import MappingProxyType
 from .cf import (DEFAULT_COMPARE_DEPTH, CombinationKind, ContinuedFraction,
                  ErrorTerm, Ordering, certified_order, compare_errors,
                  integer_combination_check, star_value)
-from .errors import DepthCapExceeded, DepthExhausted, UndecidedComparison
+from .errors import (DepthCapExceeded, DepthExhausted, LabError,
+                     UndecidedComparison)
 from .stepfunc import build_trajectory, psi_at
 
 #: default index bound of the coincidence and reversal scans, and the
@@ -219,20 +225,33 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     """
     if nu < 0 or mu < 0 or d < 1:
         raise ValueError("need nu, mu >= 0 and d >= 1")
-    qa = a.denominators(nu + 3)
-    rb = b.denominators(max(mu + d, mu + 2) + 1)
+    return _check(a, b, nu, mu, d, lambda i, j: _error_sign(
+        a, i, b, j, max_compare_depth))
+
+
+def _check(a: ContinuedFraction, b: ContinuedFraction, nu: int, mu: int, d: int,
+           sign: Callable[[int, int], int]) -> RigidityRecord:
+    """check_rigidity with sign(i, j) giving the sign of xi_i - eta_j.
+
+    The four denominators are read as rows of the memo tables, after
+    growing a to index nu + 2 and then b to max(mu + d, mu + 2).
+    """
+    _, q_top, q_next = a.convergent_row(nu + 2)    # q_{nu+2}, q_{nu+1}
+    b.convergent_row(mu + max(d, 2))
+    r_top = b.convergent_row(mu + d)[1]
     rec = RigidityRecord(nu=nu, mu=mu, d=d, outcome=RigidityOutcome.NOT_APPLICABLE)
-    if qa[nu + 2] != rb[mu + d]:
+    if q_top != r_top:
         rec.failed_hypothesis = "q_{nu+2} = r_{mu+d}"
         return rec
-    if qa[nu + 1] > rb[mu + 1]:
+    r_next = b.convergent_row(mu + 1)[1]
+    if q_next > r_next:
         rec.failed_hypothesis = "q_{nu+1} <= r_{mu+1}"
         return rec
-    head = _error_sign(a, nu, b, mu, max_compare_depth)
+    head = sign(nu, mu)
     if head > 0:
         rec.failed_hypothesis = "xi_nu <= eta_mu"
         return rec
-    tail_sign = _error_sign(a, nu + 1, b, mu + d - 1, max_compare_depth)
+    tail_sign = sign(nu + 1, mu + d - 1)
     if tail_sign > 0:
         rec.failed_hypothesis = "xi_{nu+1} <= eta_{mu+d-1}"
         return rec
@@ -242,14 +261,14 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     rec.detail = {
         "sign_head": head,
         "sign_tail": tail_sign,
-        "q_nu+1": qa[nu + 1],
-        "r_mu+1": rb[mu + 1],
-        "q_nu+2": qa[nu + 2],
-        "r_mu+d": rb[mu + d],
+        "q_nu+1": q_next,
+        "r_mu+1": r_next,
+        "q_nu+2": q_top,
+        "r_mu+d": r_top,
         "star_a(nu+2)": star_a,
         "star_b(mu+2)": star_b,
     }
-    conclusion = (head == 0 and tail_sign == 0 and qa[nu + 1] == rb[mu + 1]
+    conclusion = (head == 0 and tail_sign == 0 and q_next == r_next
                   and d == 2 and star_a == star_b)
     rec.outcome = RigidityOutcome.CONFIRMED if conclusion else RigidityOutcome.VIOLATION
     return rec
@@ -312,40 +331,65 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
                   max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> RigidityScan:
     """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
 
-    A hash join on denominator values finds the triples with
-    q_{nu+2} = r_{mu+d}; only those run check_rigidity, in the order of
-    the triple loop. Both tables are grown exactly as that loop grows
-    them (a to index 2, b along row nu = 0, a one index per row), so a
-    depth error or UndecidedComparison comes from the same triple. The
-    cost is O((max_index + max_d) x max_d) integer steps plus one
-    check_rigidity per matched triple, where the loop ran one per triple
-    and each read a denominator list of its own.
+    Records, tally and errors are those of the triple loop that runs
+    check_rigidity on every (nu, mu, d) in order. One hash join,
+    r_{mu+d} -> (mu, d), serves every row nu: only the triples with
+    q_{nu+2} = r_{mu+d} are checked. The loop grows a to index 2, then b
+    along row 0 to max_index + max(max_d, 2); the scan grows b first and
+    stops at the first row g that fails. Row 0 of the loop reads row g at
+    the first (mu, d) with mu + max(d, 2) >= g, so the scan checks row 0's
+    matched triples before that point and then reads row g again, which
+    raises the same error (a source error repeats on retry). Each sign of
+    xi_nu - eta_mu is evaluated once per scan: the tail key
+    (nu + 1, mu + d - 1) of one triple is the head key of a later one. A
+    failing sign ends the scan, so no error is cached.
+
+    Cost: O(max_index x max_d) integer steps for the join, O(1) table
+    reads per matched triple and one certified comparison per distinct
+    sign key.
     """
     examined: dict[tuple[int, int, int], RigidityRecord] = {}
+    if max_index < 0 or max_d < 1:
+        return RigidityScan(max_index, max_d, examined)
+    signs: dict[tuple[int, int], int] = {}
+
+    def sign(nu: int, mu: int) -> int:
+        value = signs.get((nu, mu))
+        if value is None:
+            value = signs[nu, mu] = _error_sign(a, nu, b, mu, max_compare_depth)
+        return value
 
     def examine(nu: int, mu: int, d: int) -> None:
-        examined[nu, mu, d] = check_rigidity(
-            a, b, nu, mu, d, max_compare_depth=max_compare_depth)
+        examined[nu, mu, d] = _check(a, b, nu, mu, d, sign)
 
-    if max_index >= 0 and max_d >= 1:
-        # row nu = 0 is where the triple loop grows b's table, one (mu, d)
-        # at a time; walk it the same way, so a failing matched triple and
-        # a failing growth step come in the loop's order
-        target = a.convergent_row(2)[1]
-        for mu in range(max_index + 1):
-            for d in range(1, max_d + 1):
-                b.convergent_row(mu + max(d, 2))
-                if b.convergent_row(mu + d)[1] == target:
-                    examine(0, mu, d)
-        # b's table is complete now: index r_j -> the (mu, d) with mu + d = j
-        matches: dict[int, list[tuple[int, int]]] = {}
-        for j, r in enumerate(b.denominators(max_index + max(max_d, 2) + 1)):
-            for d in range(1, max_d + 1):
-                if 0 <= j - d <= max_index:
-                    matches.setdefault(r, []).append((j - d, d))
-        for nu in range(1, max_index + 1):
-            for mu, d in sorted(matches.get(a.convergent_row(nu + 2)[1], ())):
-                examine(nu, mu, d)
+    # the loop's first triple grows a to index 2 before it reads b
+    target = a.convergent_row(2)[1]
+    rows: list[int] = []
+    failed = None
+    for j in range(max_index + max(max_d, 2) + 1):
+        try:
+            rows.append(b.convergent_row(j)[1])
+        except (LabError, ValueError):
+            failed = j
+            break
+    # r_j -> the (mu, d) with mu + d = j, in the loop's (mu, d) order
+    matches: dict[int, list[tuple[int, int]]] = {}
+    for mu in range(min(max_index + 1, len(rows))):
+        for d in range(1, min(max_d, len(rows) - 1 - mu) + 1):
+            matches.setdefault(rows[mu + d], []).append((mu, d))
+    if failed is not None:
+        first = max(0, failed - max(max_d, 2))
+        stop = (first, 1 if first + 2 >= failed else failed - first)
+        for mu, d in matches.get(target, ()):
+            if (mu, d) >= stop:
+                break
+            examine(0, mu, d)
+        b.convergent_row(failed)
+        raise AssertionError(f"row {failed} of the second stream failed, "
+                             "then grew on a second read")
+    for nu in range(max_index + 1):
+        for mu, d in matches.get(a.convergent_row(nu + 2)[1], ()):
+            examine(nu, mu, d)
     return RigidityScan(max_index, max_d, examined)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 # the sweep no longer calls compare_errors directly; the name stays bound
 # here because the benchmark's self-tests read sweep.compare_errors
@@ -121,8 +122,7 @@ def tau_at(ctx: TupleContext, t: int) -> int:
     return sum(1 for js in ctx.jump_sets if t in js)
 
 
-@dataclass(frozen=True)
-class PermutationEvent:
+class PermutationEvent(NamedTuple):
     """One merged breakpoint time with the orderings around it."""
 
     time: int
@@ -211,8 +211,7 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         if bad is not None:
             raise AssertionError(f"members {after[bad]} and {after[bad + 1]} "
                                  f"are out of order at t = {t}")
-        events.append(PermutationEvent(time=t, before=sigma, after=after,
-                                       jumpers=frozenset(jumpers)))
+        events.append(PermutationEvent(t, sigma, after, frozenset(jumpers)))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         new_pos = _ranks(after)
@@ -243,7 +242,9 @@ def _ranks(perm: tuple[int, ...]) -> list[int]:
 
 def sign_change_count(ctx: TupleContext, i: int, j: int) -> int:
     """How often the certified order of members i and j flips across the
-    merged evaluation times in (t0, t_max]."""
+    merged evaluation times in (t0, t_max]; i and j are labels in 1..n."""
+    if not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
+        raise ValueError(f"member labels must lie in 1..{ctx.n}, got {i} and {j}")
     if i == j:
         raise ValueError("need two distinct members")
     times = sorted(t for t in (ctx.jump_sets[i - 1] | ctx.jump_sets[j - 1])

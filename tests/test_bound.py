@@ -8,6 +8,7 @@ import pytest
 from irrmeasure import (TupleContext, build_proof_trace, check_theorem_bound,
                         render_proof_trace, sigma_at, sweep,
                         verify_with_retries)
+from irrmeasure.bound import _covered_once
 from irrmeasure.corpus import random_independent_members
 from irrmeasure.errors import WindowTooShort
 
@@ -166,6 +167,33 @@ def test_one_attempt_sorts_the_burn_in_ordering_once(pair_ctx, phi_cf,
     assert run.doublings == 0
     assert calls == [1]
     assert run.trace.sigmas[0] == original(pair_ctx, 1)
+
+
+def _old_coverage(members, i_sets):
+    """The coverage verdict as it was first written: one pass over every
+    I_j per member. Kept as the reference."""
+    return all(sum(1 for s in i_sets.values() if member in s) == 1
+               for member in members)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_coverage_matches_the_per_member_count(n):
+    ctx = TupleContext(random_independent_members(random.Random(6300 + n), n),
+                       t_max=10 ** 20)
+    trace = build_proof_trace(ctx)
+    assert trace.coverage_ok == _old_coverage(trace.sigmas[0][:-1], trace.i_sets)
+    # layouts the trace never builds: members missing, or placed twice
+    rng = random.Random(6400 + n)
+    members = tuple(range(1, n + 1))
+    for _ in range(50):
+        i_sets = {j: frozenset(rng.sample(members, rng.randint(0, n)))
+                  for j in range(2, rng.randint(2, 6))}
+        verdict = _covered_once(members[:-1], i_sets.values())
+        assert verdict == _old_coverage(members[:-1], i_sets)
+    by_hand = {2: frozenset({1}), 3: frozenset(members[1:]), 4: frozenset({1})}
+    assert not _old_coverage(members[:-1], by_hand)
+    assert not _covered_once(members[:-1], by_hand.values())
+    assert _covered_once(members[:-1], {**by_hand, 4: frozenset()}.values())
 
 
 def test_window_too_short_without_second_permutation(phi_cf, sqrt2_cf):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair)
 from irrmeasure.errors import DepthExhausted, LabError, UndecidedComparison
 from irrmeasure.screening import RIGIDITY_GATES
+from irrmeasure.specfile import parse_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 # ------------------------------------------------------------------ scans
@@ -179,6 +183,86 @@ def test_rigidity_scan_fails_like_the_triple_loop(make_a, make_b, max_d):
     assert _outcome(rigidity_scan, make_a(), make_b(), **kwargs) == expected
 
 
+@pytest.mark.parametrize("max_d", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_index", [0, 3, 12])
+def test_rigidity_scan_fails_at_the_computed_point(max_index, max_d):
+    # a shared-prefix pair with a, b or both cut to every length that ends
+    # inside the window or just past it; the scan must fail on the same
+    # triple with the same error as the loop, or return the same records.
+    # A matched triple of row 0 can fail before the loop reaches b's last
+    # row: on a's end while refining, when both are cut one length apart,
+    # or undecided at a compare depth of 1
+    top = max_index + max(max_d, 2)
+    raised = Counter()
+    for seed in (4101, 4102, 4103):
+        for length in range(1, top + 3):
+            for cuts in ((length, None), (None, length),
+                         (length, length + 1), (length + 1, length)):
+                def make_pair():
+                    pair = random_shared_prefix_pair(random.Random(seed))
+                    return [cf if cut is None else
+                            ContinuedFraction.from_coefficients(cf.prefix(cut))
+                            for cf, cut in zip(pair, cuts)]
+                for depth in (1, 64):
+                    kwargs = dict(max_index=max_index, max_d=max_d,
+                                  max_compare_depth=depth)
+                    expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
+                    assert _outcome(rigidity_scan, *make_pair(), **kwargs) == expected
+                    if isinstance(expected, tuple):
+                        raised[expected[0]] += 1
+    assert raised[DepthExhausted] > 0
+    # with d >= 2, (nu, nu, 2) matches inside the shared prefix, where the
+    # two error terms' enclosures still overlap at compare depth 1
+    assert raised[UndecidedComparison] > 0 or max_d == 1
+
+
+def test_rigidity_scan_rejects_a_source_that_fails_only_once():
+    # the computed failure point relies on a source error repeating on
+    # retry; a source that breaks this must not yield a partial scan
+    failed = []
+
+    def rule(nu):
+        if nu == 5 and not failed:
+            failed.append(nu)
+            raise ValueError("transient")
+        return 2
+
+    b = ContinuedFraction.from_rule(rule, depth_cap=100)
+    with pytest.raises(AssertionError, match="row 5"):
+        rigidity_scan(ContinuedFraction.periodic([1], [1]), b,
+                      max_index=6, max_d=2)
+
+
+def test_rigidity_scan_reads_rows_within_its_window(monkeypatch):
+    # operation-count guard on the verify_pairs spec at the benchmark's
+    # window: growing the tables and the join read O(max_index + max_d)
+    # rows, each matched triple (69 in the first pair) a few rows and its
+    # error terms' rows, and no triple copies a denominator list
+    spec = parse_spec((DATA / "verify_pairs3.spec").read_text())
+    cfs = [number.to_cf() for number in spec.numbers]
+    max_index, max_d = 50, 4
+    calls = Counter()
+    row = ContinuedFraction.convergent_row
+    denominators = ContinuedFraction.denominators
+
+    def counted_row(self, nu):
+        calls["convergent_row"] += 1
+        return row(self, nu)
+
+    def counted_denominators(self, count):
+        calls["denominators"] += 1
+        return denominators(self, count)
+
+    monkeypatch.setattr(ContinuedFraction, "convergent_row", counted_row)
+    monkeypatch.setattr(ContinuedFraction, "denominators", counted_denominators)
+    for i in range(len(cfs)):
+        for j in range(i + 1, len(cfs)):
+            calls.clear()
+            rigidity_scan(cfs[i], cfs[j], max_index=max_index, max_d=max_d)
+            assert calls["denominators"] == 0
+            assert calls["convergent_row"] <= 10 * (max_index + max_d)
+
+
 def test_rigidity_scan_undecided_from_the_first_matched_triple():
     # q = 1, 2, 5, ... on both sides: (0, 0, 2) is the first triple with
     # q_2 = r_{mu+d}, and its head comparison xi_0 vs eta_0 is a tie
@@ -278,6 +362,35 @@ def test_error_signs_match_the_exact_first_reference(kind, setting, monkeypatch)
         assert tally["CONFIRMED"] == 13
     if kind == "rule":          # the rule-backed tie raises, as it did
         assert issubclass(outcomes[1][0], LabError)
+
+
+def test_each_error_sign_is_evaluated_once_per_scan(monkeypatch):
+    calls = Counter()
+
+    def counted(a, nu, b, mu, max_depth):
+        calls[nu, mu] += 1
+        return error_sign(a, nu, b, mu, max_depth)
+
+    error_sign = irrmeasure.screening._error_sign
+    monkeypatch.setattr(irrmeasure.screening, "_error_sign", counted)
+    corpus = _sign_corpus("dependent") + _sign_corpus("shared_prefix")[:5]
+    lookups = 0
+    for a, b, max_index in corpus:
+        evaluated = []
+        for _ in range(2):
+            calls.clear()
+            tally = rigidity_scan(a, b, max_index=max_index, max_d=4).tally
+            assert set(calls.values()) <= {1}
+            evaluated.append(set(calls))
+            # each record past the second gate read a head sign, and each
+            # past the third a tail sign
+            head = sum(tally[key] for key in RIGIDITY_GATES[2:]
+                       + ("CONFIRMED", "VIOLATION"))
+            tail = head - tally[RIGIDITY_GATES[2]]
+            assert len(calls) <= head + tail
+            lookups += head + tail - len(calls)
+        assert evaluated[0] == evaluated[1]     # the memo lives for one scan
+    assert lookups > 0          # some key was asked for twice
 
 
 def _exact_path_reached(*args, **kwargs):

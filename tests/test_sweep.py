@@ -273,6 +273,15 @@ def test_sign_changes_match_report(pair_ctx):
         sign_change_count(pair_ctx, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 4), (-2, 1)])
+def test_sign_change_count_rejects_labels_outside_the_tuple(i, j):
+    # label 0 would read member n, label n + 1 past the end, and a
+    # negative label some member under the wrong name
+    ctx = shared_prefix_triple(6100)
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        sign_change_count(ctx, i, j)
+
+
 def test_sweep_deterministic_and_consistent_under_splitting(phi_cf, sqrt2_cf):
     whole = TupleContext([phi_cf, sqrt2_cf], t_max=5000, burn_in=1)
     report = sweep(whole)
