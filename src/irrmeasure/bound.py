@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .cf import DEFAULT_COMPARE_DEPTH
 from .errors import VerificationFailed, WindowTooShort
@@ -157,8 +158,7 @@ def build_proof_trace(ctx: TupleContext,
                       coverage_ok=coverage_ok, n=ctx.n)
 
 
-@dataclass(frozen=True)
-class NjCheck:
+class NjCheck(NamedTuple):
     j: int
     n_j: int
     bound: int

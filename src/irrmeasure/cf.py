@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .errors import (DepthCapExceeded, DepthExhausted, RadicandError,
@@ -61,13 +61,16 @@ class ContinuedFraction:
 
     No index past depth_cap is ever read. A source error leaves the memo
     as it was, so the next read of that index asks the source again and
-    meets the same error. The memo and the table of convergent rows
-    (p_nu, q_nu, q_{nu-1}) grow on demand and are shared by every reader
-    of the stream. Growth is not synchronised: share a stream across
-    threads only for reading what it already holds.
+    meets the same error. Three memos grow on demand, in index order, and
+    are shared by every reader of the stream: the coefficients, the table
+    of convergent rows (p_nu, q_nu, q_{nu-1}), and the pair index
+    (q_nu, q_{nu+1}) -> nu. The index is injective (q_nu grows strictly
+    from nu = 1 on), its size is the number of rows it covers, and each
+    row it adds is asserted coprime and new. Growth is not synchronised:
+    share a stream across threads only for reading what it already holds.
     """
 
-    __slots__ = ("_source", "_coeffs", "depth_cap", "_exact", "_table")
+    __slots__ = ("_source", "_coeffs", "depth_cap", "_exact", "_table", "_pairs")
 
     def __init__(self, source: Callable[[int], int],
                  depth_cap: int = DEFAULT_DEPTH_CAP, exact=None):
@@ -81,6 +84,7 @@ class ContinuedFraction:
         self.depth_cap = depth_cap
         self._exact = exact
         self._table: list[tuple[int, int, int]] = []
+        self._pairs: dict[tuple[int, int], int] = {}
 
     @classmethod
     def from_coefficients(cls, coefficients: Sequence[int],
@@ -162,6 +166,23 @@ class ContinuedFraction:
             raise ValueError("count must be >= 1")
         self.convergent_row(count - 1)
         return [q for _, q, _ in self._table[:count]]
+
+    def pair_index(self, count: int) -> dict[tuple[int, int], int]:
+        """The pair index, read-only for callers, grown to cover at least
+        nu < count once the table has grown as by convergent_row(count), so
+        a depth error leaves it as it was; each added row is asserted
+        coprime, gcd(q_nu, q_{nu+1}) = 1, and new."""
+        pairs = self._pairs
+        if len(pairs) < count:
+            self.convergent_row(count)
+            table = self._table
+            for nu in range(len(pairs), count):
+                _, q_next, q = table[nu + 1]
+                # setdefault adds the row, or returns the row that holds its key
+                if gcd(q, q_next) != 1 or pairs.setdefault((q, q_next), nu) != nu:
+                    raise AssertionError(f"denominator row {nu} ({q}, {q_next}) "
+                                         "is not coprime or repeats an earlier row")
+        return pairs
 
     def prefix(self, count: int) -> tuple[int, ...]:
         return tuple(self.coefficient(i) for i in range(count))

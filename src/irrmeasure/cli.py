@@ -159,8 +159,8 @@ def _cmd_verify(args) -> int:
     for i in range(len(job.cfs)):
         for j in range(i + 1, len(job.cfs)):
             a, b = job.cfs[i], job.cfs[j]
-            print(f"# pair\t{job.names[i]}\t{job.names[j]}")
             log = scan_coincidences(a, b, depth=args.scan_depth)
+            print(f"# pair\t{job.names[i]}\t{job.names[j]}")
             print(log.serialize(), end="")
             if log.verdict.value == "DEPENDENT":
                 failed = True

@@ -7,6 +7,11 @@ This module logs such coincidences, screens pairs for independence, and
 runs the executable forms of the rigidity and order-reversal consequences
 on concrete index windows.
 
+A coincidence scan is one intersection of the two streams' pair indexes
+(q_nu, q_{nu+1}) -> nu, each built once per stream in O(depth). Equal
+stars need no second join: consecutive denominators are coprime, so
+equal star values are exactly the shared pairs shifted by (1, 1).
+
 The rigidity scan joins the two denominator tables on their values,
 once for every row nu: only triples with q_{nu+2} = r_{mu+d} run the full
 check, and every other triple is counted, not stored. When the second
@@ -30,7 +35,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from types import MappingProxyType
 
 from .cf import (DEFAULT_COMPARE_DEPTH, CombinationKind, ContinuedFraction,
@@ -79,15 +83,13 @@ class CoincidenceLog:
         return "\n".join(lines) + "\n"
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms as an integer pair (den > 0)."""
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
                       depth: int = DEFAULT_SCAN_DEPTH) -> CoincidenceLog:
     """Exhaustive coincidence log over indices <= depth.
+
+    Shared pairs are the index keys both streams hold with nu, mu < depth.
+    The index asserts every row coprime, so q_{nu-1}/q_nu = r_{mu-1}/r_mu
+    exactly when (nu - 1, mu - 1) is a shared pair.
 
     DEPENDENT needs a symbolic proof (sum or difference in Z) from exact
     values, which periodic backings derive automatically. Otherwise the
@@ -97,55 +99,29 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     """
     if depth < 2:
         raise ValueError("scan depth must be >= 2")
-    qa = a.denominators(depth + 1)
-    rb = b.denominators(depth + 1)
-
-    pair_index: dict[tuple[int, int], list[int]] = {}
-    for mu in range(depth):
-        pair_index.setdefault((rb[mu], rb[mu + 1]), []).append(mu)
-    shared_pairs = []
-    for nu in range(depth):
-        for mu in pair_index.get((qa[nu], qa[nu + 1]), ()):
-            shared_pairs.append((nu, mu))
-
-    # each star value q_{mu-1}/q_mu is keyed by its lowest-terms integer
-    # pair; consecutive denominators are coprime, so that pair is the raw
-    # (q_{mu-1}, q_mu), and the assertion below re-checks this lemma on
-    # the raw denominators
-    star_index: dict[tuple[int, int], list[int]] = {}
-    for mu in range(1, depth + 1):
-        star_index.setdefault(_reduced(rb[mu - 1], rb[mu]), []).append(mu)
-    equal_stars = []
-    for nu in range(1, depth + 1):
-        for mu in star_index.get(_reduced(qa[nu - 1], qa[nu]), ()):
-            equal_stars.append((nu, mu))
-            # equal stars force equal denominators at both indices
-            if qa[nu - 1] != rb[mu - 1] or qa[nu] != rb[mu]:
-                raise AssertionError(
-                    f"equal stars at ({nu}, {mu}) without matching denominators")
+    ia, ib = a.pair_index(depth), b.pair_index(depth)
+    # (nu, mu, q_{nu+1}) sorted by nu; q_{nu+1} = r_{mu+1} grows strictly
+    # with nu and with mu, so the last one is the latest in both streams
+    # and has the largest denominator
+    shared = sorted((ia[key], ib[key], key[1]) for key in ia.keys() & ib.keys()
+                    if ia[key] < depth and ib[key] < depth)
+    last_nu, last_mu, horizon = shared[-1] if shared else (0, 0, 0)
+    shared_pairs = tuple((nu, mu) for nu, mu, _ in shared)
 
     combination = None
     va, vb = a.exact_value(), b.exact_value()
     if va is not None and vb is not None:
         combination = integer_combination_check(va, vb)
 
-    locations = [max(nu + 1, mu + 1) for nu, mu in shared_pairs]
-    locations += [max(nu, mu) for nu, mu in equal_stars]
     if combination in (CombinationKind.SUM_INTEGER, CombinationKind.DIFF_INTEGER):
         verdict = Verdict.DEPENDENT
-    elif not locations or 2 * max(locations) < depth:
+    elif not shared or 2 * (max(last_nu, last_mu) + 1) < depth:
         verdict = Verdict.INDEPENDENT_LIKELY
     else:
         verdict = Verdict.UNDECIDED
-
-    horizon = 0
-    for nu, _ in shared_pairs:
-        horizon = max(horizon, qa[nu + 1])
-    for nu, _ in equal_stars:
-        horizon = max(horizon, qa[nu])
     return CoincidenceLog(depth=depth,
-                          shared_pairs=tuple(shared_pairs),
-                          equal_stars=tuple(equal_stars),
+                          shared_pairs=shared_pairs,
+                          equal_stars=tuple((nu + 1, mu + 1) for nu, mu in shared_pairs),
                           verdict=verdict,
                           combination=combination,
                           time_horizon=horizon)

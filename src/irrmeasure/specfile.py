@@ -213,6 +213,7 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
         text = data
     globals_seen: dict[str, object] = {}
     blocks: list[tuple[str, dict[str, object]]] = []
+    names: set[str] = set()
     current: dict[str, object] | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
@@ -223,9 +224,10 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
         m = _HEADER.match(stripped)
         if m:
             name = m.group(1)
-            if any(name == existing for existing, _ in blocks):
+            if name in names:
                 raise SpecSemanticError(f"duplicate number name {name!r}",
                                         entity=name)
+            names.add(name)
             current = {}
             blocks.append((name, current))
             continue

@@ -9,16 +9,17 @@ come from one schedule of all members' breakpoints, merged and sorted
 once; at each event only the jumping members' step values change, so it
 carries the ordering forward and re-inserts just those members; and its
 certificates are the adjacencies of the new ordering, each certified
-again on that event's enclosures. Ranks and pair flips live in lists
-indexed by member label. The report counts distinct orderings on the
-window (the finite-horizon surrogate of the infinitely-recurring count),
-the jump multiplicities, and the per-pair order flips.
+again on that event's enclosures. The report counts distinct orderings on
+the window (the finite-horizon surrogate of the infinitely-recurring
+count) and the jump multiplicities; the per-pair order flips are derived
+from its events on first read, so analyses that never print them never
+pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -147,7 +148,25 @@ class TrajectoryReport:
     perm_spans: dict[tuple[int, ...], tuple[int, int]]
     k_hat: int
     max_tau: int
-    sign_changes: dict[tuple[int, int], int]
+
+    @cached_property
+    def sign_changes(self) -> dict[tuple[int, int], int]:
+        """(i, j) -> order flips of members i < j across the events, zeros
+        included, n = len(sigma(t0)). Only pairs with a jumper can flip; a
+        pair of jumpers counts once, in the smaller label's row."""
+        n = len(next(iter(self.perm_spans)))
+        members = range(1, n + 1)
+        flips = [[0] * (n + 1) for _ in range(n + 1)]
+        for ev in self.events:
+            pos, new_pos = _ranks(ev.before), _ranks(ev.after)
+            for i in ev.jumpers:
+                bi, ai, row = pos[i], new_pos[i], flips[i]
+                for m in members:
+                    if ((pos[m] < bi) != (new_pos[m] < ai)
+                            and not (m < i and m in ev.jumpers)):
+                        row[m] += 1
+        return {(i, j): flips[i][j] + flips[j][i]
+                for i in members for j in range(i + 1, n + 1)}
 
 
 def sweep(ctx: TupleContext) -> TrajectoryReport:
@@ -160,19 +179,17 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     members in their running order and puts each jumper back by a
     certified binary search; then every adjacency of after is certified
     again on this event's enclosures by first_misordered, and one out of
-    order is an internal fault. Step values, ranks and pair flips live in
-    lists indexed by label (slot 0 unused); the rank list of after is the
-    next event's before. Only pairs containing a jumper can flip.
+    order is an internal fault. Step values live in a list indexed by
+    label (slot 0 unused); after is the next event's before. The loop
+    keeps no ranks and counts no flips: the report derives its
+    sign_changes from the events when they are first read.
     """
-    n, t0 = ctx.n, ctx.t0
+    t0 = ctx.t0
     schedule = sorted((q, i, term)
                       for i, tr in enumerate(ctx.trajectories, start=1)
                       for q, term in tr.breakpoints if t0 < q <= ctx.t_max)
     terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
     sigma = sigma_at(ctx, t0)
-    pos = _ranks(sigma)
-    flips = [[0] * (n + 1) for _ in range(n + 1)]
-    members = range(1, n + 1)
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start = t0
@@ -214,22 +231,12 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         events.append(PermutationEvent(t, sigma, after, frozenset(jumpers)))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
-        new_pos = _ranks(after)
-        for i in jumpers:
-            bi, ai, row = pos[i], new_pos[i], flips[i]
-            for m in members:
-                # a pair of jumpers is counted once, in the smaller one's row
-                if ((pos[m] < bi) != (new_pos[m] < ai)
-                        and not (m < i and m in jumpers)):
-                    row[m] += 1
-        sigma, pos, seg_start = after, new_pos, t
+        sigma, seg_start = after, t
     span = spans.get(sigma)
     spans[sigma] = (seg_start if span is None else span[0], ctx.t_max)
-    sign_changes = {(i, j): flips[i][j] + flips[j][i]
-                    for i in members for j in range(i + 1, n + 1)}
     return TrajectoryReport(t0=t0, t_max=ctx.t_max, events=tuple(events),
                             perm_spans=spans, k_hat=len(spans),
-                            max_tau=max_tau, sign_changes=sign_changes)
+                            max_tau=max_tau)
 
 
 def _ranks(perm: tuple[int, ...]) -> list[int]:

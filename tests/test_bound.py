@@ -118,7 +118,7 @@ def test_restricted_disagreement_is_detected(phi_cf, sqrt2_cf):
               PermutationEvent(time=3, before=(b, a, c), after=(c, b, a),
                                jumpers=frozenset({a, b})))
     report = TrajectoryReport(t0=1, t_max=10, events=events, perm_spans={},
-                              k_hat=3, max_tau=2, sign_changes={})
+                              k_hat=3, max_tau=2)
     trace = build_proof_trace(ctx, report)
     *_, restricted_ok = _naive_proof_trace(ctx, report)
     assert trace.restricted_ok == restricted_ok == {2: True, 3: False}

@@ -125,6 +125,36 @@ def test_depth_errors_surface_at_the_walks_index(warm):
     assert [c.q for c in convergents(finite, 5)] == [1, 1, 5, 6, 35]
 
 
+def test_pair_index_maps_consecutive_denominators_to_their_row(phi_cf):
+    # phi: q = 1, 1, 2, 3, 5, ..., so rows 0 and 1 both start with 1
+    index = phi_cf.pair_index(6)
+    assert index == {(1, 1): 0, (1, 2): 1, (2, 3): 2, (3, 5): 3, (5, 8): 4,
+                     (8, 13): 5}
+    # one memo: a shorter request reads it as it is, a longer one grows it
+    assert phi_cf.pair_index(3) is index and len(index) == 6
+    assert len(phi_cf.pair_index(40)) == 40
+    assert index[(1, 1)] == 0
+
+
+def test_pair_index_stops_at_a_missing_row_and_retries_the_same_way():
+    finite = ContinuedFraction.from_coefficients([3, 1, 4, 1, 5])
+    for _ in range(2):
+        with pytest.raises(DepthExhausted, match="index 5 requested"):
+            finite.pair_index(5)
+        assert finite.pair_index(0) == {}
+    assert list(finite.pair_index(4).values()) == [0, 1, 2, 3]
+
+
+def test_pair_index_asserts_each_row_is_coprime(monkeypatch):
+    import irrmeasure.cf
+    cf = ContinuedFraction.periodic([1], [2])     # q = 1, 2, 5, 12, 29
+    cf.pair_index(2)
+    monkeypatch.setattr(irrmeasure.cf, "gcd", lambda x, y: 3 if y == 29 else 1)
+    with pytest.raises(AssertionError, match=r"row 3 \(12, 29\) is not coprime"):
+        cf.pair_index(6)
+    assert len(cf.pair_index(0)) == 3
+
+
 # ------------------------------------------------------------- star values
 
 def test_star_values_match_examples(sqrt2_cf, phi_cf):

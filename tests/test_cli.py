@@ -5,10 +5,12 @@ error (a failed self-check of the program)."""
 import hashlib
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from irrmeasure import TrajectoryReport
 from irrmeasure.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -148,13 +150,17 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", list(GOLDEN))
-def test_golden_output_digests(case, capsys):
+def _golden_digest_matches(case, capsys) -> bool:
     command, stem, flags = GOLDEN[case]
     expected = json.loads((DATA / f"{stem}.sha256.json").read_text())
     assert main([command, str(DATA / f"{stem}.spec"), *flags]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == expected[case]
+    return hashlib.sha256(out.encode()).hexdigest() == expected[case]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_output_digests(case, capsys):
+    assert _golden_digest_matches(case, capsys)
 
 
 def test_plot_golden_digest(tmp_path, capsys):
@@ -166,6 +172,41 @@ def test_plot_golden_digest(tmp_path, capsys):
     assert [Path(p).name for p in paths] == [f"x{i}.svg" for i in range(1, 9)]
     svg = b"".join(Path(p).read_bytes() for p in paths)
     assert hashlib.sha256(svg).hexdigest() == expected["plot"]
+
+
+def test_flip_counts_are_derived_only_by_trace(monkeypatch, capsys):
+    # proof-trace and kindex never read the per-pair flip counts; trace
+    # derives them once, when it serializes the report
+    counted = TrajectoryReport.__dict__["sign_changes"]
+    calls = []
+
+    def refuse(report):
+        raise AssertionError("flip counts derived on the replay path")
+
+    monkeypatch.setattr(TrajectoryReport, "sign_changes", property(refuse))
+    assert _golden_digest_matches("proof-trace", capsys)
+    assert _golden_digest_matches("kindex", capsys)
+
+    def derive(report):
+        calls.append(report)
+        return counted.func(report)
+
+    monkeypatch.setattr(TrajectoryReport, "sign_changes", property(derive))
+    assert _golden_digest_matches("trace", capsys)
+    assert len(calls) == 1
+
+
+def test_non_coprime_denominator_row_exits_3(pair_spec, monkeypatch, capsys):
+    # every row a stream adds to its pair index is asserted coprime; a row
+    # that is not is a bug, reported before verify prints anything
+    cf_module = importlib.import_module("irrmeasure.cf")
+    monkeypatch.setattr(cf_module, "gcd",
+                        lambda x, y: 2 if y > 10 else math.gcd(x, y))
+    assert main(["verify", str(pair_spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "not coprime" in captured.err
+    assert captured.out == ""
 
 
 def test_parser_is_built_once_and_calls_parse_independently(pair_spec, monkeypatch):

@@ -3,17 +3,20 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import irrmeasure.screening
-from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering, QuadraticSurd,
+from irrmeasure import (CoincidenceLog, CombinationKind, ContinuedFraction,
+                        ErrorTerm, Ordering, QuadraticSurd,
                         RigidityOutcome, Verdict, check_reversal_pattern,
                         check_rigidity, compare_errors, convergents,
                         rigidity_scan, scan_coincidences, sqrt_of, surd_to_cf)
+from irrmeasure.cf import integer_combination_check
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
-                               random_shared_prefix_pair)
+                               random_shared_prefix_pair, random_surd)
 from irrmeasure.errors import DepthExhausted, LabError, UndecidedComparison
 from irrmeasure.screening import RIGIDITY_GATES
 from irrmeasure.specfile import parse_spec
@@ -72,6 +75,122 @@ def test_late_coincidences_force_undecided():
     b = ContinuedFraction.from_rule(lambda nu: 2 if nu < 35 else 3, depth_cap=100)
     log = scan_coincidences(a, b, depth=40)
     assert log.verdict is Verdict.UNDECIDED
+
+
+def naive_scan_coincidences(a, b, depth=40):
+    """The per-pair scan scan_coincidences replaced, kept as its reference:
+    two dict joins over the raw denominator lists, the star join keyed by
+    lowest-terms pairs, and the equal-star lemma asserted at each hit."""
+    if depth < 2:
+        raise ValueError("scan depth must be >= 2")
+    qa = a.denominators(depth + 1)
+    rb = b.denominators(depth + 1)
+
+    def reduced(num, den):
+        g = gcd(num, den)
+        return num // g, den // g
+
+    pair_index = {}
+    for mu in range(depth):
+        pair_index.setdefault((rb[mu], rb[mu + 1]), []).append(mu)
+    shared_pairs = [(nu, mu) for nu in range(depth)
+                    for mu in pair_index.get((qa[nu], qa[nu + 1]), ())]
+    star_index = {}
+    for mu in range(1, depth + 1):
+        star_index.setdefault(reduced(rb[mu - 1], rb[mu]), []).append(mu)
+    equal_stars = []
+    for nu in range(1, depth + 1):
+        for mu in star_index.get(reduced(qa[nu - 1], qa[nu]), ()):
+            equal_stars.append((nu, mu))
+            if qa[nu - 1] != rb[mu - 1] or qa[nu] != rb[mu]:
+                raise AssertionError(
+                    f"equal stars at ({nu}, {mu}) without matching denominators")
+    combination = None
+    va, vb = a.exact_value(), b.exact_value()
+    if va is not None and vb is not None:
+        combination = integer_combination_check(va, vb)
+    locations = [max(nu + 1, mu + 1) for nu, mu in shared_pairs]
+    locations += [max(nu, mu) for nu, mu in equal_stars]
+    if combination in (CombinationKind.SUM_INTEGER, CombinationKind.DIFF_INTEGER):
+        verdict = Verdict.DEPENDENT
+    elif not locations or 2 * max(locations) < depth:
+        verdict = Verdict.INDEPENDENT_LIKELY
+    else:
+        verdict = Verdict.UNDECIDED
+    horizon = max([qa[nu + 1] for nu, _ in shared_pairs]
+                  + [qa[nu] for nu, _ in equal_stars], default=0)
+    return CoincidenceLog(depth=depth, shared_pairs=tuple(shared_pairs),
+                          equal_stars=tuple(equal_stars), verdict=verdict,
+                          combination=combination, time_horizon=horizon)
+
+
+def _screening_pairs(kind):
+    """Fresh stream pairs of one family; streams are shared between pairs
+    where a family lists one stream twice."""
+    rng = random.Random(f"screening-{kind}")
+    if kind == "periodic":
+        return [(random_periodic_cf(rng), random_periodic_cf(rng)) for _ in range(25)]
+    if kind == "low_coefficient":
+        # period length 1 and coefficients 1..2: denominators collide often
+        return [(random_periodic_cf(rng, max_coeff=2, max_period=1),
+                 random_periodic_cf(rng, max_coeff=2, max_period=1))
+                for _ in range(25)]
+    if kind == "shared_prefix":
+        return [random_shared_prefix_pair(rng) for _ in range(8)]
+    if kind == "surd":
+        return [(surd_to_cf(random_surd(rng)), surd_to_cf(random_surd(rng)))
+                for _ in range(10)]
+    if kind == "dependent":
+        return [(surd_to_cf(sqrt_of(2)),
+                 surd_to_cf(QuadraticSurd(Fraction(3), Fraction(1), 2)))]
+    # a_1 = 1, so q_0 = q_1 = 1: rows 0 and 1 both start with 1
+    phi = ContinuedFraction.periodic([1], [1])
+    ones = [phi, ContinuedFraction.periodic([0], [1, 3]),
+            ContinuedFraction.periodic([2, 1, 1], [2]),
+            ContinuedFraction.from_rule(lambda nu: 1 if nu < 4 else 2, depth_cap=200),
+            surd_to_cf(QuadraticSurd(Fraction(1, 2), Fraction(1, 2), 5))]
+    return [(x, y) for i, x in enumerate(ones) for y in ones[i + 1:]] + [
+        (phi, surd_to_cf(sqrt_of(2))), (surd_to_cf(sqrt_of(3)), phi)]
+
+
+@pytest.mark.parametrize("depths", [(60, 2, 40, 3, 10), (2, 10, 3, 40, 60)],
+                         ids=["built_deep_first", "built_shallow_first"])
+@pytest.mark.parametrize("kind", ["periodic", "low_coefficient", "shared_prefix",
+                                  "surd", "dependent", "a1_is_one"])
+def test_scan_coincidences_matches_the_per_pair_joins(kind, depths):
+    # the same stream objects serve every depth, so each pair index is
+    # read both below and above the depth it was first built for
+    pairs = _screening_pairs(kind)
+    stars = 0
+    for depth in depths:
+        for a, b in pairs:
+            want = naive_scan_coincidences(a, b, depth)
+            got = scan_coincidences(a, b, depth)
+            assert got == want
+            assert got.serialize() == want.serialize()
+            stars += len(want.equal_stars)
+    assert stars > 0
+
+
+@pytest.mark.parametrize("finite_first", [True, False])
+def test_scan_coincidences_fails_like_the_per_pair_joins(finite_first):
+    # a finite stream with 6 coefficients, screened at depth 10: the same
+    # error, from the same index, on the first read and on a retry
+    def make():
+        pair = [ContinuedFraction.from_coefficients([1, 2, 1, 3, 1, 4]),
+                ContinuedFraction.periodic([1], [1])]
+        return pair if finite_first else pair[::-1]
+
+    with pytest.raises(DepthExhausted) as naive:
+        naive_scan_coincidences(*make(), depth=10)
+    pair = make()
+    for _ in range(2):
+        with pytest.raises(DepthExhausted) as got:
+            scan_coincidences(*pair, depth=10)
+        assert str(got.value) == str(naive.value)
+    assert "index 6 requested" in str(naive.value)
+    # the rows the index covered before the error still serve a short scan
+    assert scan_coincidences(*pair, depth=4) == naive_scan_coincidences(*make(), depth=4)
 
 
 # --------------------------------------------------------------- rigidity
@@ -214,6 +333,38 @@ def test_rigidity_scan_fails_at_the_computed_point(max_index, max_d):
     # with d >= 2, (nu, nu, 2) matches inside the shared prefix, where the
     # two error terms' enclosures still overlap at compare depth 1
     assert raised[UndecidedComparison] > 0 or max_d == 1
+
+
+@pytest.mark.parametrize("max_d", [2, 3])
+@pytest.mark.parametrize("max_index", [2, 3, 12])
+def test_rigidity_scan_fails_one_row_before_b_ends(max_index, max_d):
+    # b = [0; 1, 2, 3] is a = [0; 3, 3, 3, ...] reflected, 1 - a, cut after
+    # four coefficients, so b's row 4 fails. The triple loop reaches that
+    # row at (0, 2, 1) for max_d = 2 and at (0, 1, 3) for max_d = 3. Just
+    # before it, (0, 1, 2) passes both denominator gates (q_2 = 10 = r_3,
+    # q_1 = 3 <= r_2 = 3), and xi_0(a) = eta_1(b) on b's whole prefix, so
+    # their comparison is still undecided when it reaches b's end. A
+    # failure point computed one row early, on mu = 0 or 1, skips it.
+    # (0, 1, 1) cannot play this part: with q_2 = r_2 and q_1 <= r_2 the
+    # depth-0 enclosures already give xi_0 > 1/(q_1 + 1) >= 1/r_2 > eta_1.
+    def make_pair():
+        return (ContinuedFraction.periodic([0, 3], [3]),
+                ContinuedFraction.from_coefficients([0, 1, 2, 3]))
+
+    a, b = make_pair()
+    assert (a.convergent_row(2)[1], a.convergent_row(1)[1]) == (10, 3)
+    assert [b.convergent_row(j)[1] for j in range(4)] == [1, 1, 3, 10]
+    outcomes = []
+    for depth in (1, 2, 64):
+        kwargs = dict(max_index=max_index, max_d=max_d, max_compare_depth=depth)
+        expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
+        assert _outcome(rigidity_scan, *make_pair(), **kwargs) == expected
+        outcomes.append(expected)
+    # undecided within the compare budget; past it, b's end is the error
+    # the loop would meet at row 4 anyway
+    row_error = "[cf.coefficient] finite backing has 4 coefficients, index 4 requested"
+    assert outcomes[0][0] is UndecidedComparison
+    assert outcomes[-1] == (DepthExhausted, row_error)
 
 
 def test_rigidity_scan_rejects_a_source_that_fails_only_once():

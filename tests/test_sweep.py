@@ -31,11 +31,13 @@ def shared_prefix_triple(seed: int) -> TupleContext:
     return TupleContext(members, t_max=10 ** 30, burn_in=2)
 
 
-def naive_sweep(ctx: TupleContext) -> TrajectoryReport:
+def naive_sweep(ctx: TupleContext) -> tuple[TrajectoryReport,
+                                             dict[tuple[int, int], int]]:
     """The sweep before the merged schedule, kept as the reference: it scans
     every member's jump set per event, bisects each jumper's step value,
     re-certifies each adjacency with compare_errors, and counts flips
-    through per-event position dicts."""
+    through per-event position dicts. Returns the report and those counts,
+    which the report itself derives from its events."""
     times = sorted(t for t in frozenset().union(*ctx.jump_sets)
                    if ctx.t0 < t <= ctx.t_max)
     events: list[PermutationEvent] = []
@@ -90,7 +92,7 @@ def naive_sweep(ctx: TupleContext) -> TrajectoryReport:
     stamp(sigma_cur, seg_start, ctx.t_max)
     return TrajectoryReport(t0=ctx.t0, t_max=ctx.t_max, events=tuple(events),
                             perm_spans=spans, k_hat=len(spans),
-                            max_tau=max_tau, sign_changes=counts)
+                            max_tau=max_tau), counts
 
 
 # ---------------------------------------------------------------- sigma
@@ -217,11 +219,11 @@ def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
     got = sweep(fresh)
     got_steps = steps[:]
     steps.clear()
-    want = naive_sweep(reference)
+    want, want_counts = naive_sweep(reference)
     assert got.events == want.events
     assert list(got.perm_spans.items()) == list(want.perm_spans.items())
     assert (got.k_hat, got.max_tau) == (want.k_hat, want.max_tau)
-    assert list(got.sign_changes.items()) == list(want.sign_changes.items())
+    assert list(got.sign_changes.items()) == list(want_counts.items())
     assert got_steps == steps
     if name.startswith("shared_prefix"):
         assert got.max_tau >= 2
