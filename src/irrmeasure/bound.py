@@ -248,19 +248,19 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
 def render_proof_trace(trace: ProofTrace) -> str:
     """Structured text report: T_j / sigma_j, I_j / n_j tables, the
     restricted-equality flags, and the bound margins."""
-    lines = [
-        f"T_1\t{trace.t1}\tsigma_1\t{format_permutation(trace.sigmas[0])}",
-    ]
-    for j, t in enumerate(trace.new_times, start=2):
-        lines.append(f"T_{j}\t{t}\tsigma_{j}\t{format_permutation(trace.sigmas[j - 1])}")
-    lines.append(f"relabeling\t{format_permutation(trace.relabeling)}")
-    for j in sorted(trace.i_sets):
-        members = ",".join(map(str, sorted(trace.i_sets[j]))) or "-"
-        lines.append(f"I_{j}\t{{{members}}}\tn_{j}\t{trace.n_counts[j]}\t"
-                     f"restricted_equal\t{trace.restricted_ok[j]}")
-    for check in trace.nj_checks:
-        lines.append(f"n_{check.j}\t{check.n_j}\t<=\t{check.bound}\t"
-                     f"{'ok' if check.ok else 'FAIL'}")
+    # the sigmas are distinct, so each is formatted once; sigma_1 is also
+    # the relabeling
+    text = [format_permutation(sigma) for sigma in trace.sigmas]
+    n_counts, restricted_ok = trace.n_counts, trace.restricted_ok
+    lines = [f"T_1\t{trace.t1}\tsigma_1\t{text[0]}",
+             *[f"T_{j}\t{t}\tsigma_{j}\t{sigma}" for j, t, sigma
+               in zip(range(2, trace.k + 1), trace.new_times, text[1:])],
+             f"relabeling\t{text[0]}",
+             *[f"I_{j}\t{{{format_permutation(sorted(members)) if members else '-'}}}"
+               f"\tn_{j}\t{n_counts[j]}\trestricted_equal\t{restricted_ok[j]}"
+               for j, members in sorted(trace.i_sets.items())],
+             *[f"n_{j}\t{n_j}\t<=\t{bound}\t{'ok' if ok else 'FAIL'}"
+               for j, n_j, bound, ok in trace.nj_checks]]
     verdict = check_theorem_bound(trace)
     lines.append(f"coverage\t{'ok' if trace.coverage_ok else 'FAIL'}")
     lines.append(f"count_bound\tn={verdict.n}\t1+sum={1 + verdict.sum_nj}\t"

@@ -9,8 +9,9 @@ so certified comparisons terminate quickly whenever the values differ.
 
 The enclosure ends are unreduced integer pairs num/den with positive
 denominators, and compare_errors orders them by cross-multiplication
-alone. Fractions appear only where a caller asks for one: ErrorTerm.lo,
-.hi and .interval(), convergent and star values, and the exact values of
+alone; their widths come from the Moebius state's determinant. Fractions
+appear only where a caller asks for one: ErrorTerm.lo, .hi and
+.interval(), convergent and star values, and the exact values of
 periodic backings.
 """
 
@@ -300,11 +301,19 @@ class ErrorTerm:
     and each refinement step consumes one more coefficient.
 
     The ends are stored unreduced as integer pairs (lo_num, lo_den) and
-    (hi_num, hi_den), ordered by cross-multiplication. Every denominator
-    is positive: g >= 1 and h >= 0 are sums of convergent denominators
-    and b >= 1. Certified comparisons work on these pairs alone; `lo`,
-    `hi` and `interval()` build the reduced Fractions on demand, for
-    display and for callers that want rationals.
+    (hi_num, hi_den). Every denominator is positive: g >= 1 and h >= 0 are
+    sums of convergent denominators and b >= 1. Certified comparisons work
+    on these pairs alone; `lo`, `hi` and `interval()` build the reduced
+    Fractions on demand, for display and for callers that want rationals.
+
+    The ends' cross difference is the state's determinant: with
+    n1/d1 = (e*b + f)/(g*b + h) and n2/d2 = (n1 + e)/(d1 + g),
+    n2*d1 - n1*d2 = e*h - f*g. The first state (0, 1; q_nu, q_{nu-1}) has
+    determinant -q_nu and each step negates it, so it is -q_nu*(-1)^depth.
+    Hence the ends need no comparison to be ordered (at even depth the
+    b + 1 end is the lower one, at odd depth the b end), and
+    hi_num*lo_den - lo_num*hi_den = q_nu at every depth: the width is
+    q_nu/(hi_den*lo_den).
 
     Refinement mutates only this term; share terms read-only across
     threads and serialize refinement per term.
@@ -320,24 +329,24 @@ class ErrorTerm:
         p, q, q_prev = owner.convergent_row(index)
         self.owner = owner
         self.index = index
-        self.depth = 0
         self.p, self.q, self.q_prev = p, q, q_prev
         self._advance(0, 1, q, q_prev, index + 1)
 
     def _advance(self, e: int, f: int, g: int, h: int, nxt: int) -> None:
         """Take the Moebius state (e, f; g, h), whose first unconsumed
-        coefficient has index nxt, and evaluate the ends at that b. The
-        coefficient is read before anything is assigned, so a depth error
-        leaves the term as it was."""
+        coefficient has index nxt, at depth nxt - index - 1, and evaluate
+        the ends at that b, ordered by the depth's parity. The coefficient
+        is read before anything is assigned, so a depth error leaves the
+        term as it was."""
         b = self.owner.coefficient(nxt)
         n1, d1 = e * b + f, g * b + h
-        n2, d2 = n1 + e, d1 + g
-        # the ends differ (the map is invertible), so one order is strict
-        if n1 * d2 < n2 * d1:
-            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n1, d1, n2, d2
+        depth = nxt - self.index - 1
+        if depth & 1:
+            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n1, d1, n1 + e, d1 + g
         else:
-            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n2, d2, n1, d1
+            self.lo_num, self.lo_den, self.hi_num, self.hi_den = n1 + e, d1 + g, n1, d1
         self._e, self._f, self._g, self._h, self._next, self._b = e, f, g, h, nxt, b
+        self.depth = depth
 
     def refine_once(self) -> None:
         """Consume one coefficient; the interval strictly shrinks and the
@@ -346,7 +355,6 @@ class ErrorTerm:
         evaluation, so each step reads one coefficient."""
         b, e, g = self._b, self._e, self._g
         self._advance(e * b + self._f, e, g * b + self._h, g, self._next + 1)
-        self.depth += 1
 
     def refine_to(self, depth: int) -> "ErrorTerm":
         while self.depth < depth:
@@ -390,7 +398,8 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm,
     budgets are spent with the intervals still overlapping; equal values
     (dependent inputs) can never separate, which is exactly what this
     error reports. All tests are integer cross-multiplications, valid
-    because every enclosure denominator is positive.
+    because every enclosure denominator is positive; a width is
+    q/(hi_den*lo_den), by the determinant identity of ErrorTerm.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -401,11 +410,10 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm,
             return Ordering.GREATER
         if x.depth < max_depth:
             if y.depth < max_depth:
-                # width = (hi_num*lo_den - lo_num*hi_den) / (hi_den*lo_den)
-                x_den, y_den = x.hi_den * x.lo_den, y.hi_den * y.lo_den
-                x_wider = ((x.hi_num * x.lo_den - x.lo_num * x.hi_den) * y_den
-                           >= (y.hi_num * y.lo_den - y.lo_num * y.hi_den) * x_den)
-                (x if x_wider else y).refine_once()
+                if x.q * y.hi_den * y.lo_den >= y.q * x.hi_den * x.lo_den:
+                    x.refine_once()
+                else:
+                    y.refine_once()
             else:
                 x.refine_once()
         elif y.depth < max_depth:

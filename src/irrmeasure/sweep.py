@@ -8,16 +8,18 @@ Hershberger ("Data Structures for Mobile Data", SODA 1997): its events
 come from one schedule of all members' breakpoints, merged and sorted
 once; at each event only the jumping members' step values change, so it
 carries the ordering forward and re-inserts just those members; and its
-certificates are the adjacencies of the new ordering, each certified
-again on that event's enclosures. The report counts distinct orderings on
-the window (the finite-horizon surrogate of the infinitely-recurring
-count) and the jump multiplicities; the per-pair order flips are derived
-from its events on first read, so analyses that never print them never
-pay for them.
+certificates are the adjacencies of the ordering, and an event
+re-certifies only those it created: any other adjacency holds the same
+two enclosures that an earlier event certified separated, and enclosures
+only nest. The report counts distinct orderings on the window (the
+finite-horizon surrogate of the infinitely-recurring count) and the jump
+multiplicities; the per-pair order flips are derived from its events on
+first read, so analyses that never print them never pay for them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import groupby
@@ -168,6 +170,12 @@ class TrajectoryReport:
         return {(i, j): flips[i][j] + flips[j][i]
                 for i in members for j in range(i + 1, n + 1)}
 
+    @cached_property
+    def perm_text(self) -> dict[tuple[int, ...], str]:
+        """Each ordering seen, formatted once by format_permutation;
+        perm_spans holds every event's before and after."""
+        return {perm: format_permutation(perm) for perm in self.perm_spans}
+
 
 def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
@@ -177,19 +185,28 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     jumpers come in ascending label order with their new step values.
     Each event's before is the running ordering. After keeps the other
     members in their running order and puts each jumper back by a
-    certified binary search; then every adjacency of after is certified
-    again on this event's enclosures by first_misordered, and one out of
-    order is an internal fault. Step values live in a list indexed by
-    label (slot 0 unused); after is the next event's before. The loop
-    keeps no ranks and counts no flips: the report derives its
-    sign_changes from the events when they are first read.
+    certified binary search. Then first_misordered certifies, on this
+    event's enclosures, the adjacencies of after that the event created,
+    and one out of order is an internal fault: all of after at the first
+    event and at events with two or more jumpers; otherwise the slice that
+    spans the jumper's two new neighbours and, when it left an inner slot,
+    the two members that closed its gap. Every other adjacency joins two
+    members that kept their term objects since an earlier event certified
+    them separated, and refinement only nests enclosures, so its integer
+    separation test would pass without a refinement step. Step
+    values live in a list indexed by label (slot 0 unused); after is the
+    next event's before. The loop keeps no ranks and counts no flips: the
+    report derives its sign_changes from the events when they are first
+    read.
     """
     t0 = ctx.t0
+    depth, names = ctx.max_compare_depth, ctx.names
     schedule = sorted((q, i, term)
                       for i, tr in enumerate(ctx.trajectories, start=1)
                       for q, term in tr.breakpoints if t0 < q <= ctx.t_max)
     terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
     sigma = sigma_at(ctx, t0)
+    n = len(sigma)
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start = t0
@@ -201,7 +218,13 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
             jumpers.append(i)
         if len(jumpers) > max_tau:
             max_tau = len(jumpers)
-        order = [m for m in sigma if m not in jumpers]
+        single = len(jumpers) == 1 and bool(events)
+        if single:
+            order = list(sigma)
+            left = order.index(jumpers[0])
+            del order[left]
+        else:
+            order = [m for m in sigma if m not in jumpers]
         for i in jumpers:
             x = terms[i]
             lo, hi = 0, len(order)
@@ -216,18 +239,31 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 elif x.hi_num * y.lo_den <= y.lo_num * x.hi_den:
                     above = False
                 else:
-                    above = _member_order(ctx, t, i, x, m, y,
-                                          "sweep.sweep") is Ordering.GREATER
+                    above = certified_order(
+                        x, y, depth, time=t, pair=(i, m),
+                        names=(names[i - 1], names[m - 1]),
+                        origin="sweep.sweep") is Ordering.GREATER
                 if above:
                     hi = mid
                 else:
                     lo = mid + 1
             order.insert(lo, i)
         after = tuple(order)
-        bad = first_misordered([terms[m] for m in after], ctx.max_compare_depth)
+        start, end = 0, n
+        if single:
+            # the jumper's neighbours at lo, and the pair that closed the
+            # gap it left at sigma[left]: after[left:left + 2] when it moved
+            # up, after[left - 1:left + 1] when it moved down
+            start, end = max(lo - 1, 0), lo + 2
+            if lo < left < n - 1:
+                end = left + 2
+            elif 0 < left < lo:
+                start = left - 1
+        bad = first_misordered([terms[m] for m in after[start:end]], depth)
         if bad is not None:
-            raise AssertionError(f"members {after[bad]} and {after[bad + 1]} "
-                                 f"are out of order at t = {t}")
+            raise AssertionError(f"members {after[start + bad]} and "
+                                 f"{after[start + bad + 1]} are out of order "
+                                 f"at t = {t}")
         events.append(PermutationEvent(t, sigma, after, frozenset(jumpers)))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
@@ -272,24 +308,38 @@ def sign_change_count(ctx: TupleContext, i: int, j: int) -> int:
     return flips
 
 
-def format_permutation(perm: tuple[int, ...]) -> str:
-    return ",".join(map(str, perm))
+class _LabelStrings(dict):
+    """str(m) for each member label m, made on first use."""
+
+    def __missing__(self, m: int) -> str:
+        self[m] = text = str(m)
+        return text
+
+
+_LABELS = _LabelStrings()
+
+
+def format_permutation(perm: Sequence[int]) -> str:
+    """perm as comma-separated labels, read from a table of label strings."""
+    return ",".join([_LABELS[m] for m in perm])
 
 
 def summary_lines(report: TrajectoryReport) -> list[str]:
     """The window, k_hat, max_tau and one `perm` line per ordering seen."""
+    text = report.perm_text
     return [f"window\t{report.t0}\t{report.t_max}", f"k_hat\t{report.k_hat}",
             f"max_tau\t{report.max_tau}",
-            *(f"perm\t{format_permutation(perm)}\t{first}\t{last}"
+            *(f"perm\t{text[perm]}\t{first}\t{last}"
               for perm, (first, last) in report.perm_spans.items())]
 
 
 def serialize_report(report: TrajectoryReport) -> str:
     """Event records `t <tab> before <tab> after <tab> jumpers`, then a
     blank line, the summary lines and the per-pair sign changes."""
+    text = report.perm_text
     lines = [
-        f"{ev.time}\t{format_permutation(ev.before)}\t"
-        f"{format_permutation(ev.after)}\t{','.join(map(str, sorted(ev.jumpers)))}"
+        f"{ev.time}\t{text[ev.before]}\t{text[ev.after]}\t"
+        f"{format_permutation(sorted(ev.jumpers))}"
         for ev in report.events
     ]
     lines += ["", *summary_lines(report)]

@@ -239,3 +239,27 @@ def test_render_is_structured(pair_ctx):
     assert any(line.startswith("I_2\t") for line in lines)
     assert lines[-1].startswith("count_bound\t")
     assert lines[-1].endswith("ok")
+
+
+def test_render_formats_each_ordering_once(monkeypatch):
+    # sigma_1 is printed twice (T_1 and the relabeling) but formatted once
+    rng = random.Random(4107)
+    ctx = TupleContext(random_independent_members(rng, 5), t_max=10 ** 20)
+    trace = build_proof_trace(ctx)
+    bound_module = importlib.import_module("irrmeasure.bound")
+    fmt = bound_module.format_permutation
+    formatted = []
+
+    def spy(perm):
+        formatted.append(perm)
+        return fmt(perm)
+
+    monkeypatch.setattr(bound_module, "format_permutation", spy)
+    lines = render_proof_trace(trace).splitlines()
+    # orderings are tuples; the I_j members go through as sorted lists
+    assert [perm for perm in formatted if isinstance(perm, tuple)] == list(trace.sigmas)
+    head = [f"T_{j}\t{t}\tsigma_{j}\t{','.join(map(str, sigma))}"
+            for j, t, sigma in zip(range(1, trace.k + 1),
+                                   (trace.t1, *trace.new_times), trace.sigmas)]
+    assert lines[:trace.k + 1] == [*head,
+                                   f"relabeling\t{','.join(map(str, trace.sigmas[0]))}"]

@@ -3,6 +3,7 @@ certified comparison, and the expansion of quadratic values."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 
 import pytest
@@ -290,6 +291,42 @@ def test_refinement_nests_and_strictly_shrinks(sqrt2_cf, phi_cf):
             assert prev[0] <= lo < hi <= prev[1]
             assert hi - lo < prev[1] - prev[0]
             prev = (lo, hi)
+
+
+def _determinant_streams(kind):
+    rng = random.Random(8107)
+    streams = {
+        "periodic": [random_periodic_cf(rng) for _ in range(3)],
+        "surd": [surd_to_cf(random_surd(rng)) for _ in range(3)],
+        "rule": [ContinuedFraction.from_rule(lambda j: (j * j) % 7 + 1, depth_cap=400),
+                 ContinuedFraction.from_rule(lambda j: 1 + j % 3, depth_cap=400)],
+    }
+    if kind == "tail":
+        parents = [cf for group in streams.values() for cf in group]
+        return [cf.tail(shift) for cf, shift in zip(parents, range(1, 9))]
+    return streams[kind]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "surd", "rule", "tail"])
+def test_width_is_q_over_the_end_denominators_at_every_depth(kind):
+    # the ends' cross difference is the Moebius determinant
+    # e*h - f*g = -q_nu*(-1)^depth, so the width's numerator is q_nu and
+    # the depth's parity says which end is lower
+    for cf, nu in product(_determinant_streams(kind), (0, 1, 4, 11)):
+        term = ErrorTerm(cf, nu)
+        for depth in range(21):
+            assert term.depth == depth
+            e, f, g, h, b = term._e, term._f, term._g, term._h, term._b
+            assert e * h - f * g == -term.q * (-1) ** depth
+            assert term.hi_num * term.lo_den - term.lo_num * term.hi_den == term.q
+            at_b = (e * b + f, g * b + h)
+            at_b1 = (e * (b + 1) + f, g * (b + 1) + h)
+            lower, upper = (at_b1, at_b) if depth % 2 == 0 else (at_b, at_b1)
+            assert (term.lo_num, term.lo_den) == lower
+            assert (term.hi_num, term.hi_den) == upper
+            assert Fraction(*lower) < Fraction(*upper)
+            assert term.hi - term.lo == Fraction(term.q, term.hi_den * term.lo_den)
+            term.refine_once()
 
 
 def test_initial_enclosure_formula_everywhere():

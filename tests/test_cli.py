@@ -6,11 +6,12 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from irrmeasure import TrajectoryReport
+from irrmeasure import ErrorTerm, Ordering, TrajectoryReport
 from irrmeasure.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -194,6 +195,70 @@ def test_flip_counts_are_derived_only_by_trace(monkeypatch, capsys):
     monkeypatch.setattr(TrajectoryReport, "sign_changes", property(derive))
     assert _golden_digest_matches("trace", capsys)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scope", ["every call", "binary search only"])
+def test_inverted_comparison_fails_the_narrowed_self_check(scope, monkeypatch,
+                                                          capsys):
+    # an event re-certifies only the adjacencies it created; a jumper put
+    # in the wrong slot sits in one of them, so the check still fires
+    spec = str(DATA / "replay_wide8.spec")
+    assert main(["trace", spec]) == 0
+    records = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    sweep_module = importlib.import_module("irrmeasure.sweep")
+    certified_order = sweep_module.certified_order
+    inverted = {Ordering.GREATER: Ordering.LESS, Ordering.LESS: Ordering.GREATER}
+
+    def invert(*args, **kwargs):
+        order = certified_order(*args, **kwargs)
+        if scope == "binary search only" and kwargs["origin"] != "sweep.sweep":
+            return order
+        return inverted[order]
+
+    monkeypatch.setattr(sweep_module, "certified_order", invert)
+    assert main(["trace", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: members ")
+    assert "out of order" in captured.err
+    assert captured.out == ""
+    time = captured.err.rstrip().rsplit(" ", 1)[1]
+    at = next(r for r, line in enumerate(records) if line.split("\t")[0] == time)
+    if scope == "every call":
+        assert at == 0    # sigma(t0) is wrong, and the first event checks it all
+    else:
+        # a later event with one jumper, which checks only a slice
+        assert at > 0 and "," not in records[at].split("\t")[3]
+
+
+def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
+    # proof-trace on replay_wide8.spec: compare_errors calls, refinement
+    # steps and error terms built. A change to how much certified work a
+    # replay does has to change these numbers on purpose
+    cf_module = importlib.import_module("irrmeasure.cf")
+    counts = dict.fromkeys(("compare", "refine", "init"), 0)
+    compare_errors = cf_module.compare_errors
+    refine_once, init = ErrorTerm.refine_once, ErrorTerm.__init__
+
+    def counted_compare(*args, **kwargs):
+        counts["compare"] += 1
+        return compare_errors(*args, **kwargs)
+
+    def counted_refine(term):
+        counts["refine"] += 1
+        refine_once(term)
+
+    def counted_init(term, *args):
+        counts["init"] += 1
+        init(term, *args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "irrmeasure"
+                and getattr(module, "compare_errors", None) is compare_errors):
+            monkeypatch.setattr(module, "compare_errors", counted_compare)
+    monkeypatch.setattr(ErrorTerm, "refine_once", counted_refine)
+    monkeypatch.setattr(ErrorTerm, "__init__", counted_init)
+    assert _golden_digest_matches("proof-trace", capsys)
+    assert counts == {"compare": 714, "refine": 1144, "init": 942}
 
 
 def test_non_coprime_denominator_row_exits_3(pair_spec, monkeypatch, capsys):

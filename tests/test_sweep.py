@@ -1,6 +1,8 @@
 """Tuple orderings, jump counts, sweeps, and their serialization."""
 
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +17,9 @@ from irrmeasure.errors import (DependentTuple, UndecidedOrdering,
 from irrmeasure.sweep import _member_order
 
 from conftest import GOLDEN
+
+#: the sweep module itself; the package's `sweep` is the function
+SWEEP = importlib.import_module("irrmeasure.sweep")
 
 
 @pytest.fixture
@@ -227,6 +232,92 @@ def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
     assert got_steps == steps
     if name.startswith("shared_prefix"):
         assert got.max_tau >= 2
+
+
+def rising_steps(ctx: TupleContext) -> TupleContext:
+    """ctx with every third breakpoint of each member set back to the term
+    two breakpoints earlier: a step value that rises, so a jumper can move
+    up, which a real step function never does."""
+    for k, tr in enumerate(ctx.trajectories):
+        points = list(tr.breakpoints)
+        for r in range(4, len(points), 3):
+            points[r] = (points[r][0], points[r - 2][1])
+        ctx.trajectories = (*ctx.trajectories[:k],
+                            replace(tr, breakpoints=tuple(points)),
+                            *ctx.trajectories[k + 1:])
+    return ctx
+
+
+def _random_n8() -> TupleContext:
+    return TupleContext(random_independent_members(random.Random(6208), 8),
+                        t_max=10 ** 30)
+
+
+@pytest.mark.parametrize("make, shows", [
+    (lambda: shared_prefix_triple(6100), "multi"),
+    (_random_n8, "narrowed"),
+    (lambda: rising_steps(_random_n8()), "rose"),
+], ids=["shared_prefix", "random_n8", "rising_n8"])
+def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatch):
+    # first_misordered gets one contiguous run of after's terms per event:
+    # all of after at the first event and at events with two or more
+    # jumpers, and otherwise a run that holds every adjacency the event
+    # created (a jumper in it, or a pair not adjacent in before). The
+    # rising steps make jumpers leave an inner slot upwards as well
+    ctx = make()
+    passed = []
+    certify = SWEEP.first_misordered
+
+    def spy(terms, max_depth):
+        passed.append(list(terms))
+        return certify(terms, max_depth)
+
+    monkeypatch.setattr(SWEEP, "first_misordered", spy)
+    report = sweep(ctx)
+    assert len(passed) == len(report.events)
+    n, narrowed, multi, rose = ctx.n, 0, 0, 0
+    for k, (ev, run) in enumerate(zip(report.events, passed)):
+        after_terms = [psi_at(ctx.trajectories[m - 1], ev.time) for m in ev.after]
+        start = next(r for r, term in enumerate(after_terms) if term is run[0])
+        assert len(run) >= 2
+        assert all(a is b for a, b in zip(after_terms[start:], run, strict=False))
+        assert start + len(run) <= n
+        if k == 0 or len(ev.jumpers) > 1:
+            assert len(run) == n
+            multi += len(ev.jumpers) > 1
+        old = set(zip(ev.before, ev.before[1:]))
+        for r, pair in enumerate(zip(ev.after, ev.after[1:])):
+            if pair not in old or ev.jumpers & set(pair):
+                assert start <= r and r + 2 <= start + len(run)
+        narrowed += len(run) < n
+        if len(ev.jumpers) == 1:
+            (i,) = ev.jumpers
+            rose += ev.after.index(i) < ev.before.index(i) < n - 1
+    assert narrowed > 0
+    assert {"multi": multi, "narrowed": narrowed, "rose": rose}[shows] > 0
+
+
+def test_serialize_report_formats_each_ordering_once(monkeypatch):
+    report = sweep(shared_prefix_triple(6100))
+    formatted = []
+    fmt = SWEEP.format_permutation
+
+    def spy(perm):
+        formatted.append(perm)
+        return fmt(perm)
+
+    monkeypatch.setattr(SWEEP, "format_permutation", spy)
+    text = serialize_report(report)
+    # orderings are tuples; the jumper sets go through as sorted lists
+    orderings = [perm for perm in formatted if isinstance(perm, tuple)]
+    assert sorted(orderings) == sorted(report.perm_spans)
+    assert all(fmt(perm) == ",".join(map(str, perm)) for perm in formatted)
+    # the same bytes as each record formatted on its own
+    lines = text.splitlines()
+    for line, ev in zip(lines, report.events):
+        assert line == (f"{ev.time}\t{','.join(map(str, ev.before))}\t"
+                        f"{','.join(map(str, ev.after))}\t"
+                        f"{','.join(map(str, sorted(ev.jumpers)))}")
 
 
 def _undecided(call):
