@@ -22,11 +22,15 @@ scan costs O(max_index x max_d) integer steps plus O(1) table reads per
 matched triple and one certified comparison per distinct sign, instead
 of O(triples x table length).
 
-The check's error-term signs come from the integer enclosure kernel: a
-strict separation of the two enclosures proves the sign. Exact surd
-algebra runs only on a tie, when the enclosures still overlap at the
-refinement budget or the depth cap, and a sign 0 comes only from that
-exact equality.
+The check's error-term signs need no enclosure where two streams share
+convergent rows: there xi_nu - eta_mu has the sign of y' - x', the
+difference of the two tails, and the first tail coefficient pair that
+differs, at most max_compare_depth places in, decides it. Every other
+sign, and one whose tails agree through that budget or whose reads
+raise, comes from the integer enclosure kernel: a strict separation of
+the two enclosures proves the sign. Exact surd algebra runs only on a
+tie, when the enclosures still overlap at the refinement budget or the
+depth cap, and a sign 0 comes only from that exact equality.
 """
 
 from __future__ import annotations
@@ -164,15 +168,57 @@ class RigidityRecord:
         return "\t".join(parts)
 
 
+def _tail_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
+               max_depth: int) -> int | None:
+    """Sign of xi_nu(a) - eta_mu(b) when the two convergent rows share
+    (q, q_prev), read from the first differing tail coefficient; None when
+    the rows differ or the tails agree up to index +max_depth.
+
+    On shared rows xi = 1/(q*x' + q_prev) and eta = 1/(q*y' + q_prev), so
+    the sign is that of y' - x'. At the first k with c_k = a_{nu+1+k} !=
+    d_k = b_{mu+1+k}, y' > x' exactly when d_k > c_k at even k, or
+    d_k < c_k at odd k. Until then both enclosures are the same cylinder
+    and compare_errors refines them in lockstep, reading c_0, d_0, c_1,
+    d_1, ...; these reads come in that order, behind the same row reads,
+    and stop at its deepest index, where cylinders with c_k != d_k touch
+    or part and so count as separated.
+    """
+    _, q, q_prev = a.convergent_row(nu)
+    c = a.coefficient(nu + 1)
+    if b.convergent_row(mu)[1:] != (q, q_prev):
+        return None
+    for k in range(max_depth + 1):
+        if k:
+            c = a.coefficient(nu + 1 + k)
+        d = b.coefficient(mu + 1 + k)
+        if c != d:
+            return 1 if (d > c) == (k % 2 == 0) else -1
+    return None
+
+
 def _error_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
                 max_depth: int) -> int:
     """Sign of xi_nu(a) - eta_mu(b); 0 only via exact symbolic equality.
 
-    compare_errors decides first: a strict separation of the enclosures
+    On shared convergent rows _tail_sign decides first, with no enclosure
+    built. It decides exactly the keys compare_errors decides, since
+    neither reads a coefficient past index +max_depth. Otherwise, and when
+    one of its reads raises, the enclosures decide: a strict separation
     proves the sign. When they still overlap at max_depth or at a depth
     cap (equal values never separate), the exact surds decide, if both
     members carry one; otherwise the comparison's error is raised as is.
+    A read that raised in _tail_sign raises again there (a source error
+    repeats on retry), so signs of 0, error classes and messages are
+    those of the enclosures alone; compare_errors also rejects a budget
+    below 1.
     """
+    if max_depth >= 1:
+        try:
+            sign = _tail_sign(a, nu, b, mu, max_depth)
+        except (LabError, ValueError):
+            sign = None
+        if sign is not None:
+            return sign
     ta, tb = ErrorTerm(a, nu), ErrorTerm(b, mu)
     try:
         return -1 if compare_errors(ta, tb, max_depth) is Ordering.LESS else 1
@@ -195,9 +241,12 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     is proven, so a VIOLATION certificate flags an arithmetic bug, never
     new mathematics.
 
-    Each sign of xi - eta comes from a strict enclosure separation, or
-    from exact surd algebra when the enclosures tie; a sign of 0 (the
-    equality the conclusion needs) is only ever an exact equality.
+    Each sign of xi - eta at shared convergent rows comes from the first
+    differing tail coefficient, read at most max_compare_depth places in.
+    Any other sign, or one that rule leaves open, comes from a strict
+    enclosure separation, or from exact surd algebra when the enclosures
+    tie; a sign of 0 (the equality the conclusion needs) is only ever an
+    exact equality.
     """
     if nu < 0 or mu < 0 or d < 1:
         raise ValueError("need nu, mu >= 0 and d >= 1")

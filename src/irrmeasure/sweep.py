@@ -87,7 +87,12 @@ class TupleContext:
                 origin="sweep.TupleContext")
         self.t0 = t0
         self.trajectories = tuple(build_trajectory(cf, t_max) for cf in cfs)
-        self.jump_sets = tuple(frozenset(tr.jump_times()) for tr in self.trajectories)
+
+    @cached_property
+    def jump_sets(self) -> tuple[frozenset[int], ...]:
+        """Each member's jump times, built on first read: only tau_at and
+        sign_change_count look times up; the sweep reads the breakpoints."""
+        return tuple(frozenset(tr.jump_times()) for tr in self.trajectories)
 
     @property
     def n(self) -> int:

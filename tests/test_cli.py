@@ -230,10 +230,10 @@ def test_inverted_comparison_fails_the_narrowed_self_check(scope, monkeypatch,
         assert at > 0 and "," not in records[at].split("\t")[3]
 
 
-def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
-    # proof-trace on replay_wide8.spec: compare_errors calls, refinement
-    # steps and error terms built. A change to how much certified work a
-    # replay does has to change these numbers on purpose
+def _certified_work(case, monkeypatch, capsys) -> dict[str, int]:
+    """compare_errors calls, refinement steps and error terms built by the
+    golden run of `case`, whose digest must match, through monkeypatched
+    counters."""
     cf_module = importlib.import_module("irrmeasure.cf")
     counts = dict.fromkeys(("compare", "refine", "init"), 0)
     compare_errors = cf_module.compare_errors
@@ -257,8 +257,24 @@ def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
             monkeypatch.setattr(module, "compare_errors", counted_compare)
     monkeypatch.setattr(ErrorTerm, "refine_once", counted_refine)
     monkeypatch.setattr(ErrorTerm, "__init__", counted_init)
-    assert _golden_digest_matches("proof-trace", capsys)
-    assert counts == {"compare": 714, "refine": 1144, "init": 942}
+    assert _golden_digest_matches(case, capsys)
+    return counts
+
+
+def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
+    # proof-trace on replay_wide8.spec. A change to how much certified
+    # work a replay does has to change these numbers on purpose
+    assert _certified_work("proof-trace", monkeypatch, capsys) == {
+        "compare": 714, "refine": 1144, "init": 942}
+
+
+def test_verify_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
+    # verify on verify_pairs3.spec. Half of its 36 rigidity sign keys sit
+    # on shared convergent rows; the first differing tail coefficient
+    # decides each of those, with no error term and no refinement step.
+    # Refining them instead costs 36 compares, 378 steps and 72 terms
+    assert _certified_work("verify", monkeypatch, capsys) == {
+        "compare": 18, "refine": 0, "init": 36}
 
 
 def test_non_coprime_denominator_row_exits_3(pair_spec, monkeypatch, capsys):

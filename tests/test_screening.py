@@ -17,7 +17,8 @@ from irrmeasure import (CoincidenceLog, CombinationKind, ContinuedFraction,
 from irrmeasure.cf import integer_combination_check
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair, random_surd)
-from irrmeasure.errors import DepthExhausted, LabError, UndecidedComparison
+from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
+                               UndecidedComparison)
 from irrmeasure.screening import RIGIDITY_GATES
 from irrmeasure.specfile import parse_spec
 
@@ -565,6 +566,167 @@ def test_rigidity_signs_run_exact_algebra_only_on_ties(monkeypatch):
     (sqrt2, sqrt2_plus_3, top), = _sign_corpus("dependent")
     with pytest.raises(AssertionError, match="exact surd algebra reached"):
         rigidity_scan(sqrt2, sqrt2_plus_3, max_index=top, max_d=4)
+
+
+# ------------------------------------------------ signs on shared rows
+
+def enclosure_error_sign(a, nu, b, mu, max_depth):
+    """_error_sign as it was before shared rows were read off the tails:
+    fresh error terms and compare_errors decide, exact surds break a tie.
+    Kept as the reference."""
+    ta, tb = ErrorTerm(a, nu), ErrorTerm(b, mu)
+    try:
+        return -1 if compare_errors(ta, tb, max_depth) is Ordering.LESS else 1
+    except (UndecidedComparison, DepthCapExceeded, DepthExhausted):
+        ea, eb = ta.exact_value(), tb.exact_value()
+        if ea is None or eb is None:
+            raise
+        return ea.compare(eb)
+
+
+#: the refinement budget of the tail-rule tests
+BUDGET = 6
+
+#: heads a_0..a_nu and b_0..b_mu whose last convergent rows share
+#: (q, q_prev): (3, 1) for the first and last pair, (1, 0) for nu = mu = 0
+TAIL_HEADS = {"nu=mu=2": ((3, 1, 2), (1, 1, 2)),
+              "nu=mu=0": ((1,), (4,)),
+              "nu=2,mu=1": ((0, 1, 2), (5, 3))}
+
+
+def _tail_stream(kind, word, reads=None, *, depth_cap=200):
+    """word, then 1, 2, 1, 2, ... on the given backing; a rule-backed
+    source appends every index it is asked for to reads."""
+    if kind == "periodic":
+        return ContinuedFraction.periodic(word, (1, 2), depth_cap)
+    if kind == "coefficients":
+        return ContinuedFraction.from_coefficients(word + (1, 2) * 20, depth_cap)
+
+    def rule(i):
+        reads.append(i)
+        return word[i] if i < len(word) else 1 + i % 2
+    return ContinuedFraction.from_rule(rule, depth_cap)
+
+
+def _tail_words(heads, k, c, d):
+    """The two words of TAIL_HEADS[heads] whose tails past the shared
+    rows agree on k coefficients and then read c and d."""
+    head_a, head_b = TAIL_HEADS[heads]
+    shared = tuple(1 + i % 3 for i in range(k))
+    return (head_a + shared + (c,), len(head_a) - 1,
+            head_b + shared + (d,), len(head_b) - 1)
+
+
+def _sign_outcome(sign, a, nu, b, mu):
+    try:
+        return sign(a, nu, b, mu, BUDGET)
+    except LabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def enclosure_work(monkeypatch):
+    """Counts ErrorTerm inits and refinement steps."""
+    counts = Counter()
+    refine_once, init = ErrorTerm.refine_once, ErrorTerm.__init__
+
+    def counted_refine(term):
+        counts["refine"] += 1
+        refine_once(term)
+
+    def counted_init(term, *args):
+        counts["init"] += 1
+        init(term, *args)
+
+    monkeypatch.setattr(ErrorTerm, "refine_once", counted_refine)
+    monkeypatch.setattr(ErrorTerm, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("heads", list(TAIL_HEADS))
+@pytest.mark.parametrize("kind", ["coefficients", "rule", "periodic"])
+def test_shared_rows_take_the_sign_of_the_first_differing_tail_coefficient(
+        kind, heads, enclosure_work):
+    # first difference at k = 0, odd, even, odd and at the budget, with
+    # c_k < d_k and c_k > d_k: the reference's sign, with no error term
+    # built and no coefficient read past index +k
+    for k in (0, 1, 2, 5, BUDGET):
+        for c, d in ((1, 2), (2, 1), (1, 5), (5, 3)):
+            word_a, nu, word_b, mu = _tail_words(heads, k, c, d)
+            want = enclosure_error_sign(_tail_stream(kind, word_a, []), nu,
+                                        _tail_stream(kind, word_b, []), mu,
+                                        BUDGET)
+            enclosure_work.clear()
+            reads_a, reads_b = [], []
+            got = irrmeasure.screening._error_sign(
+                _tail_stream(kind, word_a, reads_a), nu,
+                _tail_stream(kind, word_b, reads_b), mu, BUDGET)
+            assert got == want, (k, c, d)
+            assert got in (-1, 1)
+            assert not enclosure_work
+            if kind == "rule":
+                assert (max(reads_a), max(reads_b)) == (nu + 1 + k, mu + 1 + k)
+
+
+@pytest.mark.parametrize("heads", list(TAIL_HEADS))
+@pytest.mark.parametrize("kind", ["coefficients", "rule", "periodic"])
+def test_tails_equal_through_the_budget_fall_back_to_the_enclosures(
+        kind, heads, enclosure_work):
+    # a first difference at k = BUDGET + 1 is past the deepest coefficient
+    # compare_errors reads: periodic members get the exact surd sign, the
+    # others the reference's UndecidedComparison, and no read goes deeper
+    word_a, nu, word_b, mu = _tail_words(heads, BUDGET + 1, 1, 2)
+    want = _sign_outcome(enclosure_error_sign, _tail_stream(kind, word_a, []), nu,
+                         _tail_stream(kind, word_b, []), mu)
+    reads_a, reads_b = [], []
+    a, b = _tail_stream(kind, word_a, reads_a), _tail_stream(kind, word_b, reads_b)
+    enclosure_work.clear()
+    assert _sign_outcome(irrmeasure.screening._error_sign, a, nu, b, mu) == want
+    assert enclosure_work["init"] == 2 and enclosure_work["refine"] > 0
+    if kind == "periodic":
+        assert a.exact_value() is not None and b.exact_value() is not None
+        assert want in (-1, 1)
+    else:
+        assert want[0] is UndecidedComparison
+    if kind == "rule":
+        assert (max(reads_a), max(reads_b)) == (nu + 1 + BUDGET, mu + 1 + BUDGET)
+
+
+@pytest.mark.parametrize("end", [0, 3], ids=["end_at_k0", "end_at_k3"])
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("kind", ["coefficients", "rule", "periodic"])
+def test_tail_reads_that_fail_fall_back_to_the_enclosures(kind, side, end):
+    # one member stops inside the scanned tail, at index +end before the
+    # first difference (k = 5): a finite backing runs out, a rule or a
+    # periodic backing hits its depth cap. The reference's exception
+    # class and message, or for periodic members its exact sign
+    def pair():
+        word_a, nu, word_b, mu = _tail_words("nu=mu=2", 5, 1, 2)
+        words = {"a": word_a, "b": word_b}
+        stop = len(TAIL_HEADS["nu=mu=2"][0]) + end
+        short = words[side][:stop]
+        streams = {name: _tail_stream(kind, word, []) for name, word in words.items()}
+        if kind == "coefficients":
+            streams[side] = ContinuedFraction.from_coefficients(short)
+        else:
+            streams[side] = _tail_stream(kind, words[side], [], depth_cap=stop - 1)
+        return streams["a"], nu, streams["b"], mu
+
+    want = _sign_outcome(enclosure_error_sign, *pair())
+    assert _sign_outcome(irrmeasure.screening._error_sign, *pair()) == want
+    if kind == "periodic" and end:
+        assert want in (-1, 1)
+    else:
+        failure = DepthExhausted if kind == "coefficients" else DepthCapExceeded
+        assert want[0] is failure
+
+
+def test_a_zero_budget_is_rejected_on_shared_rows_too():
+    word_a, nu, word_b, mu = _tail_words("nu=mu=0", 0, 1, 2)
+    for sign in (enclosure_error_sign, irrmeasure.screening._error_sign):
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            sign(_tail_stream("periodic", word_a), nu,
+                 _tail_stream("periodic", word_b), mu, 0)
 
 
 # --------------------------------------------------------------- reversal

@@ -8,8 +8,9 @@ import pytest
 
 from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering,
                         PermutationEvent, TrajectoryReport, TupleContext,
-                        compare_errors, psi_at, serialize_report, sigma_at,
-                        sign_change_count, sqrt_of, surd_to_cf, sweep, tau_at)
+                        build_proof_trace, compare_errors, psi_at,
+                        serialize_report, sigma_at, sign_change_count,
+                        sqrt_of, surd_to_cf, sweep, tau_at)
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair)
 from irrmeasure.errors import (DependentTuple, UndecidedOrdering,
@@ -142,6 +143,29 @@ def test_tau_counts_jumping_members(pair_ctx):
 
 
 # ---------------------------------------------------------------- sweep
+
+@pytest.mark.parametrize("make", [lambda: TupleContext(
+    [surd_to_cf(GOLDEN), surd_to_cf(sqrt_of(2))], t_max=10_000, burn_in=1),
+    lambda: shared_prefix_triple(6101)], ids=["pair_ctx", "shared_prefix"])
+def test_jump_sets_are_built_only_for_the_readers_of_jump_times(make):
+    # the sweep and the proof trace read breakpoints, never jump_sets;
+    # tau_at, sign_change_count and the naive sweep read the same sets
+    # the context once built up front
+    ctx = make()
+    report = sweep(ctx)
+    build_proof_trace(ctx, report)
+    assert "jump_sets" not in ctx.__dict__
+    eager = tuple(frozenset(tr.jump_times()) for tr in ctx.trajectories)
+    times = sorted(frozenset().union(*eager))
+    assert [tau_at(ctx, t) for t in times + [4, 7]] == [
+        sum(t in js for js in eager) for t in times + [4, 7]]
+    assert ctx.jump_sets == eager and ctx.jump_sets is ctx.jump_sets
+    reference, flips = naive_sweep(ctx)
+    assert reference.events == report.events
+    assert list(reference.perm_spans.items()) == list(report.perm_spans.items())
+    assert flips == report.sign_changes == {
+        pair: sign_change_count(ctx, *pair) for pair in flips}
+
 
 def test_pair_sweep_reaches_both_orderings(pair_ctx):
     report = sweep(pair_ctx)
