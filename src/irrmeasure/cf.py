@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
+from . import surd
 from .errors import (DepthCapExceeded, DepthExhausted, RadicandError,
                      UndecidedComparison, UndecidedOrdering)
 from .surd import QuadraticSurd
@@ -65,10 +66,15 @@ class ContinuedFraction:
     meets the same error. Three memos grow on demand, in index order, and
     are shared by every reader of the stream: the coefficients, the table
     of convergent rows (p_nu, q_nu, q_{nu-1}), and the pair index
-    (q_nu, q_{nu+1}) -> nu. The index is injective (q_nu grows strictly
-    from nu = 1 on), its size is the number of rows it covers, and each
-    row it adds is asserted coprime and new. Growth is not synchronised:
-    share a stream across threads only for reading what it already holds.
+    (q_nu, q_{nu+1}) -> nu. The table grows in one pass: the missing
+    coefficients are read first, in index order and up to the depth cap,
+    then the rows are extended by the recurrence from the last two. When
+    a read fails, the rows below the failing index are added before the
+    error propagates, as a walk of one row per coefficient would leave
+    them. The index is injective (q_nu grows strictly from nu = 1 on),
+    its size is the number of rows it covers, and each row it adds is
+    asserted coprime and new. Growth is not synchronised: share a stream
+    across threads only for reading what it already holds.
     """
 
     __slots__ = ("_source", "_coeffs", "depth_cap", "_exact", "_table", "_pairs")
@@ -142,31 +148,66 @@ class ContinuedFraction:
             coeffs.append(self._source(len(coeffs)))
         return coeffs[nu]
 
+    def first_difference(self, i: int, other: "ContinuedFraction", j: int,
+                         count: int) -> int | None:
+        """The first k < count with a_{i+k} != b_{j+k}, this stream being a
+        and other b, or None. Reads come in index order, a_{i+k} before
+        b_{j+k}; those the memos already hold make no call."""
+        if i < 0 or j < 0:
+            raise ValueError("coefficient index must be >= 0")
+        ca, cb = self._coeffs, other._coeffs
+        for k in range(count):
+            c = ca[i + k] if i + k < len(ca) else self.coefficient(i + k)
+            d = cb[j + k] if j + k < len(cb) else other.coefficient(j + k)
+            if c != d:
+                return k
+        return None
+
     def convergent_row(self, nu: int) -> tuple[int, int, int]:
         """(p_nu, q_nu, q_{nu-1}) by the standard recurrence, read from the
-        memo table. Growing the table reads coefficients in index order, so
-        depth errors surface at the same index as a fresh walk from 0."""
+        memo table; a row already there is returned at once. Growth reads
+        the missing coefficients in index order, up to the depth cap, then
+        extends the rows, so depth errors surface at the same index as a
+        fresh walk from 0, after the rows below that index are added."""
+        table = self._table
+        if nu < len(table) and nu >= 0:
+            return table[nu]
         if nu < 0:
             raise ValueError("convergent index must be >= 0")
-        table = self._table
-        while len(table) <= nu:
+        coeffs = self._coeffs
+        try:
+            if len(coeffs) <= nu:
+                cap = self.depth_cap
+                self.coefficient(nu if nu <= cap else cap)
+                if nu > cap:
+                    self.coefficient(cap + 1)    # raises the walk's cap error
+        finally:
+            # the rows from len(table) up to nu, or to the last coefficient read
             i = len(table)
-            a = self.coefficient(i)
-            if i == 0:
-                table.append((a, 1, 0))
-            else:
+            if i:
                 p, q, q_prev = table[-1]
-                p_prev = table[-2][0] if i >= 2 else 1
-                table.append((a * p + p_prev, a * q + q_prev, q))
+                p_prev = table[-2][0] if i > 1 else 1
+            else:
+                p, q, p_prev, q_prev = 1, 0, 0, 1     # the rows at -1 and -2
+            for a in coeffs[i:nu + 1]:
+                p, p_prev = a * p + p_prev, p
+                q, q_prev = a * q + q_prev, q
+                table.append((p, q, q_prev))
         return table[nu]
+
+    def rows(self, count: int) -> list[tuple[int, int, int]]:
+        """The memo table, read-only for callers, grown to at least count
+        rows as by convergent_row(count - 1)."""
+        if len(self._table) < count:
+            self.convergent_row(count - 1)
+        return self._table
 
     def denominators(self, count: int) -> list[int]:
         """q_0 .. q_{count-1} from the memo table, grown as by
         convergent_row(count - 1)."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.convergent_row(count - 1)
-        return [q for _, q, _ in self._table[:count]]
+        return [q for _, q, _ in self.rows(count)[:count]]
 
     def pair_index(self, count: int) -> dict[tuple[int, int], int]:
         """The pair index, read-only for callers, grown to cover at least
@@ -175,8 +216,7 @@ class ContinuedFraction:
         coprime, gcd(q_nu, q_{nu+1}) = 1, and new."""
         pairs = self._pairs
         if len(pairs) < count:
-            self.convergent_row(count)
-            table = self._table
+            table = self.rows(count + 1)
             for nu in range(len(pairs), count):
                 _, q_next, q = table[nu + 1]
                 # setdefault adds the row, or returns the row that holds its key
@@ -227,34 +267,39 @@ def _periodic_value(preperiod: tuple[int, ...],
     """Exact value of an eventually periodic stream, or None when the
     fixed point's discriminant cannot be certified square-free.
 
-    The purely periodic part is the fixed point y > 1 of the Moebius map
-    of one period word. The preperiod folds into one more integer map
+    The purely periodic part is the fixed point y = (A + sqrt(D))/(2c) > 1
+    of the period word's Moebius map (a11, a12; c, a22): A = a11 - a22 and
+    D = A^2 + 4*a12*c. The preperiod folds into one more integer map
     (P, Q; R, S), the homographic form of [a_0; a_1, ..., a_{m-1}, y], so
-    the value is (P*y + Q)/(R*y + S): one division in y's field.
+    the value is (P*y + Q)/(R*y + S). With n = P*A + 2c*Q and
+    m = R*A + 2c*S, multiplying by the conjugate of m + R*sqrt(D) gives
+
+        (n*m - P*R*D + 2c*(P*S - Q*R)*sqrt(D)) / (m^2 - R^2*D),
+
+    all in integers: D is decomposed once, s^2*d with d square-free, and
+    only the two parts become Fractions.
     """
-    a11, a12, a21, a22 = 1, 0, 0, 1
+    a11, a12, c, a22 = 1, 0, 0, 1
     for a in period:
-        a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21
-    disc = (a11 - a22) ** 2 + 4 * a12 * a21
+        a11, a12, c, a22 = a11 * a + a12, a11, c * a + a22, c
+    A = a11 - a22
+    D = A * A + 4 * a12 * c
     try:
-        y = QuadraticSurd(Fraction(a11 - a22, 2 * a21), Fraction(1, 2 * a21), disc)
+        s, d = surd.squarefree_decompose(D)
     except RadicandError:
         return None
-    if y.compare_rational(1) <= 0:
+    if d == 1:          # a square D, which QuadraticSurd refuses
+        return None
+    # y > 1 means sqrt(D) > 2c - A
+    if 2 * c - A >= 0 and D <= (2 * c - A) ** 2:
         raise AssertionError("periodic fixed point is not > 1")
-    if not preperiod:
-        return y
     P, Q, R, S = 1, 0, 0, 1
     for a in preperiod:
         P, Q, R, S = P * a + Q, P, R * a + S, R
-    # (P*y + Q)/(R*y + S) = n/m with n = nr + nc*sqrt(d), m = mr + mc*sqrt(d);
-    # multiplying by the conjugate of m leaves the root part c*(P*S - Q*R)
-    d = y.radicand
-    nr, nc = P * y.rational + Q, P * y.coef
-    mr, mc = R * y.rational + S, R * y.coef
-    norm = mr * mr - mc * mc * d
-    return QuadraticSurd._trusted((nr * mr - nc * mc * d) / norm,
-                                  y.coef * (P * S - Q * R) / norm, d)
+    n, m = P * A + 2 * c * Q, R * A + 2 * c * S
+    norm = m * m - R * R * D
+    return QuadraticSurd._trusted(Fraction(n * m - P * R * D, norm),
+                                  Fraction(2 * c * (P * S - Q * R) * s, norm), d)
 
 
 @dataclass(frozen=True)
@@ -278,8 +323,7 @@ def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
     """Convergents nu = 0 .. count-1 from the stream's memo table."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    cf.convergent_row(count - 1)
-    return [Convergent(nu, p, q) for nu, (p, q, _) in enumerate(cf._table[:count])]
+    return [Convergent(nu, p, q) for nu, (p, q, _) in enumerate(cf.rows(count)[:count])]
 
 
 def star_value(cf: ContinuedFraction, nu: int) -> Fraction:

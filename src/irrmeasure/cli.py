@@ -4,7 +4,9 @@ Subcommands: convergents, psi, trace, kindex, verify, proof-trace, plot.
 Exit codes: 0 success, 1 analysis failure (undecided, dependent, window
 too short, ...), 2 usage or spec-file error, 3 internal error (a
 self-check of the program failed, reported as `internal error: ...` on
-stderr; this is a bug, never an analysis result). All numbers print as
+stderr; this is a bug, never an analysis result), 141 the reader of
+stdout closed it early (as `irrmeasure ... | head` does; nothing is
+printed on stderr). All numbers print as
 exact rationals num/den unless --approx adds a decimal display column.
 Exit code 2, with nothing printed, is an unknown subcommand or flag, a
 spec file that cannot be read or validated, or a numeric flag that is not
@@ -15,6 +17,7 @@ and --retries, 1 for the rest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from functools import cache
@@ -221,10 +224,26 @@ _HANDLERS = {
 }
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor, when it has one, at the null
+    device, so the interpreter's final flush of what is still buffered
+    raises no second broken pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,15 +12,17 @@ A coincidence scan is one intersection of the two streams' pair indexes
 stars need no second join: consecutive denominators are coprime, so
 equal star values are exactly the shared pairs shifted by (1, 1).
 
-The rigidity scan joins the two denominator tables on their values,
-once for every row nu: only triples with q_{nu+2} = r_{mu+d} run the full
-check, and every other triple is counted, not stored. When the second
-stream's table ends inside the window, the triple at which the triple
-loop would fail is computed from the first row that fails, not found by
-replaying the loop. Each error-term sign is evaluated once per scan. A
-scan costs O(max_index x max_d) integer steps plus O(1) table reads per
-matched triple and one certified comparison per distinct sign, instead
-of O(triples x table length).
+The rigidity scan indexes the second stream's denominators by row,
+r_j -> j, and looks up q_{nu+2} once for every row nu: the matched
+triples are (j - d, d) over the window's d, only they run the full
+check, and every other triple is counted, not stored. Rows are read off
+the grown convergent tables. When the second stream's table ends inside
+the window, the triple at which the triple loop would fail is computed
+from the first row that fails, not found by replaying the loop. Each
+error-term sign is evaluated once per scan. A scan costs
+O(max_index + max_d) steps for the index, O(1) table reads per row and
+per matched triple, and one certified comparison per distinct sign,
+instead of O(triples x table length).
 
 The check's error-term signs need no enclosure where two streams share
 convergent rows: there xi_nu - eta_mu has the sign of y' - x', the
@@ -43,7 +45,7 @@ from types import MappingProxyType
 
 from .cf import (DEFAULT_COMPARE_DEPTH, CombinationKind, ContinuedFraction,
                  ErrorTerm, Ordering, certified_order, compare_errors,
-                 integer_combination_check, star_value)
+                 integer_combination_check)
 from .errors import (DepthCapExceeded, DepthExhausted, LabError,
                      UndecidedComparison)
 from .stepfunc import build_trajectory, psi_at
@@ -179,21 +181,19 @@ def _tail_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
     d_k = b_{mu+1+k}, y' > x' exactly when d_k > c_k at even k, or
     d_k < c_k at odd k. Until then both enclosures are the same cylinder
     and compare_errors refines them in lockstep, reading c_0, d_0, c_1,
-    d_1, ...; these reads come in that order, behind the same row reads,
-    and stop at its deepest index, where cylinders with c_k != d_k touch
-    or part and so count as separated.
+    d_1, ...; first_difference reads them in that order, behind the same
+    row reads (c_0 before b's row), and stops at its deepest index, where
+    cylinders with c_k != d_k touch or part and so count as separated.
     """
     _, q, q_prev = a.convergent_row(nu)
-    c = a.coefficient(nu + 1)
+    a.coefficient(nu + 1)       # c_0 is read before b's row
     if b.convergent_row(mu)[1:] != (q, q_prev):
         return None
-    for k in range(max_depth + 1):
-        if k:
-            c = a.coefficient(nu + 1 + k)
-        d = b.coefficient(mu + 1 + k)
-        if c != d:
-            return 1 if (d > c) == (k % 2 == 0) else -1
-    return None
+    k = a.first_difference(nu + 1, b, mu + 1, max_depth + 1)
+    if k is None:
+        return None
+    c, d = a.coefficient(nu + 1 + k), b.coefficient(mu + 1 + k)
+    return 1 if (d > c) == (k % 2 == 0) else -1
 
 
 def _error_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
@@ -250,25 +250,24 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     """
     if nu < 0 or mu < 0 or d < 1:
         raise ValueError("need nu, mu >= 0 and d >= 1")
-    return _check(a, b, nu, mu, d, lambda i, j: _error_sign(
-        a, i, b, j, max_compare_depth))
+    return _check(a.rows(nu + 3), b.rows(mu + max(d, 2) + 1), nu, mu, d,
+                  lambda i, j: _error_sign(a, i, b, j, max_compare_depth))
 
 
-def _check(a: ContinuedFraction, b: ContinuedFraction, nu: int, mu: int, d: int,
+def _check(rows_a: Sequence[tuple[int, int, int]],
+           rows_b: Sequence[tuple[int, int, int]], nu: int, mu: int, d: int,
            sign: Callable[[int, int], int]) -> RigidityRecord:
-    """check_rigidity with sign(i, j) giving the sign of xi_i - eta_j.
-
-    The four denominators are read as rows of the memo tables, after
-    growing a to index nu + 2 and then b to max(mu + d, mu + 2).
+    """check_rigidity on the two streams' convergent tables, grown to
+    index nu + 2 and to max(mu + d, mu + 2), with sign(i, j) giving the
+    sign of xi_i - eta_j.
     """
-    _, q_top, q_next = a.convergent_row(nu + 2)    # q_{nu+2}, q_{nu+1}
-    b.convergent_row(mu + max(d, 2))
-    r_top = b.convergent_row(mu + d)[1]
+    _, q_top, q_next = rows_a[nu + 2]    # q_{nu+2}, q_{nu+1}
+    r_top = rows_b[mu + d][1]
     rec = RigidityRecord(nu=nu, mu=mu, d=d, outcome=RigidityOutcome.NOT_APPLICABLE)
     if q_top != r_top:
         rec.failed_hypothesis = "q_{nu+2} = r_{mu+d}"
         return rec
-    r_next = b.convergent_row(mu + 1)[1]
+    r_next = rows_b[mu + 1][1]
     if q_next > r_next:
         rec.failed_hypothesis = "q_{nu+1} <= r_{mu+1}"
         return rec
@@ -280,9 +279,11 @@ def _check(a: ContinuedFraction, b: ContinuedFraction, nu: int, mu: int, d: int,
     if tail_sign > 0:
         rec.failed_hypothesis = "xi_{nu+1} <= eta_{mu+d-1}"
         return rec
-    # all hypotheses hold; the conclusion is forced
-    star_a = star_value(a, nu + 2)
-    star_b = star_value(b, mu + 2)
+    # all hypotheses hold; the conclusion is forced. Star values
+    # q_{nu+1}/q_{nu+2} and r_{mu+1}/r_{mu+2}
+    _, r_star, r_star_prev = rows_b[mu + 2]
+    star_a = Fraction(q_next, q_top)
+    star_b = Fraction(r_star_prev, r_star)
     rec.detail = {
         "sign_head": head,
         "sign_tail": tail_sign,
@@ -357,21 +358,25 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
     """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
 
     Records, tally and errors are those of the triple loop that runs
-    check_rigidity on every (nu, mu, d) in order. One hash join,
-    r_{mu+d} -> (mu, d), serves every row nu: only the triples with
-    q_{nu+2} = r_{mu+d} are checked. The loop grows a to index 2, then b
-    along row 0 to max_index + max(max_d, 2); the scan grows b first and
-    stops at the first row g that fails. Row 0 of the loop reads row g at
-    the first (mu, d) with mu + max(d, 2) >= g, so the scan checks row 0's
-    matched triples before that point and then reads row g again, which
-    raises the same error (a source error repeats on retry). Each sign of
-    xi_nu - eta_mu is evaluated once per scan: the tail key
-    (nu + 1, mu + d - 1) of one triple is the head key of a later one. A
-    failing sign ends the scan, so no error is cached.
+    check_rigidity on every (nu, mu, d) in order. One index of the second
+    stream's table, r_j -> j for j >= 1 (injective: r_j grows strictly
+    from j = 1 on), serves every row nu: the triples with q_{nu+2} = r_j
+    are (j - d, d) for d from min(max_d, j) down to max(1, j - max_index),
+    in the loop's order, and only they are checked. The loop grows a to
+    index 2, then b along row 0 to max_index + max(max_d, 2); the scan
+    grows b first, in one pass, and a failure leaves b's table ending at
+    the row g that fails. Row 0 of the loop reads row g at the first
+    (mu, d) with mu + max(d, 2) >= g, so the scan checks row 0's matched
+    triples before that point and then reads row g again, which raises
+    the same error (a source error repeats on retry). Rows of a are read
+    one nu at a time, so an error of a surfaces after the sign errors of
+    earlier rows. Each sign of xi_nu - eta_mu is evaluated once per scan:
+    the tail key (nu + 1, mu + d - 1) of one triple is the head key of a
+    later one. A failing sign ends the scan, so no error is cached.
 
-    Cost: O(max_index x max_d) integer steps for the join, O(1) table
-    reads per matched triple and one certified comparison per distinct
-    sign key.
+    Cost: O(max_index + max_d) table rows for the index, O(1) table reads
+    per row nu and per matched triple, and one certified comparison per
+    distinct sign key.
     """
     examined: dict[tuple[int, int, int], RigidityRecord] = {}
     if max_index < 0 or max_d < 1:
@@ -384,37 +389,36 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
             value = signs[nu, mu] = _error_sign(a, nu, b, mu, max_compare_depth)
         return value
 
-    def examine(nu: int, mu: int, d: int) -> None:
-        examined[nu, mu, d] = _check(a, b, nu, mu, d, sign)
+    def matched(j: int) -> range:
+        """The d of the triples (j - d, d) inside the window, mu ascending."""
+        return range(min(max_d, j), max(1, j - max_index) - 1, -1)
 
     # the loop's first triple grows a to index 2 before it reads b
-    target = a.convergent_row(2)[1]
-    rows: list[int] = []
-    failed = None
-    for j in range(max_index + max(max_d, 2) + 1):
-        try:
-            rows.append(b.convergent_row(j)[1])
-        except (LabError, ValueError):
-            failed = j
-            break
-    # r_j -> the (mu, d) with mu + d = j, in the loop's (mu, d) order
-    matches: dict[int, list[tuple[int, int]]] = {}
-    for mu in range(min(max_index + 1, len(rows))):
-        for d in range(1, min(max_d, len(rows) - 1 - mu) + 1):
-            matches.setdefault(rows[mu + d], []).append((mu, d))
+    rows_a = a.rows(3)
+    try:
+        rows_b = b.rows(max_index + max(max_d, 2) + 1)
+        failed = None
+    except (LabError, ValueError):
+        rows_b = b.rows(0)          # as the failed growth left it
+        failed = len(rows_b)
+    index = {rows_b[j][1]: j
+             for j in range(1, min(len(rows_b), max_index + max_d + 1))}
     if failed is not None:
         first = max(0, failed - max(max_d, 2))
         stop = (first, 1 if first + 2 >= failed else failed - first)
-        for mu, d in matches.get(target, ()):
-            if (mu, d) >= stop:
+        j = index.get(rows_a[2][1], 0)
+        for d in matched(j):
+            if (j - d, d) >= stop:
                 break
-            examine(0, mu, d)
+            examined[0, j - d, d] = _check(rows_a, rows_b, 0, j - d, d, sign)
         b.convergent_row(failed)
         raise AssertionError(f"row {failed} of the second stream failed, "
                              "then grew on a second read")
     for nu in range(max_index + 1):
-        for mu, d in matches.get(a.convergent_row(nu + 2)[1], ()):
-            examine(nu, mu, d)
+        j = index.get(a.rows(nu + 3)[nu + 2][1])
+        if j is not None:
+            for d in matched(j):
+                examined[nu, j - d, d] = _check(rows_a, rows_b, nu, j - d, d, sign)
     return RigidityScan(max_index, max_d, examined)
 
 

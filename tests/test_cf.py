@@ -2,12 +2,14 @@
 certified comparison, and the expansion of quadratic values."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
 import pytest
 
+import irrmeasure.surd
 from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
                         Ordering, QuadraticSurd, build_trajectory,
                         compare_errors, convergents, integer_combination_check,
@@ -15,7 +17,7 @@ from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
 from irrmeasure.cf import first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
-from irrmeasure.errors import (DepthCapExceeded, DepthExhausted,
+from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
                                RadicandError, UndecidedComparison)
 
 from conftest import (GOLDEN, fib_sequence, intervals_overlap,
@@ -124,6 +126,125 @@ def test_depth_errors_surface_at_the_walks_index(warm):
     with pytest.raises(DepthCapExceeded, match="index 6 exceeds"):
         star_value(capped, 6)
     assert [c.q for c in convergents(finite, 5)] == [1, 1, 5, 6, 35]
+
+
+def walked_rows(cf, nu):
+    """convergent_row(nu) as a row-by-row walk: one coefficient read, then
+    one row appended, per step. Returns the rows and the error met."""
+    rows = []
+    try:
+        while len(rows) <= nu:
+            a = cf.coefficient(len(rows))
+            if not rows:
+                rows.append((a, 1, 0))
+            else:
+                p, q, q_prev = rows[-1]
+                p_prev = rows[-2][0] if len(rows) >= 2 else 1
+                rows.append((a * p + p_prev, a * q + q_prev, q))
+    except (LabError, ValueError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _counted_rule(fail_at, calls, *, once=False):
+    """Coefficients nu % 5 + 2, with a ValueError from index fail_at on
+    (on the first read of fail_at only, when once); calls logs reads."""
+    def rule(nu):
+        calls.append(nu)
+        if fail_at is not None and nu >= fail_at and (
+                not once or calls.count(fail_at) == 1):
+            raise ValueError(f"rule has no coefficient at {nu}")
+        return nu % 5 + 2
+    return rule
+
+
+@pytest.mark.parametrize("fail_at, warm", [
+    (0, 0), (1, 0), (1, 1), (4, 0), (4, 1), (4, 3), (9, 0), (9, 1), (9, 3)])
+def test_growth_fails_at_the_walks_index(fail_at, warm):
+    cf = ContinuedFraction.from_rule(_counted_rule(fail_at, calls := []), 40)
+    rows, error = walked_rows(
+        ContinuedFraction.from_rule(_counted_rule(fail_at, []), 40), fail_at + 3)
+    if warm:
+        cf.convergent_row(warm - 1)
+    for attempt in range(2):
+        calls.clear()
+        with pytest.raises(ValueError) as info:
+            cf.convergent_row(fail_at + 3)
+        assert str(info.value) == str(error)
+        assert cf.rows(0) == rows         # the table stops below fail_at
+        # each coefficient is read once; the failing index is asked again
+        assert calls == (list(range(warm, fail_at + 1)) if attempt == 0
+                         else [fail_at])
+        calls.clear()
+        assert [cf.convergent_row(nu) for nu in range(fail_at)] == rows
+        assert calls == []
+        if fail_at:
+            assert cf.denominators(fail_at) == [q for _, q, _ in rows]
+
+
+def test_growth_after_a_source_that_failed_once():
+    cf = ContinuedFraction.from_rule(_counted_rule(4, calls := [], once=True), 40)
+    with pytest.raises(ValueError, match="no coefficient at 4"):
+        cf.convergent_row(7)
+    rows = walked_rows(ContinuedFraction.from_rule(_counted_rule(None, []), 40), 7)[0]
+    assert cf.rows(0) == rows[:4]
+    assert cf.convergent_row(7) == rows[7] and cf.rows(0) == rows
+    assert calls == [0, 1, 2, 3, 4, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("warm", [0, 2, 6])
+def test_growth_past_the_cap_names_index_cap_plus_one(warm):
+    cap = 5
+    cf = ContinuedFraction.from_rule(_counted_rule(None, calls := []), cap)
+    if warm:
+        cf.convergent_row(warm - 1)
+    with pytest.raises(DepthCapExceeded,
+                       match=f"index {cap + 1} exceeds the depth cap {cap}$"):
+        cf.convergent_row(cap + 3)
+    # every row below the cap was read first, each coefficient once
+    assert calls == list(range(cap + 1))
+    fresh = ContinuedFraction.from_rule(_counted_rule(None, []), cap)
+    assert cf.rows(0) == walked_rows(fresh, cap)[0]
+    assert calls == list(range(cap + 1))
+
+
+@pytest.mark.parametrize("warm", [1, 2, 5, 17])
+def test_growth_from_a_warm_table(warm):
+    cf = ContinuedFraction.from_rule(_counted_rule(None, calls := []), 100)
+    fresh = ContinuedFraction.from_rule(_counted_rule(None, []), 100)
+    assert cf.convergent_row(warm - 1) == walked_rows(fresh, warm - 1)[0][-1]
+    cf.coefficient(warm + 4)          # coefficients may run ahead of the rows
+    assert cf.rows(40) == walked_rows(fresh, 39)[0]
+    assert calls == list(range(40))
+    assert cf.rows(3) is cf.rows(40) and len(cf.rows(0)) == 40
+
+
+def test_first_difference_reads_pairs_in_turn_and_skips_the_memo():
+    reads = []
+
+    def logged(name, values):
+        def rule(nu):
+            reads.append((name, nu))
+            return values(nu)
+        return ContinuedFraction.from_rule(rule, depth_cap=50)
+
+    # a_{2+k} = b_{5+k} for k < 6, then a_8 = 1 != b_11 = 2
+    a = logged("a", lambda nu: 1 if nu == 8 else 2 + nu % 3)
+    b = logged("b", lambda nu: 2 if nu == 11 else 2 + (nu - 3) % 3)
+    a.prefix(5)
+    b.prefix(9)
+    reads.clear()
+    assert a.first_difference(2, b, 5, 10) == 6
+    # memo hits (a_2 .. a_4, b_5 .. b_8) make no call; the other reads
+    # come pair by pair, a_{2+k} before b_{5+k}
+    assert reads == [("a", 5), ("a", 6), ("b", 9), ("a", 7), ("b", 10),
+                     ("a", 8), ("b", 11)]
+    assert a.first_difference(2, b, 5, 6) is None
+    assert b.first_difference(5, a, 2, 7) == 6
+    assert a.first_difference(2, b, 5, 0) is None
+    for i, j in ((-1, 5), (2, -1)):
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            a.first_difference(i, b, j, 3)
 
 
 def test_pair_index_maps_consecutive_denominators_to_their_row(phi_cf):
@@ -727,6 +848,48 @@ def test_periodic_value_matches_the_stepwise_fold():
         negative_a0 += m > 0 and pre[0] < 0
     assert lengths == set(range(31))
     assert negative_a0 > 0
+
+
+def test_periodic_value_matches_the_fold_on_long_periods():
+    # periods of up to 8 coefficients of 1..40, preperiods empty or led by
+    # a negative a0: the closed form gives the fold's value, and None
+    # exactly where the fold cannot certify its radicand
+    rng = random.Random(5303)
+    lengths, kinds = set(), Counter()
+    for _ in range(60):
+        period = [rng.randint(1, 40) for _ in range(rng.randint(1, 8))]
+        pre = []
+        if rng.random() < 0.75:
+            pre = [rng.randint(-12, 12)] + [rng.randint(1, 40)
+                                            for _ in range(rng.randint(0, 5))]
+        value = ContinuedFraction.periodic(pre, period).exact_value()
+        if value is None:
+            with pytest.raises(RadicandError):
+                stepwise_periodic_value(pre, period)
+        else:
+            assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
+        lengths.add(len(period))
+        kinds["none" if value is None else "value"] += 1
+        kinds["empty" if not pre else "negative" if pre[0] < 0 else "other"] += 1
+    assert lengths == set(range(1, 9))
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_periodic_value_certifies_its_radicand_once(monkeypatch):
+    calls = []
+    decompose = irrmeasure.surd.squarefree_decompose
+
+    def counted(n, *args):
+        calls.append(n)
+        return decompose(n, *args)
+
+    monkeypatch.setattr(irrmeasure.surd, "squarefree_decompose", counted)
+    for pre, period in (([], [1]), ([-3, 2], [1, 2, 3]), ([7], [40, 1, 9, 2])):
+        calls.clear()
+        cf = ContinuedFraction.periodic(pre, period)
+        assert cf.exact_value() is not None
+        assert cf.exact_value() is cf.exact_value()
+        assert len(calls) == 1
 
 
 def _round_trip_surds():

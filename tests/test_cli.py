@@ -1,16 +1,19 @@
 """End-to-end command-line behavior, including the exit-code contract:
 0 success, 1 analysis failure, 2 usage or spec-file problems, 3 internal
-error (a failed self-check of the program)."""
+error (a failed self-check of the program), 141 stdout closed early."""
 
 import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import irrmeasure
 from irrmeasure import ErrorTerm, Ordering, TrajectoryReport
 from irrmeasure.cli import main
 
@@ -321,6 +324,64 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["not-a-command", "x"])
     assert info.value.code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class _ClosedPipeWithFd(_ClosedPipe):
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_in_silence(pair_spec, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["convergents", str(pair_spec)]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_with_a_descriptor_is_pointed_at_the_null_device(
+        pair_spec, tmp_path, monkeypatch, capsys):
+    # what stdout still buffers then goes nowhere at the interpreter's
+    # final flush, instead of failing on the closed pipe again
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipeWithFd(fd))
+        assert main(["convergents", str(pair_spec)]) == 141
+        os.write(fd, b"still buffered")
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
+
+
+def test_reader_closing_the_pipe_after_one_line_exits_141():
+    # the report (97 KB) outgrows the pipe buffer, so the writer is still
+    # writing when the reader closes; stdout stays buffered (an unbuffered
+    # text stdout may drop the rest of a partial write instead of raising)
+    env = dict(os.environ, PYTHONPATH=str(Path(irrmeasure.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "irrmeasure", "proof-trace",
+         str(DATA / "replay_wide8.spec")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+    first = proc.stdout.readline()      # unbuffered: reads this line only
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"t_max\t") and err == b""
 
 
 @pytest.mark.parametrize("command, flag, value", [
