@@ -37,11 +37,14 @@ DEFAULT_DEPTH_CAP = 512
 DEFAULT_COMPARE_DEPTH = 64
 
 
-def _validate_coeffs(values: Sequence[int], *, first_is_a0: bool, what: str) -> None:
-    for i, a in enumerate(values):
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise ValueError(f"{what}: coefficient {a!r} is not an integer")
-        if (i > 0 or not first_is_a0) and a < 1:
+def _validate_coeffs(values: Sequence[int], what: str, start: int = 0) -> None:
+    """Check the coefficients a_start, a_{start+1}, ... = values: each is
+    an int (not a bool), and those at index >= 1 are >= 1. Messages name
+    the absolute index."""
+    for i, a in enumerate(values, start):
+        if type(a) is not int:
+            raise ValueError(f"{what}: coefficient a_{i} = {a!r} is not an integer")
+        if a < 1 and i:
             raise ValueError(f"{what}: coefficient a_{i} = {a} must be >= 1")
 
 
@@ -99,7 +102,7 @@ class ContinuedFraction:
         values = tuple(coefficients)
         if not values:
             raise ValueError("finite backing needs at least a0")
-        _validate_coeffs(values, first_is_a0=True, what="finite backing")
+        _validate_coeffs(values, "finite backing")
 
         def source(i: int) -> int:
             if i < len(values):
@@ -115,10 +118,10 @@ class ContinuedFraction:
         preperiod, period = tuple(preperiod), tuple(period)
         if not period:
             raise ValueError("periodic backing needs a nonempty period")
-        _validate_coeffs(preperiod, first_is_a0=True, what="preperiod")
-        # period entries recur at indices >= 1, so all must be >= 1
-        _validate_coeffs(period, first_is_a0=False, what="period")
         m = len(preperiod)
+        _validate_coeffs(preperiod, "preperiod")
+        # period[j] is a_{start + j}, with start >= 1 as the period recurs
+        _validate_coeffs(period, "period", m or len(period))
         return cls(lambda i: preperiod[i] if i < m else period[(i - m) % len(period)],
                    depth_cap, exact=lambda: _periodic_value(preperiod, period))
 
@@ -127,10 +130,7 @@ class ContinuedFraction:
         """Rule backings require an explicit hard cap."""
         def source(nu: int) -> int:
             a = rule(nu)
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise ValueError(f"rule produced non-integer coefficient {a!r} at {nu}")
-            if nu >= 1 and a < 1:
-                raise ValueError(f"rule produced coefficient a_{nu} = {a} < 1")
+            _validate_coeffs((a,), "rule", nu)
             return a
         return cls(source, depth_cap)
 

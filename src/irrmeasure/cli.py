@@ -17,6 +17,7 @@ and --retries, 1 for the rest.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from collections import Counter
@@ -237,10 +238,27 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
+def _buffer_stdout() -> None:
+    """Give the process's stdout a buffered layer when its text layer
+    writes to the raw file, as under `python -u` or PYTHONUNBUFFERED. The
+    text layer ignores a partial raw write, so a reader closing the pipe
+    mid-report would drop the rest in silence; the buffered layer writes
+    everything or raises BrokenPipeError. Line buffering keeps output
+    prompt, and the descriptor stays open when the new layer is freed."""
+    out = sys.stdout
+    if out is sys.__stdout__ and isinstance(getattr(out, "buffer", None),
+                                            io.RawIOBase):
+        sys.stdout = open(out.fileno(), "w", buffering=1, encoding=out.encoding,
+                          errors=out.errors, closefd=False)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _buffer_stdout()
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()    # a closed pipe shows here, not at exit
+        return code
     except BrokenPipeError:
         _silence_stdout()
         return 141

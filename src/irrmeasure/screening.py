@@ -441,7 +441,6 @@ class ReversalRecord:
     beta_prev_time: int
     reversal_at_alpha_prev: bool | None
     reversal_at_beta_prev: bool | None
-    enclosures: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
 
     def serialize(self) -> str:
         return (f"reversal\t{self.shared_q}\t{self.nu}\t{self.mu}\t"
@@ -459,8 +458,7 @@ def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
     jump, the order one a-side step earlier is predicted to be reversed.
 
     Returns one record per shared denominator (hypothesis failures are
-    kept, marked not applicable); each record carries the compared
-    enclosures so the raw data survives into reports.
+    kept, marked not applicable).
     """
     qa = a.denominators(depth + 1)
     rb = b.denominators(depth + 1)
@@ -499,17 +497,8 @@ def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
         if applicable:
             rev_alpha = order(t_alpha) is Ordering.GREATER
             rev_beta = order(t_beta) is Ordering.GREATER
-        enclosures = {
-            "a@shared-1": psi_at(traj_a, t_hyp).interval(),
-            "b@shared-1": psi_at(traj_b, t_hyp).interval(),
-            "a@alpha_prev": psi_at(traj_a, t_alpha).interval(),
-            "b@alpha_prev": psi_at(traj_b, t_alpha).interval(),
-            "a@beta_prev": psi_at(traj_a, t_beta).interval(),
-            "b@beta_prev": psi_at(traj_b, t_beta).interval(),
-        }
         records.append(ReversalRecord(
             shared_q=shared_q, nu=nu, mu=mu, applicable=applicable,
             alpha_prev_time=t_alpha, beta_prev_time=t_beta,
-            reversal_at_alpha_prev=rev_alpha, reversal_at_beta_prev=rev_beta,
-            enclosures=enclosures))
+            reversal_at_alpha_prev=rev_alpha, reversal_at_beta_prev=rev_beta))
     return records

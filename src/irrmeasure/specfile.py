@@ -18,6 +18,11 @@
 `[name]` opens a number block; `key = value` lines fill it. Values are
 integers, fractions `p/q`, integer lists `[a, b, c]`, or bare words
 (paths). `#` starts a comment. The formal EBNF lives in docs/specfile.md.
+
+This module checks only the format: keys, value types, and that a
+preperiod holds at least a0. The value rules of an entry, and their
+messages, belong to the constructor it feeds: ContinuedFraction.periodic
+and .from_coefficients, and QuadraticSurd for a surd entry.
 """
 
 from __future__ import annotations
@@ -36,10 +41,15 @@ DEFAULT_T_MAX = 10_000
 
 KINDS = ("periodic", "finite", "surd")
 GLOBAL_KEYS = ("t_max", "burn_in", "depth_cap", "max_compare_depth", "out_dir")
+_INT_LIST = (tuple, "an integer list [a, b, ...]")
+_RATIONAL = ((int, Fraction), "an integer or a fraction p/q")
+#: each kind's payload keys in printing order, with the parsed types
+#: each accepts and their description
 NUMBER_KEYS = {
-    "periodic": ("kind", "preperiod", "period"),
-    "finite": ("kind", "coefficients"),
-    "surd": ("kind", "rational", "root", "radicand"),
+    "periodic": {"preperiod": _INT_LIST, "period": _INT_LIST},
+    "finite": {"coefficients": _INT_LIST},
+    "surd": {"rational": _RATIONAL, "root": _RATIONAL,
+             "radicand": (int, "an integer")},
 }
 
 _HEADER = re.compile(r"\[\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*\]\s*$")
@@ -127,72 +137,36 @@ def _positive_int(value, key: str, entity: str) -> int | None:
     return value
 
 
-def _as_fraction(value, key: str, entity: str) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise SpecSemanticError(f"{key} must be an integer or a fraction p/q",
-                            entity=entity)
-
-
-def _coeff_list(value, key: str, entity: str, *, first_is_a0: bool) -> tuple[int, ...]:
-    if not isinstance(value, tuple):
-        raise SpecSemanticError(f"{key} must be an integer list [a, b, ...]",
-                                entity=entity)
-    for i, a in enumerate(value):
-        if (i > 0 or not first_is_a0) and a < 1:
-            raise SpecSemanticError(
-                f"{key}: coefficient a_{i} = {a} must be >= 1 (zero or "
-                "negative partial quotients are rejected)", entity=entity)
-    return value
-
-
 def _build_number(name: str, pairs: dict[str, object]) -> NumberSpec:
+    """The entry of one block. Its value is checked by the constructor it
+    feeds: to_cf() for a periodic or finite entry, the surd certification
+    for a surd entry, which stays unexpanded."""
     kind = pairs.get("kind")
     if kind not in KINDS:
         raise SpecSemanticError(f"kind must be one of {', '.join(KINDS)}",
                                 entity=name)
-    allowed = NUMBER_KEYS[kind]
+    keys = NUMBER_KEYS[kind]
     for key in pairs:
-        if key not in allowed:
+        if key != "kind" and key not in keys:
             raise SpecSemanticError(f"key {key!r} is not valid for kind {kind}",
                                     entity=name)
-    if kind == "periodic":
-        if "preperiod" not in pairs or "period" not in pairs:
-            raise SpecSemanticError("periodic entries need preperiod and period",
-                                    entity=name)
-        preperiod = _coeff_list(pairs["preperiod"], "preperiod", name,
-                                first_is_a0=True)
-        period = _coeff_list(pairs["period"], "period", name, first_is_a0=False)
-        if not preperiod:
-            raise SpecSemanticError("preperiod must contain at least a0",
-                                    entity=name)
-        if not period:
-            raise SpecSemanticError("period must be nonempty", entity=name)
-        return NumberSpec(name=name, kind=kind, preperiod=preperiod, period=period)
-    if kind == "finite":
-        if "coefficients" not in pairs:
-            raise SpecSemanticError("finite entries need coefficients", entity=name)
-        coeffs = _coeff_list(pairs["coefficients"], "coefficients", name,
-                             first_is_a0=True)
-        if not coeffs:
-            raise SpecSemanticError("coefficients must be nonempty", entity=name)
-        return NumberSpec(name=name, kind=kind, coefficients=coeffs)
-    # surd
-    for key in ("rational", "root", "radicand"):
+    for key, entry in keys.items():
         if key not in pairs:
-            raise SpecSemanticError(f"surd entries need {key}", entity=name)
-    rational = _as_fraction(pairs["rational"], "rational", name)
-    root = _as_fraction(pairs["root"], "root", name)
-    radicand = pairs["radicand"]
-    if not isinstance(radicand, int):
-        raise SpecSemanticError("radicand must be an integer", entity=name)
-    if root == 0:
-        raise SpecSemanticError("root coefficient must be nonzero", entity=name)
-    number = NumberSpec(name=name, kind=kind, rational=rational, root=root,
-                        radicand=radicand)
+            raise SpecSemanticError(f"{kind} entries need {key}", entity=name)
+        types, description = entry
+        if not isinstance(pairs[key], types):
+            raise SpecSemanticError(f"{key} must be {description}", entity=name)
+        if entry is _RATIONAL:
+            pairs[key] = Fraction(pairs[key])
+    if kind == "periodic" and not pairs["preperiod"]:
+        raise SpecSemanticError("preperiod must contain at least a0", entity=name)
+    number = NumberSpec(name=name, **pairs)
     try:
-        number._surd  # certified here once; to_cf reuses it
-    except RadicandError as exc:
+        if kind == "surd":
+            number._surd  # certified here once; to_cf reuses it
+        else:
+            number.to_cf()
+    except (ValueError, RadicandError) as exc:
         raise SpecSemanticError(str(exc), entity=name) from exc
     return number
 
@@ -236,8 +210,12 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
             raise SpecSyntaxError(f"expected `[name]` or `key = value`, got "
                                   f"{stripped!r}", line=line_no, column=indent + 1)
         key, raw_value = m.group(1), m.group(2)
-        value = _parse_value(raw_value, line_no,
-                             indent + m.start(2) + 1)
+        column = indent + m.start(2) + 1
+        try:
+            value = _parse_value(raw_value, line_no, column)
+        except ValueError as exc:   # int() past the interpreter's digit limit
+            raise SpecSyntaxError(f"an integer literal in {key!r} has too many "
+                                  "digits", line=line_no, column=column) from exc
         target = globals_seen if current is None else current
         scope = "global settings" if current is None else blocks[-1][0]
         if key in target:
@@ -264,29 +242,18 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
                          out_dir=out_dir)
 
 
-def _format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _format_list(xs: tuple[int, ...]) -> str:
-    return "[" + ", ".join(map(str, xs)) + "]"
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(str, value)) + "]"
+    return str(value)    # a Fraction prints as p/q, or as p when whole
 
 
 def serialize_spec(spec: TupleSpecFile) -> str:
     """Canonical text form; parse_spec(serialize_spec(s)) == s."""
-    lines = [f"{key} = {value}" for key in GLOBAL_KEYS
+    lines = [f"{key} = {_format_value(value)}" for key in GLOBAL_KEYS
              if (value := getattr(spec, key)) is not None]
     for number in spec.numbers:
         lines += ["", f"[{number.name}]", f"kind = {number.kind}"]
-        if number.kind == "periodic":
-            lines.append(f"preperiod = {_format_list(number.preperiod)}")
-            lines.append(f"period = {_format_list(number.period)}")
-        elif number.kind == "finite":
-            lines.append(f"coefficients = {_format_list(number.coefficients)}")
-        else:
-            lines.append(f"rational = {_format_fraction(number.rational)}")
-            lines.append(f"root = {_format_fraction(number.root)}")
-            lines.append(f"radicand = {number.radicand}")
+        lines += [f"{key} = {_format_value(getattr(number, key))}"
+                  for key in NUMBER_KEYS[number.kind]]
     return "\n".join(lines) + "\n"

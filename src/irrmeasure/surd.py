@@ -22,7 +22,9 @@ def squarefree_decompose(n: int, bound: int = SQUAREFREE_BOUND) -> tuple[int, in
     """Split ``n = s*s*d`` with ``d`` square-free; returns ``(s, d)``.
 
     Rejects inputs whose unfactored residual exceeds ``bound**2``, since
-    such a residual could still hide a square factor.
+    such a residual could still hide a square factor. That message gives
+    sizes, not digits: the interpreter refuses to print an integer of more
+    than 4,300 digits.
     """
     if n <= 0:
         raise RadicandError(f"radicand must be positive, got {n}",
@@ -32,8 +34,9 @@ def squarefree_decompose(n: int, bound: int = SQUAREFREE_BOUND) -> tuple[int, in
     while f * f <= rest:
         if f > bound:
             raise RadicandError(
-                f"cannot certify square-freeness of {n}: residual {rest} "
-                f"exceeds {bound}**2", origin="surd.squarefree_decompose")
+                f"cannot certify square-freeness of a {n.bit_length()}-bit "
+                f"radicand: its {rest.bit_length()}-bit residual exceeds "
+                f"{bound}**2", origin="surd.squarefree_decompose")
         if rest % f == 0:
             e = 0
             while rest % f == 0:

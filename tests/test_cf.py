@@ -892,6 +892,19 @@ def test_periodic_value_certifies_its_radicand_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_periodic_value_is_none_past_the_printable_digit_limit(monkeypatch):
+    # the period [1]*12000 + [2] has a fixed-point discriminant of more
+    # than 4,300 digits; the "cannot certify" message states sizes, so the
+    # RadicandError is raised, and caught, instead of str()'s ValueError.
+    # A small trial-division bound keeps this fast; the message is the same
+    decompose = irrmeasure.surd.squarefree_decompose
+    monkeypatch.setattr(irrmeasure.surd, "squarefree_decompose",
+                        lambda n: decompose(n, bound=1000))
+    cf = ContinuedFraction.periodic([1], [1] * 12000 + [2])
+    assert cf.exact_value() is None
+    assert cf.prefix(3) == (1, 1, 1)
+
+
 def _round_trip_surds():
     rng = random.Random(5302)
     return [QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),

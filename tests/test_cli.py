@@ -366,12 +366,15 @@ def test_closed_stdout_with_a_descriptor_is_pointed_at_the_null_device(
     assert target.read_bytes() == b""
 
 
-def test_reader_closing_the_pipe_after_one_line_exits_141():
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_the_pipe_after_one_line_exits_141(unbuffered):
     # the report (97 KB) outgrows the pipe buffer, so the writer is still
-    # writing when the reader closes; stdout stays buffered (an unbuffered
-    # text stdout may drop the rest of a partial write instead of raising)
+    # writing when the reader closes; an unbuffered text stdout would drop
+    # the rest of a partial write and exit 0, so main buffers it
     env = dict(os.environ, PYTHONPATH=str(Path(irrmeasure.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "irrmeasure", "proof-trace",
          str(DATA / "replay_wide8.spec")],

@@ -748,8 +748,6 @@ def test_reversal_pattern_at_shared_denominator_five(phi_cf, sqrt2_cf):
     # psi_phi(2) = 0.2361 > psi_root2(2) = 0.1716
     assert rec.alpha_prev_time == 2
     assert rec.reversal_at_alpha_prev is True
-    assert set(rec.enclosures) == {"a@shared-1", "b@shared-1", "a@alpha_prev",
-                                   "b@alpha_prev", "a@beta_prev", "b@beta_prev"}
 
 
 def test_reversal_hypothesis_gate(phi_cf, sqrt2_cf):

@@ -4,10 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from irrmeasure import NumberSpec, TupleSpecFile, parse_spec, serialize_spec
-from irrmeasure.errors import SpecSemanticError, SpecSyntaxError
+from irrmeasure import (ContinuedFraction, NumberSpec, QuadraticSurd,
+                        TupleSpecFile, parse_spec, serialize_spec)
+from irrmeasure.errors import RadicandError, SpecSemanticError, SpecSyntaxError
 
 EXAMPLE = b"""\
 # demo pair
@@ -110,6 +111,21 @@ def test_syntax_errors_carry_position():
     assert info.value.line == 3
 
 
+_HUGE = "1" + "0" * 5000       # past the interpreter's 4,300-digit limit
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"t_max = {_HUGE}\n", 1, 9),
+    (f"[x]\nkind = surd\nrational = {_HUGE}/3\nroot = 1\nradicand = 2\n", 3, 12),
+    (f"[x]\nkind = surd\nrational = 1/{_HUGE}\nroot = 1\nradicand = 2\n", 3, 12),
+    (f"[x]\nkind = finite\ncoefficients = [1, {_HUGE}]\n", 3, 16),
+], ids=["global", "numerator", "denominator", "list-item"])
+def test_integer_literals_past_the_digit_limit_are_syntax_errors(text, line, column):
+    with pytest.raises(SpecSyntaxError, match="integer literal in '.*' has too many digits") as info:
+        parse_spec(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_global_key_validation():
     with pytest.raises(SpecSemanticError):
         parse_spec(b"unknown_setting = 3\n")
@@ -128,22 +144,25 @@ def test_roundtrip_example():
 
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 _coeff = st.integers(min_value=1, max_value=50)
+_a0 = st.integers(min_value=-50, max_value=50)
+
+
+def _led_by_a0(draw, max_size):
+    return (draw(_a0),) + tuple(draw(st.lists(_coeff, max_size=max_size - 1)))
 
 
 @st.composite
 def _number(draw, name):
     kind = draw(st.sampled_from(["periodic", "finite", "surd"]))
     if kind == "periodic":
-        return NumberSpec(name=name, kind=kind,
-                          preperiod=tuple(draw(st.lists(_coeff, min_size=1, max_size=4))),
+        return NumberSpec(name=name, kind=kind, preperiod=_led_by_a0(draw, 4),
                           period=tuple(draw(st.lists(_coeff, min_size=1, max_size=4))))
     if kind == "finite":
-        return NumberSpec(name=name, kind=kind,
-                          coefficients=tuple(draw(st.lists(_coeff, min_size=1, max_size=6))))
+        return NumberSpec(name=name, kind=kind, coefficients=_led_by_a0(draw, 6))
     return NumberSpec(name=name, kind=kind,
                       rational=draw(st.fractions(min_value=-5, max_value=5)),
-                      root=draw(st.fractions(min_value=1, max_value=3)),
-                      radicand=draw(st.sampled_from([2, 3, 5, 6, 7, 10])))
+                      root=draw(st.fractions(min_value=-3, max_value=3).filter(bool)),
+                      radicand=draw(st.sampled_from([2, 3, 5, 6, 7, 8, 10, 12])))
 
 
 @given(st.lists(_name, unique=True, min_size=0, max_size=4).flatmap(
@@ -151,5 +170,71 @@ def _number(draw, name):
     st.integers(min_value=1, max_value=10 ** 6))
 def test_roundtrip_generated_specs(numbers, t_max):
     spec = TupleSpecFile(numbers=tuple(numbers), t_max=t_max)
-    assert parse_spec(serialize_spec(spec)) == spec
-    assert parse_spec(serialize_spec(spec).encode()) == spec
+    text = serialize_spec(spec)
+    assert parse_spec(text) == spec
+    assert repr(parse_spec(text)) == repr(spec)  # field types agree too
+    assert parse_spec(text.encode()) == spec
+    assert serialize_spec(parse_spec(text)) == text
+
+
+_any_coeff = st.integers(min_value=-2, max_value=9)
+
+
+@st.composite
+def _payload(draw):
+    """A number block's kind and payload, valid or not: coefficients <= 0
+    past a0, empty lists, zero and negative roots, and radicands that are
+    0, negative or perfect squares."""
+    kind = draw(st.sampled_from(["periodic", "finite", "surd"]))
+    if kind == "periodic":
+        return kind, {"preperiod": tuple(draw(st.lists(_any_coeff, max_size=4))),
+                      "period": tuple(draw(st.lists(_any_coeff, max_size=4)))}
+    if kind == "finite":
+        return kind, {"coefficients": tuple(draw(st.lists(_any_coeff, max_size=5)))}
+    return kind, {"rational": draw(st.fractions(min_value=-5, max_value=5,
+                                                max_denominator=7)),
+                  "root": draw(st.just(Fraction(0)) | st.fractions(
+                      min_value=-3, max_value=3, max_denominator=5)),
+                  "radicand": draw(st.integers(min_value=-4, max_value=30))}
+
+
+def _constructor_rejects(kind, payload) -> bool:
+    try:
+        if kind == "periodic":
+            ContinuedFraction.periodic(payload["preperiod"], payload["period"])
+        elif kind == "finite":
+            ContinuedFraction.from_coefficients(payload["coefficients"])
+        else:
+            QuadraticSurd(payload["rational"], payload["root"], payload["radicand"])
+    except (ValueError, RadicandError):
+        return True
+    return False
+
+
+@given(_payload())
+@example(("periodic", {"preperiod": (1,), "period": (2, 0)}))
+@example(("periodic", {"preperiod": (0, -1), "period": (1,)}))
+@example(("periodic", {"preperiod": (1,), "period": ()}))
+@example(("periodic", {"preperiod": (), "period": (1,)}))
+@example(("periodic", {"preperiod": (), "period": (0,)}))
+@example(("finite", {"coefficients": (-3, 0)}))
+@example(("finite", {"coefficients": ()}))
+@example(("surd", {"rational": Fraction(1), "root": Fraction(0), "radicand": 2}))
+@example(("surd", {"rational": Fraction(1), "root": Fraction(-1), "radicand": 2}))
+@example(("surd", {"rational": Fraction(0), "root": Fraction(1), "radicand": 0}))
+@example(("surd", {"rational": Fraction(0), "root": Fraction(1), "radicand": -3}))
+@example(("surd", {"rational": Fraction(0), "root": Fraction(1), "radicand": 9}))
+def test_parser_rejects_exactly_what_the_constructors_reject(block):
+    # the value rules live in the constructors; the spec adds only the
+    # grammar rule that a preperiod holds at least a0
+    kind, payload = block
+    text = serialize_spec(TupleSpecFile(
+        numbers=(NumberSpec(name="x", kind=kind, **payload),)))
+    rejected = (_constructor_rejects(kind, payload)
+                or (kind == "periodic" and not payload["preperiod"]))
+    try:
+        parse_spec(text)
+    except SpecSemanticError as exc:
+        assert rejected and exc.entity == "x"
+    else:
+        assert not rejected

@@ -29,6 +29,14 @@ def test_squarefree_decompose_rejects_uncertifiable_residual():
         squarefree_decompose(0)
 
 
+def test_uncertifiable_residual_past_the_printable_digit_limit():
+    # str() refuses integers of more than 4,300 digits, so the message
+    # gives bit lengths; the error is a RadicandError, not a ValueError
+    n = 10 ** 4999 + 7      # 5,000 digits, no prime factor below 100
+    with pytest.raises(RadicandError, match="16607-bit radicand"):
+        squarefree_decompose(n, bound=100)
+
+
 @given(st.integers(min_value=2, max_value=5000))
 def test_squarefree_decompose_roundtrip(n):
     s, d = squarefree_decompose(n)
