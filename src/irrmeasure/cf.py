@@ -72,12 +72,13 @@ class ContinuedFraction:
     (q_nu, q_{nu+1}) -> nu. The table grows in one pass: the missing
     coefficients are read first, in index order and up to the depth cap,
     then the rows are extended by the recurrence from the last two. When
-    a read fails, the rows below the failing index are added before the
-    error propagates, as a walk of one row per coefficient would leave
-    them. The index is injective (q_nu grows strictly from nu = 1 on),
-    its size is the number of rows it covers, and each row it adds is
-    asserted coprime and new. Growth is not synchronised: share a stream
-    across threads only for reading what it already holds.
+    a read fails, the error propagates before any row is added, so a
+    failed growth leaves the table as it was; the coefficients read
+    before the failing index stay memoized. The index is injective (q_nu
+    grows strictly from nu = 1 on), its size is the number of rows it
+    covers, and each row it adds is asserted coprime and new. Growth is
+    not synchronised: share a stream across threads only for reading what
+    it already holds.
     """
 
     __slots__ = ("_source", "_coeffs", "depth_cap", "_exact", "_table", "_pairs")
@@ -168,31 +169,28 @@ class ContinuedFraction:
         memo table; a row already there is returned at once. Growth reads
         the missing coefficients in index order, up to the depth cap, then
         extends the rows, so depth errors surface at the same index as a
-        fresh walk from 0, after the rows below that index are added."""
+        fresh walk from 0, and a failed growth adds no row."""
         table = self._table
         if nu < len(table) and nu >= 0:
             return table[nu]
         if nu < 0:
             raise ValueError("convergent index must be >= 0")
         coeffs = self._coeffs
-        try:
-            if len(coeffs) <= nu:
-                cap = self.depth_cap
-                self.coefficient(nu if nu <= cap else cap)
-                if nu > cap:
-                    self.coefficient(cap + 1)    # raises the walk's cap error
-        finally:
-            # the rows from len(table) up to nu, or to the last coefficient read
-            i = len(table)
-            if i:
-                p, q, q_prev = table[-1]
-                p_prev = table[-2][0] if i > 1 else 1
-            else:
-                p, q, p_prev, q_prev = 1, 0, 0, 1     # the rows at -1 and -2
-            for a in coeffs[i:nu + 1]:
-                p, p_prev = a * p + p_prev, p
-                q, q_prev = a * q + q_prev, q
-                table.append((p, q, q_prev))
+        if len(coeffs) <= nu:
+            cap = self.depth_cap
+            self.coefficient(nu if nu <= cap else cap)
+            if nu > cap:
+                self.coefficient(cap + 1)    # raises the walk's cap error
+        i = len(table)
+        if i:
+            p, q, q_prev = table[-1]
+            p_prev = table[-2][0] if i > 1 else 1
+        else:
+            p, q, p_prev, q_prev = 1, 0, 0, 1     # the rows at -1 and -2
+        for a in coeffs[i:nu + 1]:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            table.append((p, q, q_prev))
         return table[nu]
 
     def rows(self, count: int) -> list[tuple[int, int, int]]:

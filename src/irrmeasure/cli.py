@@ -29,7 +29,7 @@ from .cf import DEFAULT_COMPARE_DEPTH, DEFAULT_DEPTH_CAP, convergents
 from .errors import LabError, SpecFileError
 from .plotting import render_step_svg
 from .screening import (DEFAULT_MAX_D, DEFAULT_MAX_INDEX, DEFAULT_SCAN_DEPTH,
-                        check_reversal_pattern, rigidity_scan,
+                        Verdict, check_reversal_pattern, rigidity_scan,
                         scan_coincidences)
 from .specfile import TupleSpecFile, parse_spec
 from .stepfunc import build_trajectory, serialize_trajectory
@@ -83,9 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=_int_at_least(1), default=DEFAULT_MAX_D)
     p = add("proof-trace", "replay the count bound with retry doubling")
     p.add_argument("--retries", type=_int_at_least(0), default=DEFAULT_RETRIES)
-    p = add("plot", "write one SVG per member with all step functions overlaid")
-    p.add_argument("--linear", action="store_true",
-                   help="linear axes instead of the default log-log")
+    add("plot", "write one SVG per member with all step functions overlaid")
     return parser
 
 
@@ -166,7 +164,7 @@ def _cmd_verify(args) -> int:
             log = scan_coincidences(a, b, depth=args.scan_depth)
             print(f"# pair\t{job.names[i]}\t{job.names[j]}")
             print(log.serialize(), end="")
-            if log.verdict.value == "DEPENDENT":
+            if log.verdict is Verdict.DEPENDENT:
                 failed = True
                 continue
             scan = rigidity_scan(a, b, max_index=args.max_index,
@@ -206,7 +204,6 @@ def _cmd_plot(args) -> int:
     job.out_dir.mkdir(parents=True, exist_ok=True)
     for focus, name in enumerate(job.names):
         svg = render_step_svg(series, focus, markers, t_max=job.t_max,
-                              log=not args.linear,
                               title=f"step functions up to t = {job.t_max}")
         path = job.out_dir / f"{name}.svg"
         path.write_text(svg)

@@ -1,8 +1,8 @@
 """Standalone SVG renderings of measure step functions.
 
 Hand-built SVG keeps the output byte-deterministic (no timestamps, no
-library metadata). Both axes default to log scale because the step
-values decay exponentially while the breakpoints spread out the same way.
+library metadata). Both axes are log scale because the step values
+decay exponentially while the breakpoints spread out the same way.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ def _fmt(x: float) -> str:
 
 
 def render_step_svg(series, focus: int, markers, *, t_max: int,
-                    log: bool = True, title: str = "") -> str:
-    """One SVG with every member's step polyline overlaid, on log-log
-    axes, or linear ones when `log` is false.
+                    title: str = "") -> str:
+    """One SVG with every member's step polyline overlaid, on log-log axes.
 
     series: list of (name, [(q, value), ...]) with float values; the
     entry at index `focus` is emphasized. markers are vertical lines at
@@ -42,14 +41,8 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
     if not ys:
         raise ValueError("series contain no breakpoints")
 
-    def tx(t: float) -> float:
-        return log10(t) if log else float(t)
-
-    def ty(v: float) -> float:
-        return log10(v) if log else float(v)
-
-    x_lo, x_hi = tx(xs[0]), tx(xs[1])
-    y_lo, y_hi = min(map(ty, ys)), max(map(ty, ys))
+    x_lo, x_hi = log10(xs[0]), log10(xs[1])
+    y_lo, y_hi = min(map(log10, ys)), max(map(log10, ys))
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -58,10 +51,10 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(t: float) -> float:
-        return _MARGIN_LEFT + (tx(t) - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (log10(t) - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_TOP + (y_hi - ty(v)) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + (y_hi - log10(v)) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -75,35 +68,29 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
         f'stroke="#333333" stroke-width="1"/>')
-    # x ticks at powers of ten (log) or quarters (linear)
-    if log:
-        x_ticks = [(10 ** e, f"1e{e}")
-                   for e in range(int(floor(x_lo)), int(ceil(x_hi)) + 1)
-                   if xs[0] <= 10 ** e <= xs[1]]
-    else:
-        x_ticks = [(t, _fmt(t))
-                   for t in (xs[0] + (xs[1] - xs[0]) * i / 4 for i in range(5))]
-    for t, label in x_ticks:
-        x = px(t)
+    # x ticks at powers of ten
+    for e in range(int(floor(x_lo)), int(ceil(x_hi)) + 1):
+        if not xs[0] <= 10 ** e <= xs[1]:
+            continue
+        x = px(10 ** e)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
                      f'x2="{_fmt(x)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
                      f'stroke="#333333"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{_fmt(_HEIGHT - 22)}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
+                     f'font-size="11">1e{e}</text>')
     # y ticks
-    if log:
-        for e in range(int(floor(y_lo)), int(ceil(y_hi)) + 1):
-            v = 10.0 ** e
-            if ty(v) < y_lo or ty(v) > y_hi:
-                continue
-            y = py(v)
-            parts.append(f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(y)}" '
-                         f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(y)}" '
-                         f'stroke="#333333"/>')
-            parts.append(f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-                         f'text-anchor="end" font-family="sans-serif" '
-                         f'font-size="11">1e{e}</text>')
+    for e in range(int(floor(y_lo)), int(ceil(y_hi)) + 1):
+        v = 10.0 ** e
+        if not y_lo <= log10(v) <= y_hi:
+            continue
+        y = py(v)
+        parts.append(f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(y)}" '
+                     f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(y)}" '
+                     f'stroke="#333333"/>')
+        parts.append(f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
+                     f'text-anchor="end" font-family="sans-serif" '
+                     f'font-size="11">1e{e}</text>')
     # shared-jump markers
     for t in markers:
         if t < xs[0] or t > xs[1]:

@@ -15,11 +15,10 @@ equal star values are exactly the shared pairs shifted by (1, 1).
 The rigidity scan indexes the second stream's denominators by row,
 r_j -> j, and looks up q_{nu+2} once for every row nu: the matched
 triples are (j - d, d) over the window's d, only they run the full
-check, and every other triple is counted, not stored. Rows are read off
-the grown convergent tables. When the second stream's table ends inside
-the window, the triple at which the triple loop would fail is computed
-from the first row that fails, not found by replaying the loop. Each
-error-term sign is evaluated once per scan. A scan costs
+check, and every other triple is counted, not stored. Both convergent
+tables are grown to the window before any check, so a stream too short
+for it fails the scan with its own growth error, before any comparison.
+Each error-term sign is evaluated once per scan. A scan costs
 O(max_index + max_d) steps for the index, O(1) table reads per row and
 per matched triple, and one certified comparison per distinct sign,
 instead of O(triples x table length).
@@ -357,21 +356,18 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
                   max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> RigidityScan:
     """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
 
-    Records, tally and errors are those of the triple loop that runs
-    check_rigidity on every (nu, mu, d) in order. One index of the second
-    stream's table, r_j -> j for j >= 1 (injective: r_j grows strictly
-    from j = 1 on), serves every row nu: the triples with q_{nu+2} = r_j
-    are (j - d, d) for d from min(max_d, j) down to max(1, j - max_index),
-    in the loop's order, and only they are checked. The loop grows a to
-    index 2, then b along row 0 to max_index + max(max_d, 2); the scan
-    grows b first, in one pass, and a failure leaves b's table ending at
-    the row g that fails. Row 0 of the loop reads row g at the first
-    (mu, d) with mu + max(d, 2) >= g, so the scan checks row 0's matched
-    triples before that point and then reads row g again, which raises
-    the same error (a source error repeats on retry). Rows of a are read
-    one nu at a time, so an error of a surfaces after the sign errors of
-    earlier rows. Each sign of xi_nu - eta_mu is evaluated once per scan:
-    the tail key (nu + 1, mu + d - 1) of one triple is the head key of a
+    Records and tally are those of the triple loop that runs
+    check_rigidity on every (nu, mu, d) in order. Both convergent tables
+    are grown to the window first, a to row max_index + 2 and then b to
+    row max_index + max(max_d, 2), the deepest rows that loop reads; a
+    stream that cannot fill the window fails the scan with its own
+    growth error, a's before b's, and no sign is evaluated. One index of
+    the second stream's table, r_j -> j for j >= 1 (injective: r_j grows
+    strictly from j = 1 on), serves every row nu: the triples with
+    q_{nu+2} = r_j are (j - d, d) for d from min(max_d, j) down to
+    max(1, j - max_index), in the loop's order, and only they are
+    checked. Each sign of xi_nu - eta_mu is evaluated once per scan: the
+    tail key (nu + 1, mu + d - 1) of one triple is the head key of a
     later one. A failing sign ends the scan, so no error is cached.
 
     Cost: O(max_index + max_d) table rows for the index, O(1) table reads
@@ -389,35 +385,13 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
             value = signs[nu, mu] = _error_sign(a, nu, b, mu, max_compare_depth)
         return value
 
-    def matched(j: int) -> range:
-        """The d of the triples (j - d, d) inside the window, mu ascending."""
-        return range(min(max_d, j), max(1, j - max_index) - 1, -1)
-
-    # the loop's first triple grows a to index 2 before it reads b
-    rows_a = a.rows(3)
-    try:
-        rows_b = b.rows(max_index + max(max_d, 2) + 1)
-        failed = None
-    except (LabError, ValueError):
-        rows_b = b.rows(0)          # as the failed growth left it
-        failed = len(rows_b)
-    index = {rows_b[j][1]: j
-             for j in range(1, min(len(rows_b), max_index + max_d + 1))}
-    if failed is not None:
-        first = max(0, failed - max(max_d, 2))
-        stop = (first, 1 if first + 2 >= failed else failed - first)
-        j = index.get(rows_a[2][1], 0)
-        for d in matched(j):
-            if (j - d, d) >= stop:
-                break
-            examined[0, j - d, d] = _check(rows_a, rows_b, 0, j - d, d, sign)
-        b.convergent_row(failed)
-        raise AssertionError(f"row {failed} of the second stream failed, "
-                             "then grew on a second read")
+    rows_a = a.rows(max_index + 3)
+    rows_b = b.rows(max_index + max(max_d, 2) + 1)
+    index = {rows_b[j][1]: j for j in range(1, max_index + max_d + 1)}
     for nu in range(max_index + 1):
-        j = index.get(a.rows(nu + 3)[nu + 2][1])
+        j = index.get(rows_a[nu + 2][1])
         if j is not None:
-            for d in matched(j):
+            for d in range(min(max_d, j), max(1, j - max_index) - 1, -1):
                 examined[nu, j - d, d] = _check(rows_a, rows_b, nu, j - d, d, sign)
     return RigidityScan(max_index, max_d, examined)
 

@@ -25,7 +25,6 @@ from .errors import OutOfHorizon, PrecisionInsufficient
 class StepTrajectory:
     """Breakpoints (q_nu, xi_nu); the value on [q_nu, q_{nu+1}) is xi_nu."""
 
-    owner: ContinuedFraction
     breakpoints: tuple[tuple[int, ErrorTerm], ...]
     qs: tuple[int, ...]
     next_q: int  # first denominator beyond the last breakpoint
@@ -62,8 +61,8 @@ def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
     # depth-0 enclosures already separate, this check just certifies it
     if first_misordered([e for _, e in terms]) is not None:
         raise AssertionError("breakpoint error terms are not strictly decreasing")
-    return StepTrajectory(owner=cf, breakpoints=terms,
-                          qs=tuple(qv for qv, _ in terms), next_q=q)
+    return StepTrajectory(breakpoints=terms, qs=tuple(qv for qv, _ in terms),
+                          next_q=q)
 
 
 def psi_at(traj: StepTrajectory, t: int) -> ErrorTerm:

@@ -167,11 +167,13 @@ def test_growth_fails_at_the_walks_index(fail_at, warm):
     if warm:
         cf.convergent_row(warm - 1)
     for attempt in range(2):
+        before = list(cf.rows(0))
+        assert before == (rows[:warm] if attempt == 0 else rows)
         calls.clear()
         with pytest.raises(ValueError) as info:
             cf.convergent_row(fail_at + 3)
         assert str(info.value) == str(error)
-        assert cf.rows(0) == rows         # the table stops below fail_at
+        assert cf.rows(0) == before       # a failed growth adds no row
         # each coefficient is read once; the failing index is asked again
         assert calls == (list(range(warm, fail_at + 1)) if attempt == 0
                          else [fail_at])
@@ -183,28 +185,34 @@ def test_growth_fails_at_the_walks_index(fail_at, warm):
 
 
 def test_growth_after_a_source_that_failed_once():
-    cf = ContinuedFraction.from_rule(_counted_rule(4, calls := [], once=True), 40)
-    with pytest.raises(ValueError, match="no coefficient at 4"):
-        cf.convergent_row(7)
     rows = walked_rows(ContinuedFraction.from_rule(_counted_rule(None, []), 40), 7)[0]
-    assert cf.rows(0) == rows[:4]
-    assert cf.convergent_row(7) == rows[7] and cf.rows(0) == rows
-    assert calls == [0, 1, 2, 3, 4, 4, 5, 6, 7]
+    for warm in (0, 3):
+        cf = ContinuedFraction.from_rule(_counted_rule(4, calls := [], once=True), 40)
+        if warm:
+            cf.convergent_row(warm - 1)
+        with pytest.raises(ValueError, match="no coefficient at 4"):
+            cf.convergent_row(7)
+        assert cf.rows(0) == rows[:warm]
+        assert cf.convergent_row(7) == rows[7] and cf.rows(0) == rows
+        assert calls == [0, 1, 2, 3, 4, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("warm", [0, 2, 6])
 def test_growth_past_the_cap_names_index_cap_plus_one(warm):
     cap = 5
     cf = ContinuedFraction.from_rule(_counted_rule(None, calls := []), cap)
+    fresh = ContinuedFraction.from_rule(_counted_rule(None, []), cap)
+    rows = walked_rows(fresh, cap)[0]
     if warm:
         cf.convergent_row(warm - 1)
     with pytest.raises(DepthCapExceeded,
                        match=f"index {cap + 1} exceeds the depth cap {cap}$"):
         cf.convergent_row(cap + 3)
-    # every row below the cap was read first, each coefficient once
+    # every coefficient below the cap was read first, each once, and the
+    # failed growth added no row
     assert calls == list(range(cap + 1))
-    fresh = ContinuedFraction.from_rule(_counted_rule(None, []), cap)
-    assert cf.rows(0) == walked_rows(fresh, cap)[0]
+    assert cf.rows(0) == rows[:warm]
+    assert cf.rows(cap + 1) == rows
     assert calls == list(range(cap + 1))
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import irrmeasure
-from irrmeasure import ErrorTerm, Ordering, TrajectoryReport
+from irrmeasure import (ErrorTerm, Ordering, ReversalRecord, RigidityOutcome,
+                        RigidityRecord, RigidityScan, TrajectoryReport, cli)
 from irrmeasure.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -117,6 +118,97 @@ def test_dependent_pair_exits_1(tmp_path, capsys):
     path.write_text(DEPENDENT)
     assert main(["kindex", str(path)]) == 1
     assert "dependent" in capsys.readouterr().err
+
+
+#: x and x + 1, a dependent pair, and phi, independent of both
+DEPENDENT_AND_THIRD = """\
+[x]
+kind = surd
+rational = 0
+root = 1
+radicand = 2
+
+[x_plus_1]
+kind = surd
+rational = 1
+root = 1
+radicand = 2
+
+[phi]
+kind = periodic
+preperiod = [1]
+period = [1]
+"""
+
+
+def _verify_blocks(out: str) -> dict[tuple[str, str], list[str]]:
+    """verify's stdout split into its per-pair blocks, keyed by the names."""
+    blocks = {}
+    for block in out.split("# pair\t")[1:]:
+        head, *lines = block.splitlines()
+        blocks[tuple(head.split("\t"))] = lines
+    return blocks
+
+
+def test_verify_dependent_pair_exits_1_and_is_not_scanned(tmp_path, capsys):
+    path = tmp_path / "dep3.spec"
+    path.write_text(DEPENDENT_AND_THIRD)
+    assert main(["verify", str(path), "--max-index", "10"]) == 1
+    blocks = _verify_blocks(capsys.readouterr().out)
+    assert list(blocks) == [("x", "x_plus_1"), ("x", "phi"), ("x_plus_1", "phi")]
+    dependent = blocks["x", "x_plus_1"]
+    assert "verdict\tDEPENDENT" in dependent
+    assert not any(line.startswith(("rigidity", "reversal")) for line in dependent)
+    for pair in [("x", "phi"), ("x_plus_1", "phi")]:
+        assert "verdict\tDEPENDENT" not in blocks[pair]
+        assert sum(line.startswith("rigidity_scan\t") for line in blocks[pair]) == 1
+
+
+def test_verify_rigidity_violation_exits_1_and_is_printed(pair_spec, monkeypatch,
+                                                          capsys):
+    # a VIOLATION certificate flags an arithmetic bug; verify prints it
+    # and fails, whatever else the scan holds
+    violation = RigidityRecord(nu=0, mu=1, d=2, outcome=RigidityOutcome.VIOLATION)
+    monkeypatch.setattr(cli, "rigidity_scan", lambda a, b, *, max_index, max_d, **_:
+                        RigidityScan(max_index, max_d, {(0, 1, 2): violation}))
+    assert main(["verify", str(pair_spec), "--max-index", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "violations\t1\n" in out
+    assert "\nrigidity\t0\t1\t2\tVIOLATION\n" in out
+
+
+@pytest.mark.parametrize("applicable, code", [(True, 1), (False, 0)])
+def test_verify_failed_reversal_exits_1_only_when_applicable(
+        pair_spec, monkeypatch, capsys, applicable, code):
+    record = ReversalRecord(shared_q=5, nu=4, mu=2, applicable=applicable,
+                            alpha_prev_time=2, beta_prev_time=1,
+                            reversal_at_alpha_prev=False, reversal_at_beta_prev=None)
+    monkeypatch.setattr(cli, "check_reversal_pattern", lambda *args, **kwargs: [record])
+    assert main(["verify", str(pair_spec), "--max-index", "10"]) == code
+    assert record.serialize() + "\n" in capsys.readouterr().out
+
+
+def test_verify_reports_a_short_member_by_its_own_error(tmp_path, capsys):
+    # b has 4 coefficients and the rigidity window needs b's row
+    # max_index + max_d = 5; the loop over every triple would first meet
+    # an undecided comparison that b's end leaves open
+    path = tmp_path / "short.spec"
+    path.write_text("[a]\nkind = periodic\npreperiod = [0, 3]\nperiod = [3]\n\n"
+                    "[b]\nkind = finite\ncoefficients = [0, 1, 2, 3]\n")
+    assert main(["verify", str(path), "--scan-depth", "2", "--max-index", "3",
+                 "--max-d", "2", "--max-compare-depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [cf.coefficient] finite backing has 4 "
+                            "coefficients, index 4 requested\n")
+    assert "rigidity" not in captured.out
+
+
+def test_plot_has_no_linear_mode(pair_spec, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["plot", str(pair_spec), "--out-dir", str(tmp_path), "--linear"])
+    assert info.value.code == 2
+    assert "--linear" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [pair_spec]
 
 
 def test_window_too_short_exits_1(pair_spec, capsys):

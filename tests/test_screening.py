@@ -278,8 +278,47 @@ def test_rigidity_scan_is_an_indexable_sequence(phi_cf, sqrt2_cf):
 def _outcome(scan, *args, **kwargs):
     try:
         return [r.serialize() for r in scan(*args, **kwargs)]
-    except (DepthExhausted, UndecidedComparison) as exc:
+    except (LabError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _grow_window(a, b, *, max_index, max_d, **_):
+    """Grows a to row max_index + 2, then b to row max_index + max(max_d, 2),
+    the deepest rows the triple loop reads; no records."""
+    a.rows(max_index + 3)
+    b.rows(max_index + max(max_d, 2) + 1)
+    return []
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """The (nu, mu) keys passed to screening._error_sign, in call order."""
+    calls = []
+    error_sign = irrmeasure.screening._error_sign
+
+    def counted(a, nu, b, mu, max_depth):
+        calls.append((nu, mu))
+        return error_sign(a, nu, b, mu, max_depth)
+
+    monkeypatch.setattr(irrmeasure.screening, "_error_sign", counted)
+    return calls
+
+
+def _scan_like_the_loop(make_pair, sign_calls, **kwargs):
+    """Asserts what rigidity_scan does on a fresh pair: when both tables
+    fill the window, the triple loop's records or error; otherwise the
+    error of growing fresh tables to it, a first, with no sign evaluated,
+    where the loop fails too. Returns the loop's and the scan's outcome."""
+    expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
+    growth = _outcome(_grow_window, *make_pair(), **kwargs)
+    sign_calls.clear()
+    got = _outcome(rigidity_scan, *make_pair(), **kwargs)
+    if growth == []:
+        assert got == expected
+    else:
+        assert isinstance(expected, tuple), "the loop must fail too"
+        assert got == growth and sign_calls == []
+    return expected, got
 
 
 @pytest.mark.parametrize("make_a, make_b, max_d", [
@@ -292,26 +331,28 @@ def _outcome(scan, *args, **kwargs):
     # a ends at a later row
     (lambda: ContinuedFraction.from_coefficients([1, 3, 1, 4, 1, 5, 9, 2, 6]),
      lambda: ContinuedFraction.periodic([2], [1, 2]), 2),
-    # an undecided matched triple in row 0 comes before b's end
+    # the loop meets an undecided matched triple in row 0 before b's end;
+    # the scan meets b's end first
     (lambda: ContinuedFraction.from_rule(lambda nu: 2, depth_cap=200),
      lambda: ContinuedFraction.from_coefficients([2] * 12), 4),
 ], ids=["a_short", "b_short", "a_short_late", "undecided_first"])
-def test_rigidity_scan_fails_like_the_triple_loop(make_a, make_b, max_d):
+def test_rigidity_scan_fails_like_the_triple_loop(make_a, make_b, max_d, sign_calls):
     kwargs = dict(max_index=12, max_d=max_d, max_compare_depth=8)
-    expected = _outcome(naive_rigidity_scan, make_a(), make_b(), **kwargs)
+    expected, got = _scan_like_the_loop(lambda: (make_a(), make_b()),
+                                        sign_calls, **kwargs)
     assert isinstance(expected, tuple), "the window must be too short"
-    assert _outcome(rigidity_scan, make_a(), make_b(), **kwargs) == expected
+    assert got[0] is DepthExhausted
 
 
 @pytest.mark.parametrize("max_d", [1, 2, 3, 4])
 @pytest.mark.parametrize("max_index", [0, 3, 12])
-def test_rigidity_scan_fails_at_the_computed_point(max_index, max_d):
+def test_rigidity_scan_fails_at_the_computed_point(max_index, max_d, sign_calls):
     # a shared-prefix pair with a, b or both cut to every length that ends
-    # inside the window or just past it; the scan must fail on the same
-    # triple with the same error as the loop, or return the same records.
-    # A matched triple of row 0 can fail before the loop reaches b's last
-    # row: on a's end while refining, when both are cut one length apart,
-    # or undecided at a compare depth of 1
+    # inside the window or just past it. The scan fails where growing the
+    # tables to the window fails, before any sign, exactly when the triple
+    # loop fails; otherwise it returns the loop's records. The loop can
+    # fail earlier than its last row, on a matched triple of row 0: on
+    # a's end while refining, or undecided at a compare depth of 1
     top = max_index + max(max_d, 2)
     raised = Counter()
     for seed in (4101, 4102, 4103):
@@ -324,28 +365,28 @@ def test_rigidity_scan_fails_at_the_computed_point(max_index, max_d):
                             ContinuedFraction.from_coefficients(cf.prefix(cut))
                             for cf, cut in zip(pair, cuts)]
                 for depth in (1, 64):
-                    kwargs = dict(max_index=max_index, max_d=max_d,
-                                  max_compare_depth=depth)
-                    expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
-                    assert _outcome(rigidity_scan, *make_pair(), **kwargs) == expected
+                    expected, got = _scan_like_the_loop(
+                        make_pair, sign_calls, max_index=max_index,
+                        max_d=max_d, max_compare_depth=depth)
                     if isinstance(expected, tuple):
-                        raised[expected[0]] += 1
-    assert raised[DepthExhausted] > 0
+                        raised[expected[0], got[0]] += 1
+    assert raised[DepthExhausted, DepthExhausted] > 0
     # with d >= 2, (nu, nu, 2) matches inside the shared prefix, where the
-    # two error terms' enclosures still overlap at compare depth 1
-    assert raised[UndecidedComparison] > 0 or max_d == 1
+    # two error terms' enclosures still overlap at compare depth 1 even
+    # when both tables fill the window
+    assert raised[UndecidedComparison, UndecidedComparison] > 0 or max_d == 1
 
 
 @pytest.mark.parametrize("max_d", [2, 3])
 @pytest.mark.parametrize("max_index", [2, 3, 12])
-def test_rigidity_scan_fails_one_row_before_b_ends(max_index, max_d):
+def test_rigidity_scan_fails_one_row_before_b_ends(max_index, max_d, sign_calls):
     # b = [0; 1, 2, 3] is a = [0; 3, 3, 3, ...] reflected, 1 - a, cut after
     # four coefficients, so b's row 4 fails. The triple loop reaches that
     # row at (0, 2, 1) for max_d = 2 and at (0, 1, 3) for max_d = 3. Just
     # before it, (0, 1, 2) passes both denominator gates (q_2 = 10 = r_3,
     # q_1 = 3 <= r_2 = 3), and xi_0(a) = eta_1(b) on b's whole prefix, so
-    # their comparison is still undecided when it reaches b's end. A
-    # failure point computed one row early, on mu = 0 or 1, skips it.
+    # within the compare budget the loop reports that comparison as
+    # undecided. The scan grows b to the window first and reports b's end.
     # (0, 1, 1) cannot play this part: with q_2 = r_2 and q_1 <= r_2 the
     # depth-0 enclosures already give xi_0 > 1/(q_1 + 1) >= 1/r_2 > eta_1.
     def make_pair():
@@ -355,22 +396,22 @@ def test_rigidity_scan_fails_one_row_before_b_ends(max_index, max_d):
     a, b = make_pair()
     assert (a.convergent_row(2)[1], a.convergent_row(1)[1]) == (10, 3)
     assert [b.convergent_row(j)[1] for j in range(4)] == [1, 1, 3, 10]
-    outcomes = []
+    row_error = (DepthExhausted,
+                 "[cf.coefficient] finite backing has 4 coefficients, index 4 requested")
+    loop = []
     for depth in (1, 2, 64):
         kwargs = dict(max_index=max_index, max_d=max_d, max_compare_depth=depth)
-        expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
-        assert _outcome(rigidity_scan, *make_pair(), **kwargs) == expected
-        outcomes.append(expected)
-    # undecided within the compare budget; past it, b's end is the error
-    # the loop would meet at row 4 anyway
-    row_error = "[cf.coefficient] finite backing has 4 coefficients, index 4 requested"
-    assert outcomes[0][0] is UndecidedComparison
-    assert outcomes[-1] == (DepthExhausted, row_error)
+        expected, got = _scan_like_the_loop(make_pair, sign_calls, **kwargs)
+        assert got == row_error
+        loop.append(expected)
+    # past the compare budget, b's end is the error the loop meets too
+    assert loop[0][0] is UndecidedComparison and loop[-1] == row_error
 
 
-def test_rigidity_scan_rejects_a_source_that_fails_only_once():
-    # the computed failure point relies on a source error repeating on
-    # retry; a source that breaks this must not yield a partial scan
+def test_rigidity_scan_rejects_a_source_that_fails_only_once(sign_calls):
+    # a failed growth leaves b's table as it was, so the first scan fails
+    # with the source's own error before any sign, and the next scan
+    # reads the source again and matches the triple loop
     failed = []
 
     def rule(nu):
@@ -379,20 +420,25 @@ def test_rigidity_scan_rejects_a_source_that_fails_only_once():
             raise ValueError("transient")
         return 2
 
+    a = ContinuedFraction.periodic([1], [1])
     b = ContinuedFraction.from_rule(rule, depth_cap=100)
-    with pytest.raises(AssertionError, match="row 5"):
-        rigidity_scan(ContinuedFraction.periodic([1], [1]), b,
-                      max_index=6, max_d=2)
+    with pytest.raises(ValueError, match="^transient$"):
+        rigidity_scan(a, b, max_index=6, max_d=2)
+    assert sign_calls == [] and b.rows(0) == []
+    scan = rigidity_scan(a, b, max_index=6, max_d=2)
+    naive = naive_rigidity_scan(a, ContinuedFraction.from_rule(lambda nu: 2, 100),
+                                max_index=6, max_d=2)
+    assert [r.serialize() for r in scan] == [r.serialize() for r in naive]
+    assert failed == [5]
 
 
 def test_rigidity_scan_reads_rows_within_its_window(monkeypatch):
     # operation-count guard on the verify_pairs spec at the benchmark's
     # window. The scan and the checks read rows off the grown tables; the
-    # first pair's 160 convergent_row calls are 2 growths (a to row 2, b
-    # to the window's top), 50 for a's rows 3..52 one nu at a time, and 3
-    # per sign key (36 keys: _tail_sign's two row reads and one ErrorTerm).
-    # The later pairs find their tables grown. No triple copies a
-    # denominator list
+    # first pair's 110 convergent_row calls are 2 growths (a to row 52,
+    # b to the window's top) and 3 per sign key (36 keys: _tail_sign's two
+    # row reads and one ErrorTerm). The later pairs find their tables
+    # grown. No triple copies a denominator list
     spec = parse_spec((DATA / "verify_pairs3.spec").read_text())
     cfs = [number.to_cf() for number in spec.numbers]
     max_index, max_d = 50, 4
@@ -417,7 +463,7 @@ def test_rigidity_scan_reads_rows_within_its_window(monkeypatch):
             rigidity_scan(cfs[i], cfs[j], max_index=max_index, max_d=max_d)
             assert calls["denominators"] == 0
             row_calls.append(calls["convergent_row"])
-    bounds = [160, 1, 0]
+    bounds = [110, 1, 0]
     assert all(n <= bound for n, bound in zip(row_calls, bounds)), row_calls
 
 

@@ -1,14 +1,20 @@
 """The tuple-spec file grammar: parsing, validation, round-trip."""
 
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from irrmeasure import (ContinuedFraction, NumberSpec, QuadraticSurd,
                         TupleSpecFile, parse_spec, serialize_spec)
+from irrmeasure.cf import DEFAULT_COMPARE_DEPTH, DEFAULT_DEPTH_CAP
 from irrmeasure.errors import RadicandError, SpecSemanticError, SpecSyntaxError
+from irrmeasure.specfile import DEFAULT_T_MAX
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "specfile.md"
 
 EXAMPLE = b"""\
 # demo pair
@@ -238,3 +244,28 @@ def test_parser_rejects_exactly_what_the_constructors_reject(block):
         assert rejected and exc.entity == "x"
     else:
         assert not rejected
+
+
+def test_format_doc_examples_parse():
+    # every fenced number block in the format doc is a spec file of its
+    # own, and the stream it builds reads its first coefficients
+    fenced = re.findall(r"^```.*?\n(.*?)^```$", DOC.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    examples = [block for block in fenced if block.startswith("[")]
+    names = []
+    for text in examples:
+        (number,) = parse_spec(text).numbers
+        number.to_cf().prefix(5)
+        names.append(number.name)
+    assert names == ["root2", "probe", "golden"]
+
+
+def test_format_doc_defaults_match_the_constants():
+    rows = {}
+    for line in DOC.read_text().splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[-1]
+    defaults = {"t_max": DEFAULT_T_MAX, "depth_cap": DEFAULT_DEPTH_CAP,
+                "max_compare_depth": DEFAULT_COMPARE_DEPTH}
+    assert {key: int(rows[key]) for key in defaults} == defaults
