@@ -22,7 +22,7 @@ from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
 from .specfile import (NumberSpec, TupleSpecFile, parse_spec, serialize_spec)
 from .stepfunc import (BruteForceMin, StepTrajectory, brute_force_psi_sweep,
                        build_trajectory, psi_at, serialize_trajectory)
-from .surd import QuadraticSurd, sqrt_enclosure, sqrt_of, squarefree_decompose
+from .surd import QuadraticSurd, sqrt_of, squarefree_decompose
 from .sweep import (PermutationEvent, TrajectoryReport, TupleContext,
                     format_permutation, serialize_report, sigma_at,
                     sign_change_count, sweep, tau_at)
@@ -45,6 +45,6 @@ __all__ = [
     "random_periodic_cf", "random_surd", "render_proof_trace",
     "rigidity_scan", "scan_coincidences", "serialize_report",
     "serialize_spec", "serialize_trajectory", "sigma_at", "sign_change_count",
-    "sqrt_enclosure", "sqrt_of", "squarefree_decompose", "star_value",
+    "sqrt_of", "squarefree_decompose", "star_value",
     "surd_to_cf", "sweep", "tau_at", "verify_with_retries",
 ]

@@ -1,6 +1,20 @@
 """Command-line surface.
 
-Subcommands: convergents, psi, trace, kindex, verify, proof-trace, plot.
+Each subcommand takes a tuple-spec file and exactly the flags it reads:
+
+    convergents   --depth-cap --approx --count
+    psi           --t-max --depth-cap --approx
+    trace         --t-max --burn-in --depth-cap --max-compare-depth
+    kindex        --t-max --burn-in --depth-cap --max-compare-depth
+    verify        --depth-cap --max-compare-depth --scan-depth --max-index
+                  --max-d
+    proof-trace   --t-max --burn-in --depth-cap --max-compare-depth --retries
+    plot          --t-max --depth-cap --out-dir
+
+--t-max, --burn-in, --depth-cap, --max-compare-depth and --out-dir
+override the spec-file global of the same name; a subcommand reads only
+the globals whose flags it takes.
+
 Exit codes: 0 success, 1 analysis failure (undecided, dependent, window
 too short, ...), 2 usage or spec-file error, 3 internal error (a
 self-check of the program failed, reported as `internal error: ...` on
@@ -8,10 +22,11 @@ stderr; this is a bug, never an analysis result), 141 the reader of
 stdout closed it early (as `irrmeasure ... | head` does; nothing is
 printed on stderr). All numbers print as
 exact rationals num/den unless --approx adds a decimal display column.
-Exit code 2, with nothing printed, is an unknown subcommand or flag, a
-spec file that cannot be read or validated, or a numeric flag that is not
-an integer at or above its minimum: 2 for --scan-depth, 0 for --max-index
-and --retries, 1 for the rest.
+Exit code 2, with nothing printed, is an unknown subcommand or flag (a
+flag the subcommand does not take included), a spec file that cannot be
+read or validated, or a numeric flag that is not an integer at or above
+its minimum: 2 for --scan-depth, 0 for --max-index and --retries, 1 for
+the rest.
 """
 
 from __future__ import annotations
@@ -21,8 +36,10 @@ import io
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .bound import DEFAULT_RETRIES, render_proof_trace, verify_with_retries
 from .cf import DEFAULT_COMPARE_DEPTH, DEFAULT_DEPTH_CAP, convergents
@@ -31,7 +48,7 @@ from .plotting import render_step_svg
 from .screening import (DEFAULT_MAX_D, DEFAULT_MAX_INDEX, DEFAULT_SCAN_DEPTH,
                         Verdict, check_reversal_pattern, rigidity_scan,
                         scan_coincidences)
-from .specfile import TupleSpecFile, parse_spec
+from .specfile import GLOBAL_KEYS, parse_spec
 from .stepfunc import build_trajectory, serialize_trajectory
 from .sweep import TupleContext, serialize_report, summary_lines, sweep
 
@@ -46,6 +63,37 @@ def _int_at_least(low: int):
     return parse
 
 
+#: setting -> the argparse keywords of its flag, the setting's name with
+#: dashes. The flags of the spec-file globals (GLOBAL_KEYS) default to
+#: None, which _Job reads as unset.
+_FLAGS = {
+    "t_max": dict(type=_int_at_least(1), help="override the spec's horizon"),
+    "burn_in": dict(type=_int_at_least(1), help="override the spec's burn-in time"),
+    "depth_cap": dict(type=_int_at_least(1), help="hard cap on coefficient indices"),
+    "max_compare_depth": dict(type=_int_at_least(1),
+                              help="refinement budget for certified comparisons"),
+    "approx": dict(action="store_true",
+                   help="append decimal approximations to tables"),
+    "out_dir": dict(type=Path, help="directory for the SVG files"),
+    "count": dict(type=_int_at_least(1), default=10),
+    "scan_depth": dict(type=_int_at_least(2), default=DEFAULT_SCAN_DEPTH),
+    "max_index": dict(type=_int_at_least(0), default=DEFAULT_MAX_INDEX),
+    "max_d": dict(type=_int_at_least(1), default=DEFAULT_MAX_D),
+    "retries": dict(type=_int_at_least(0), default=DEFAULT_RETRIES),
+}
+
+#: spec-file global -> its value when neither its flag nor the spec sets
+#: it (a spec always sets t_max; no burn-in means the automatic policy)
+_DEFAULTS = {"depth_cap": DEFAULT_DEPTH_CAP,
+             "max_compare_depth": DEFAULT_COMPARE_DEPTH, "out_dir": "."}
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    reads: tuple[str, ...]    # settings in _FLAGS, in --help order
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parse_args fills a fresh
@@ -54,55 +102,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="irrmeasure",
         description="Exact analyses of irrationality measure step functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("spec", type=Path, help="tuple-spec file")
-        p.add_argument("--t-max", type=_int_at_least(1), default=None,
-                       help="override the spec's horizon")
-        p.add_argument("--burn-in", type=_int_at_least(1), default=None,
-                       help="override the spec's burn-in time")
-        p.add_argument("--depth-cap", type=_int_at_least(1), default=None,
-                       help="hard cap on coefficient indices")
-        p.add_argument("--max-compare-depth", type=_int_at_least(1), default=None,
-                       help="refinement budget for certified comparisons")
-        p.add_argument("--approx", action="store_true",
-                       help="append decimal approximations to tables")
-        p.add_argument("--out-dir", type=Path, default=None,
-                       help="directory for file outputs (plot)")
-        return p
-
-    p = add("convergents", "print the convergent table of every member")
-    p.add_argument("--count", type=_int_at_least(1), default=10)
-    add("psi", "print the step-function records of every member")
-    add("trace", "sweep the tuple and print events plus the summary block")
-    add("kindex", "print the distinct-ordering census of the window")
-    p = add("verify", "coincidence logs, rigidity scan, reversal records")
-    p.add_argument("--scan-depth", type=_int_at_least(2), default=DEFAULT_SCAN_DEPTH)
-    p.add_argument("--max-index", type=_int_at_least(0), default=DEFAULT_MAX_INDEX)
-    p.add_argument("--max-d", type=_int_at_least(1), default=DEFAULT_MAX_D)
-    p = add("proof-trace", "replay the count bound with retry doubling")
-    p.add_argument("--retries", type=_int_at_least(0), default=DEFAULT_RETRIES)
-    add("plot", "write one SVG per member with all step functions overlaid")
+        for setting in command.reads:
+            p.add_argument("--" + setting.replace("_", "-"), **_FLAGS[setting])
     return parser
 
 
 class _Job:
-    """Effective settings: spec-file globals overridden by flags. Each is
-    None when unset and positive when set (both parsers check that), so
-    `or` picks the first one set."""
+    """The settings its subcommand reads, and no other, plus the spec's
+    members as streams. A spec-file global is its flag, else the spec's
+    value, else the default: such a flag is None when unset and positive
+    when set (both parsers check that), so `or` picks the first one set.
+    Any other setting is its flag's value."""
 
     def __init__(self, args) -> None:
-        self.spec: TupleSpecFile = parse_spec(args.spec.read_bytes())
-        self.t_max = args.t_max or self.spec.t_max
-        self.burn_in = args.burn_in or self.spec.burn_in
-        self.depth_cap = args.depth_cap or self.spec.depth_cap or DEFAULT_DEPTH_CAP
-        self.max_compare_depth = (args.max_compare_depth or self.spec.max_compare_depth
-                                  or DEFAULT_COMPARE_DEPTH)
-        self.out_dir = Path(args.out_dir or self.spec.out_dir or ".")
-        self.approx = args.approx
-        self.names = [n.name for n in self.spec.numbers]
-        self.cfs = [n.to_cf(depth_cap=self.depth_cap) for n in self.spec.numbers]
+        spec = parse_spec(args.spec.read_bytes())
+        for setting in _COMMANDS[args.command].reads:
+            value = getattr(args, setting)
+            if setting in GLOBAL_KEYS:
+                value = value or getattr(spec, setting) or _DEFAULTS.get(setting)
+            setattr(self, setting, value)
+        self.names = [n.name for n in spec.numbers]
+        self.cfs = [n.to_cf(depth_cap=self.depth_cap) for n in spec.numbers]
         if not self.cfs:
             raise ValueError("the spec file defines no numbers")
 
@@ -120,7 +143,7 @@ def _cmd_convergents(args) -> int:
     job = _Job(args)
     for name, cf in zip(job.names, job.cfs):
         print(f"# {name}")
-        for c in convergents(cf, args.count):
+        for c in convergents(cf, job.count):
             extra = _approx(c.value) if job.approx else ""
             print(f"{c.index}\t{c.p}/{c.q}{extra}")
     return 0
@@ -161,21 +184,21 @@ def _cmd_verify(args) -> int:
     for i in range(len(job.cfs)):
         for j in range(i + 1, len(job.cfs)):
             a, b = job.cfs[i], job.cfs[j]
-            log = scan_coincidences(a, b, depth=args.scan_depth)
+            log = scan_coincidences(a, b, depth=job.scan_depth)
             print(f"# pair\t{job.names[i]}\t{job.names[j]}")
             print(log.serialize(), end="")
             if log.verdict is Verdict.DEPENDENT:
                 failed = True
                 continue
-            scan = rigidity_scan(a, b, max_index=args.max_index,
-                                 max_d=args.max_d,
+            scan = rigidity_scan(a, b, max_index=job.max_index,
+                                 max_d=job.max_d,
                                  max_compare_depth=job.max_compare_depth)
             print(f"rigidity_scan\tchecked\t{len(scan)}\tconfirmed\t"
                   f"{scan.tally['CONFIRMED']}\tviolations\t{len(scan.violations)}")
             for r in scan.violations:
                 failed = True
                 print(r.serialize())
-            for r in check_reversal_pattern(a, b, depth=args.scan_depth,
+            for r in check_reversal_pattern(a, b, depth=job.scan_depth,
                                             burn_in=log.time_horizon,
                                             max_compare_depth=job.max_compare_depth):
                 print(r.serialize())
@@ -187,7 +210,7 @@ def _cmd_verify(args) -> int:
 def _cmd_proof_trace(args) -> int:
     job = _Job(args)
     run = verify_with_retries(job.cfs, t_max=job.t_max, names=job.names,
-                              burn_in=job.burn_in, retries=args.retries,
+                              burn_in=job.burn_in, retries=job.retries,
                               max_compare_depth=job.max_compare_depth)
     print(f"t_max\t{run.report.t_max}\tdoublings\t{run.doublings}")
     print(render_proof_trace(run.trace), end="")
@@ -201,24 +224,38 @@ def _cmd_plot(args) -> int:
               for name, traj in zip(job.names, trajectories)]
     seen = Counter(t for traj in trajectories for t in traj.jump_times())
     markers = sorted(t for t, count in seen.items() if count >= 2)
-    job.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(job.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for focus, name in enumerate(job.names):
         svg = render_step_svg(series, focus, markers, t_max=job.t_max,
                               title=f"step functions up to t = {job.t_max}")
-        path = job.out_dir / f"{name}.svg"
+        path = out_dir / f"{name}.svg"
         path.write_text(svg)
         print(path)
     return 0
 
 
-_HANDLERS = {
-    "convergents": _cmd_convergents,
-    "psi": _cmd_psi,
-    "trace": _cmd_trace,
-    "kindex": _cmd_kindex,
-    "verify": _cmd_verify,
-    "proof-trace": _cmd_proof_trace,
-    "plot": _cmd_plot,
+#: the sweep's settings, which trace, kindex and proof-trace read
+_SWEEP = ("t_max", "burn_in", "depth_cap", "max_compare_depth")
+
+#: subcommand -> its help text, handler and the settings it reads; the
+#: parser gives it a flag for each of those settings and no other
+_COMMANDS = {
+    "convergents": _Command("print the convergent table of every member",
+                            _cmd_convergents, ("depth_cap", "approx", "count")),
+    "psi": _Command("print the step-function records of every member",
+                    _cmd_psi, ("t_max", "depth_cap", "approx")),
+    "trace": _Command("sweep the tuple and print events plus the summary block",
+                      _cmd_trace, _SWEEP),
+    "kindex": _Command("print the distinct-ordering census of the window",
+                       _cmd_kindex, _SWEEP),
+    "verify": _Command("coincidence logs, rigidity scan, reversal records",
+                       _cmd_verify, ("depth_cap", "max_compare_depth",
+                                     "scan_depth", "max_index", "max_d")),
+    "proof-trace": _Command("replay the count bound with retry doubling",
+                            _cmd_proof_trace, (*_SWEEP, "retries")),
+    "plot": _Command("write one SVG per member with all step functions overlaid",
+                     _cmd_plot, ("t_max", "depth_cap", "out_dir")),
 }
 
 
@@ -253,7 +290,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _buffer_stdout()
     try:
-        code = _HANDLERS[args.command](args)
+        code = _COMMANDS[args.command].run(args)
         sys.stdout.flush()    # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -240,6 +240,13 @@ def check_rigidity(a: ContinuedFraction, b: ContinuedFraction,
     is proven, so a VIOLATION certificate flags an arithmetic bug, never
     new mathematics.
 
+    CONFIRMED cannot occur when 1, a and b are linearly independent over
+    Q. The conclusion needs sign_head = 0, that is xi_nu = eta_mu exactly,
+    and then q_nu*a - p_nu = +-(r_mu*b - s_mu) is a rational relation
+    among 1, a and b. On such a pair every record is NOT_APPLICABLE or a
+    VIOLATION, so what a scan shows there is that no triple passes the
+    fourth gate, xi_{nu+1} <= eta_{mu+d-1}.
+
     Each sign of xi - eta at shared convergent rows comes from the first
     differing tail coefficient, read at most max_compare_depth places in.
     Any other sign, or one that rule leaves open, comes from a strict

@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -389,14 +390,15 @@ def test_parser_is_built_once_and_calls_parse_independently(pair_spec, monkeypat
     from irrmeasure import cli
     seen = []
     for name in ("verify", "proof-trace"):
-        monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+        monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(
+            run=lambda args: seen.append(args) or 0))
     spec = str(pair_spec)
-    assert main(["verify", spec, "--max-index", "7", "--approx", "--t-max", "50"]) == 0
+    assert main(["verify", spec, "--max-index", "7", "--max-compare-depth", "5"]) == 0
     assert main(["proof-trace", spec, "--retries", "3"]) == 0
     assert main(["verify", spec]) == 0
     first, trace, again = seen
-    assert (first.max_index, first.approx, first.t_max) == (7, True, 50)
-    assert (again.max_index, again.approx, again.t_max) == (25, False, None)
+    assert (first.max_index, first.max_compare_depth) == (7, 5)
+    assert (again.max_index, again.max_compare_depth) == (25, None)
     assert trace.retries == 3 and not hasattr(trace, "max_index")
     assert not hasattr(again, "retries") and again is not first
     assert cli._build_parser() is cli._build_parser()
@@ -500,6 +502,104 @@ def test_bad_flag_value_exits_2_before_any_output(command, flag, value,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: " in captured.err
+
+
+#: subcommand -> the flags it takes, besides --help
+FLAGS = {
+    "convergents": ["--depth-cap", "--approx", "--count"],
+    "psi": ["--t-max", "--depth-cap", "--approx"],
+    "trace": ["--t-max", "--burn-in", "--depth-cap", "--max-compare-depth"],
+    "kindex": ["--t-max", "--burn-in", "--depth-cap", "--max-compare-depth"],
+    "verify": ["--depth-cap", "--max-compare-depth", "--scan-depth", "--max-index",
+               "--max-d"],
+    "proof-trace": ["--t-max", "--burn-in", "--depth-cap", "--max-compare-depth",
+                    "--retries"],
+    "plot": ["--t-max", "--depth-cap", "--out-dir"],
+}
+
+#: flag -> a valid value for it, one that changes what a run on PAIR does
+VALUES = {"--t-max": ["200"], "--burn-in": ["150"], "--depth-cap": ["5"],
+          "--max-compare-depth": ["1"], "--approx": [], "--out-dir": ["plots"],
+          "--count": ["4"], "--scan-depth": ["2"], "--max-index": ["10"],
+          "--max-d": ["2"], "--retries": ["0"]}
+
+#: flags with these values make the run fail (exit 1), the others change
+#: its output
+FAILING = {"--depth-cap", "--max-compare-depth", "--retries"}
+
+#: two finite members that agree on their first 41 coefficients. At a
+#: comparison budget of 1 the rigidity signs on their shared rows stay
+#: open, and a finite member has no exact value to settle them
+SHARED_PREFIX = "".join(
+    f"[{name}]\nkind = finite\ncoefficients = [0, "
+    f"{', '.join(['1'] * 40 + [digit] * 60)}]\n\n"
+    for name, digit in (("a", "2"), ("b", "3")))
+
+#: (command, flag) -> (spec, flags of both runs) where a run on PAIR with
+#: no other flag does not show the flag's effect
+SETUP = {
+    ("proof-trace", "--retries"): (PAIR, ["--t-max", "101"]),
+    ("verify", "--max-compare-depth"): (SHARED_PREFIX, ["--max-index", "10",
+                                                        "--scan-depth", "20"]),
+}
+
+KEPT = [(command, flag) for command, flags in FLAGS.items() for flag in flags]
+
+#: flags that several subcommands take; each other subcommand rejects them
+SHARED = ["--t-max", "--burn-in", "--depth-cap", "--max-compare-depth", "--approx",
+          "--out-dir"]
+REJECTED = [(command, flag) for command, flags in FLAGS.items()
+            for flag in SHARED if flag not in flags]
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_help_lists_exactly_the_flags_a_subcommand_takes(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *FLAGS[command]}
+
+
+def _run_in(workdir, argv, monkeypatch, capsys):
+    """main(argv) run in a new working directory: its exit status, stdout
+    and the files it wrote there (plot writes there without --out-dir)."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code = main(argv)
+    files = {path.relative_to(workdir): path.read_bytes()
+             for path in workdir.rglob("*") if path.is_file()}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command, flag", KEPT)
+def test_every_flag_a_subcommand_takes_changes_its_run(command, flag, tmp_path,
+                                                       monkeypatch, capsys):
+    text, flags = SETUP.get((command, flag), (PAIR, []))
+    spec = tmp_path / "run.spec"
+    spec.write_text(text)
+    argv = [command, str(spec), *flags]
+    code, *before = _run_in(tmp_path / "without", argv, monkeypatch, capsys)
+    assert code == 0
+    code, *after = _run_in(tmp_path / "with", [*argv, flag, *VALUES[flag]],
+                           monkeypatch, capsys)
+    if flag in FAILING:
+        assert code == 1
+    else:
+        assert code == 0 and after != before
+
+
+@pytest.mark.parametrize("command, flag", REJECTED)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+        command, flag, pair_spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([command, str(pair_spec), flag, *VALUES[flag]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join([flag, *VALUES[flag]])}" in captured.err
+    assert list(tmp_path.iterdir()) == [pair_spec]
 
 
 def test_depth_cap_flag_reaches_the_streams(pair_spec, capsys):

@@ -20,6 +20,7 @@ REMOVED = [
     ("irrmeasure", "psi_left_limit"),
     ("irrmeasure.stepfunc", "psi_left_limit"),
     ("irrmeasure.cf", "ContinuedFraction.a0"),
+    ("irrmeasure", "sqrt_enclosure"),
 ]
 
 
