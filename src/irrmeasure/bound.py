@@ -207,7 +207,9 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
     artifacts (short windows, missing pair flips, bound failures) up to
     `retries` times before raising the failure as hard.
 
-    A proven dependence is never retried: it propagates immediately.
+    A proven dependence is never retried: it propagates immediately. So
+    does a burn-in at or past t_max * 2^retries, which no allowed doubling
+    can put inside the window: the first attempt's screening finds it.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -240,6 +242,12 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
                 render_proof_trace(trace),
                 origin="bound.verify_with_retries")
         except WindowTooShort as exc:
+            # burn_in >= t_max * 2^retries, without building that number
+            if exc.burn_in is not None and exc.burn_in >> retries >= t_max:
+                raise WindowTooShort(
+                    f"burn-in {exc.burn_in} is not below t_max = {t_max}, nor "
+                    f"below {t_max << retries}, its value after {retries} "
+                    "doublings", origin="bound.verify_with_retries") from exc
             last_error = exc
         cur *= 2
     raise last_error

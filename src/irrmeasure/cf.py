@@ -17,10 +17,12 @@ periodic backings.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import surd
@@ -69,12 +71,14 @@ class ContinuedFraction:
     meets the same error. Three memos grow on demand, in index order, and
     are shared by every reader of the stream: the coefficients, the table
     of convergent rows (p_nu, q_nu, q_{nu-1}), and the pair index
-    (q_nu, q_{nu+1}) -> nu. The table grows in one pass: the missing
-    coefficients are read first, in index order and up to the depth cap,
-    then the rows are extended by the recurrence from the last two. When
-    a read fails, the error propagates before any row is added, so a
-    failed growth leaves the table as it was; the coefficients read
-    before the failing index stay memoized. The index is injective (q_nu
+    (q_nu, q_{nu+1}) -> nu. The table grows to an index in one pass: the
+    missing coefficients are read first, in index order and up to the
+    depth cap, then the rows are extended by the recurrence from the last
+    two. When a read fails, the error propagates before any row is added,
+    so a failed growth leaves the table as it was; the coefficients read
+    before the failing index stay memoized. Growth to a bound on q_nu
+    (first_row_past) cannot know the last index before it reads, so it
+    adds one row per coefficient read. The index is injective (q_nu
     grows strictly from nu = 1 on), its size is the number of rows it
     covers, and each row it adds is asserted coprime and new. Growth is
     not synchronised: share a stream across threads only for reading what
@@ -181,17 +185,41 @@ class ContinuedFraction:
             self.coefficient(nu if nu <= cap else cap)
             if nu > cap:
                 self.coefficient(cap + 1)    # raises the walk's cap error
-        i = len(table)
-        if i:
-            p, q, q_prev = table[-1]
-            p_prev = table[-2][0] if i > 1 else 1
-        else:
-            p, q, p_prev, q_prev = 1, 0, 0, 1     # the rows at -1 and -2
-        for a in coeffs[i:nu + 1]:
+        p, p_prev, q, q_prev = self._last_rows()
+        for a in coeffs[len(table):nu + 1]:
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
             table.append((p, q, q_prev))
         return table[nu]
+
+    def first_row_past(self, t: int) -> int:
+        """The first nu with q_nu > t. The table grows one row per
+        coefficient read and stops at that row, so the coefficients read,
+        the rows added and any depth error are those of convergent_row(0),
+        convergent_row(1), ... up to that nu."""
+        table = self._table
+        nu = bisect_right(table, t, key=itemgetter(1))    # q_nu never falls
+        if nu < len(table):
+            return nu
+        coeffs = self._coeffs
+        p, p_prev, q, q_prev = self._last_rows()
+        while True:
+            a = coeffs[nu] if nu < len(coeffs) else self.coefficient(nu)
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            table.append((p, q, q_prev))
+            if q > t:
+                return nu
+            nu += 1
+
+    def _last_rows(self) -> tuple[int, int, int, int]:
+        """(p, p_prev, q, q_prev) of the table's last two rows, the rows at
+        -1 and -2 standing in for missing ones."""
+        table = self._table
+        if not table:
+            return 1, 0, 0, 1
+        p, q, q_prev = table[-1]
+        return p, table[-2][0] if len(table) > 1 else 1, q, q_prev
 
     def rows(self, count: int) -> list[tuple[int, int, int]]:
         """The memo table, read-only for callers, grown to at least count
@@ -379,8 +407,10 @@ class ErrorTerm:
         coefficient has index nxt, at depth nxt - index - 1, and evaluate
         the ends at that b, ordered by the depth's parity. The coefficient
         is read before anything is assigned, so a depth error leaves the
-        term as it was."""
-        b = self.owner.coefficient(nxt)
+        term as it was; one the memo holds is taken without a call, as in
+        first_difference."""
+        coeffs = self.owner._coeffs
+        b = coeffs[nxt] if nxt < len(coeffs) else self.owner.coefficient(nxt)
         n1, d1 = e * b + f, g * b + h
         depth = nxt - self.index - 1
         if depth & 1:

@@ -200,7 +200,8 @@ def _cmd_verify(args) -> int:
                 print(r.serialize())
             for r in check_reversal_pattern(a, b, depth=job.scan_depth,
                                             burn_in=log.time_horizon,
-                                            max_compare_depth=job.max_compare_depth):
+                                            max_compare_depth=job.max_compare_depth,
+                                            names=(job.names[i], job.names[j])):
                 print(r.serialize())
                 if r.applicable and r.reversal_at_alpha_prev is False:
                     failed = True

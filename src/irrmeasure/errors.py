@@ -58,7 +58,14 @@ class DependentTuple(LabError):
 
 
 class WindowTooShort(LabError):
-    """The observation window is too small for the requested analysis."""
+    """The observation window is too small for the requested analysis.
+
+    ``burn_in`` is the burn-in time when that is what does not fit."""
+
+    def __init__(self, message: str, *, origin: str = "",
+                 burn_in: int | None = None) -> None:
+        super().__init__(message, origin=origin)
+        self.burn_in = burn_in
 
 
 class OutOfHorizon(LabError):

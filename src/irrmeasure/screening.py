@@ -432,14 +432,16 @@ class ReversalRecord:
 
 def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
                            depth: int = DEFAULT_SCAN_DEPTH, *, burn_in: int = 0,
-                           max_compare_depth: int = DEFAULT_COMPARE_DEPTH
+                           max_compare_depth: int = DEFAULT_COMPARE_DEPTH,
+                           names: tuple[str, str] = ("a", "b")
                            ) -> list[ReversalRecord]:
     """At every shared denominator q_nu(a) = r_mu(b) past burn_in: when
     the a-side step sits strictly below the b-side just before the shared
     jump, the order one a-side step earlier is predicted to be reversed.
 
     Returns one record per shared denominator (hypothesis failures are
-    kept, marked not applicable).
+    kept, marked not applicable). An order that cannot be certified
+    raises UndecidedOrdering naming a and b by `names`.
     """
     qa = a.denominators(depth + 1)
     rb = b.denominators(depth + 1)
@@ -463,7 +465,7 @@ def check_reversal_pattern(a: ContinuedFraction, b: ContinuedFraction,
     def order(t: int) -> Ordering:
         return certified_order(psi_at(traj_a, t), psi_at(traj_b, t),
                                max_compare_depth, time=t, pair=(1, 2),
-                               names=("a", "b"),
+                               names=names,
                                origin="screening.check_reversal_pattern")
 
     records = []

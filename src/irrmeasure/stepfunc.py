@@ -43,26 +43,22 @@ def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
     beyond, which closes the last interval.
 
     When a_1 = 1 the two index-0/1 denominators collide at q = 1; only
-    the later index is kept, matching the min semantics of psi.
+    the later index is kept, matching the min semantics of psi. The
+    table grows in one pass up to the first q_nu > t_max, reading a_0 ..
+    a_nu. The terms are left at depth 0.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    kept: list[tuple[int, int]] = []
-    nu = 0
-    _, q, _ = cf.convergent_row(0)
-    while q <= t_max:
-        kept.append((nu, q))
-        nu += 1
-        _, q, _ = cf.convergent_row(nu)
-    if len(kept) >= 2 and kept[1][1] == 1:
-        kept = kept[1:]
-    terms = tuple((qv, ErrorTerm(cf, index)) for index, qv in kept)
+    end = cf.first_row_past(t_max)
+    table = cf.rows(end + 1)
+    start = 1 if end >= 2 and table[1][1] == 1 else 0
+    qs = tuple(table[nu][1] for nu in range(start, end))
+    terms = tuple(zip(qs, [ErrorTerm(cf, nu) for nu in range(start, end)]))
     # consecutive terms must be certified strictly decreasing; the
     # depth-0 enclosures already separate, this check just certifies it
     if first_misordered([e for _, e in terms]) is not None:
         raise AssertionError("breakpoint error terms are not strictly decreasing")
-    return StepTrajectory(breakpoints=terms, qs=tuple(qv for qv, _ in terms),
-                          next_q=q)
+    return StepTrajectory(breakpoints=terms, qs=qs, next_q=table[end][1])
 
 
 def psi_at(traj: StepTrajectory, t: int) -> ErrorTerm:

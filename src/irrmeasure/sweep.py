@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 # the sweep no longer calls compare_errors directly; the name stays bound
@@ -46,7 +44,14 @@ class TupleContext:
     Construction screens every pair: a proven dependence aborts with
     DependentTuple. The default burn-in t0 is the largest structural
     coincidence time seen by screening, floored at 100; an explicit
-    burn_in overrides the policy.
+    burn_in overrides the policy; a burn-in outside [1, t_max) raises
+    WindowTooShort, which carries it as `burn_in`.
+
+    Every breakpoint term is refined to depth 1, except each member's
+    last, which stays at depth 0: the step reads a_{nu+2}, at most the
+    a_{N+1} the trajectory read to find next_q, so it reads no new
+    coefficient. A depth-0 enclosure is up to a factor 2 wide, and one
+    step decides most of the sweep's overlapping probes.
     """
 
     def __init__(self, cfs, *, t_max: int, burn_in: int | None = None,
@@ -84,9 +89,12 @@ class TupleContext:
         if not 1 <= t0 < t_max:
             raise WindowTooShort(
                 f"burn-in {t0} does not satisfy 1 <= burn_in < t_max = {t_max}",
-                origin="sweep.TupleContext")
+                origin="sweep.TupleContext", burn_in=t0)
         self.t0 = t0
         self.trajectories = tuple(build_trajectory(cf, t_max) for cf in cfs)
+        for tr in self.trajectories:
+            for _, term in tr.breakpoints[:-1]:
+                term.refine_once()
 
     @cached_property
     def jump_sets(self) -> tuple[frozenset[int], ...]:
@@ -187,7 +195,8 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
 
     The schedule holds every breakpoint (q, label, term) of every member
     with t0 < q <= t_max, sorted once; equal q form one event, whose
-    jumpers come in ascending label order with their new step values.
+    jumpers come in ascending label order with their new step values, at
+    the depth TupleContext gave them: 1, or 0 for a member's last term.
     Each event's before is the running ordering. After keeps the other
     members in their running order and puts each jumper back by a
     certified binary search. Then first_misordered certifies, on this
@@ -216,11 +225,15 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start = t0
     max_tau = 0
-    for t, group in groupby(schedule, itemgetter(0)):
+    k, stop = 0, len(schedule)
+    while k < stop:
+        t = schedule[k][0]
         jumpers = []
-        for _, i, term in group:
+        while k < stop and schedule[k][0] == t:
+            _, i, term = schedule[k]
             terms[i] = term
             jumpers.append(i)
+            k += 1
         if len(jumpers) > max_tau:
             max_tau = len(jumpers)
         single = len(jumpers) == 1 and bool(events)
@@ -232,6 +245,8 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
             order = [m for m in sigma if m not in jumpers]
         for i in jumpers:
             x = terms[i]
+            x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
+                x.lo_num, x.lo_den, x.hi_num, x.hi_den)
             lo, hi = 0, len(order)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -239,15 +254,18 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 y = terms[m]
                 # compare_errors' own separation tests, then the certified
                 # comparison only for overlapping enclosures
-                if y.hi_num * x.lo_den <= x.lo_num * y.hi_den:
+                if y.hi_num * x_lo_den <= x_lo_num * y.hi_den:
                     above = True
-                elif x.hi_num * y.lo_den <= y.lo_num * x.hi_den:
+                elif x_hi_num * y.lo_den <= y.lo_num * x_hi_den:
                     above = False
                 else:
                     above = certified_order(
                         x, y, depth, time=t, pair=(i, m),
                         names=(names[i - 1], names[m - 1]),
                         origin="sweep.sweep") is Ordering.GREATER
+                    # the comparison may have refined the jumper
+                    x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
+                        x.lo_num, x.lo_den, x.hi_num, x.hi_den)
                 if above:
                     hi = mid
                 else:

@@ -216,6 +216,18 @@ def test_retry_exhaustion_raises(phi_cf, sqrt2_cf):
                             retries=0)
 
 
+@pytest.mark.parametrize("burn_in, origin", [
+    (800, "bound.verify_with_retries"),     # 100 * 2^3: no doubling reaches it
+    (799, "bound.build_proof_trace"),       # (799, 800] holds no event
+])
+def test_only_a_burn_in_past_every_doubling_fails_at_once(phi_cf, sqrt2_cf,
+                                                         burn_in, origin):
+    with pytest.raises(WindowTooShort) as info:
+        verify_with_retries([phi_cf, sqrt2_cf], t_max=100, burn_in=burn_in,
+                            retries=3)
+    assert info.value.origin == origin
+
+
 def test_random_tuples_verify(seed=4001):
     rng = random.Random(seed)
     for n in (2, 3, 4, 5):

@@ -189,6 +189,42 @@ def test_verify_failed_reversal_exits_1_only_when_applicable(
     assert record.serialize() + "\n" in capsys.readouterr().out
 
 
+def test_verify_names_an_unorderable_reversal_pair_by_the_spec(tmp_path, capsys):
+    # ||12*r2|| = ||6*r8|| makes the two step values equal on [12, 28], so
+    # the reversal check cannot order the members at t = 28
+    path = tmp_path / "roots.spec"
+    path.write_text("[r2]\nkind = surd\nrational = 0\nroot = 1\nradicand = 2\n\n"
+                    "[r8]\nkind = surd\nrational = 0\nroot = 2\nradicand = 2\n")
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [screening.check_reversal_pattern] cannot "
+                            "order members r2 and r8 at t = 28\n")
+    assert captured.out.startswith("# pair\tr2\tr8\n")
+    assert "reversal" not in captured.out
+
+
+def test_proof_trace_fails_at_once_on_a_burn_in_no_doubling_reaches(
+        monkeypatch, capsys):
+    # verify_pairs3.spec's automatic burn-in is 396,309,982,081; t_max =
+    # 10,000 doubled 8 times is 2,560,000. One screening pass finds it
+    screening = importlib.import_module("irrmeasure.screening")
+    sweep_module = importlib.import_module("irrmeasure.sweep")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return screening.scan_coincidences(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "scan_coincidences", counted)
+    assert main(["proof-trace", str(DATA / "verify_pairs3.spec")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [bound.verify_with_retries] burn-in "
+                            "396309982081 is not below t_max = 10000, nor below "
+                            "2560000, its value after 8 doublings\n")
+    assert captured.out == ""
+    assert len(calls) == 3    # the spec's three pairs, once
+
+
 def test_verify_reports_a_short_member_by_its_own_error(tmp_path, capsys):
     # b has 4 coefficients and the rigidity window needs b's row
     # max_index + max_d = 5; the loop over every triple would first meet
@@ -359,9 +395,12 @@ def _certified_work(case, monkeypatch, capsys) -> dict[str, int]:
 
 def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
     # proof-trace on replay_wide8.spec. A change to how much certified
-    # work a replay does has to change these numbers on purpose
+    # work a replay does has to change these numbers on purpose. The
+    # context refines every breakpoint term but each member's last by one
+    # step before the sweep; with depth-0 terms it took 714 compares and
+    # 1144 steps
     assert _certified_work("proof-trace", monkeypatch, capsys) == {
-        "compare": 714, "refine": 1144, "init": 942}
+        "compare": 266, "refine": 1310, "init": 942}
 
 
 def test_verify_certifies_the_pinned_amount_of_work(monkeypatch, capsys):

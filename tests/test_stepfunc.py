@@ -1,5 +1,6 @@
 """Step trajectories against the brute-force oracle."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from irrmeasure import (ContinuedFraction, Ordering, brute_force_psi_sweep,
                         build_trajectory, compare_errors, psi_at,
                         serialize_trajectory)
 from irrmeasure.corpus import random_periodic_cf
-from irrmeasure.errors import OutOfHorizon, PrecisionInsufficient
+from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, OutOfHorizon,
+                               PrecisionInsufficient)
 
 from conftest import (GOLDEN, oracle_min_scan, oracle_sqrt_interval,
                       oracle_value_interval)
@@ -58,6 +60,70 @@ def test_best_approximation_bound_at_breakpoints():
             assert e.hi <= Fraction(1, q_next)
             assert q_next > q
             assert e.hi <= Fraction(1, q_next) < Fraction(1, q)
+
+
+def walked_trajectory(cf: ContinuedFraction, t_max: int):
+    """The breakpoints (q_nu, nu) and next_q as build_trajectory found them
+    before it grew the table in one pass: one convergent_row call per row
+    until q_nu > t_max. Kept as the reference for that growth."""
+    kept = []
+    nu = 0
+    _, q, _ = cf.convergent_row(0)
+    while q <= t_max:
+        kept.append((q, nu))
+        nu += 1
+        _, q, _ = cf.convergent_row(nu)
+    if len(kept) >= 2 and kept[1][0] == 1:
+        kept = kept[1:]
+    return kept, q
+
+
+def _built(cf: ContinuedFraction, t_max: int):
+    traj = build_trajectory(cf, t_max)
+    return [(q, term.index) for q, term in traj.breakpoints], traj.next_q
+
+
+#: name -> (preperiod, period, t_max): sqrt2; phi, whose q_0 = q_1 = 1
+#: collide, with t_max = 1 too; and a longer stream with a preperiod
+GROWTH_STREAMS = {"sqrt2@12": ((1,), (2,), 12), "phi@8": ((1,), (1,), 8),
+                  "phi@1": ((1,), (1,), 1),
+                  "mixed@1e9": ((3, 1, 4), (1, 5, 9, 2), 10 ** 9)}
+
+
+def _growth_cases():
+    """(id, make, t_max, need): need is the first nu with q_nu > t_max, so
+    the trajectory reads a_0 .. a_need; the N of the ids is need - 1, the
+    last breakpoint's index."""
+    for name, (pre, per, t_max) in GROWTH_STREAMS.items():
+        full = ContinuedFraction.periodic(pre, per)
+        need = walked_trajectory(full, t_max)[0][-1][1] + 1
+        coeffs = full.prefix(need + 1)
+        for tag, kept in [("exact", coeffs), ("one_short", coeffs[:-1])]:
+            yield (f"{name}-{tag}", lambda c=kept: ContinuedFraction.from_coefficients(c),
+                   t_max, need)
+        for cap, tag in [(need - 1, "N"), (need, "N+1"), (need + 1, "N+2")]:
+            yield (f"{name}-cap_{tag}", lambda pre=pre, per=per, cap=cap:
+                   ContinuedFraction.periodic(pre, per, depth_cap=cap), t_max, need)
+
+
+@pytest.mark.parametrize("make, t_max, need", [case[1:] for case in _growth_cases()],
+                         ids=[case[0] for case in _growth_cases()])
+@pytest.mark.parametrize("grown", ["fresh", "two_rows", "past_t_max"])
+def test_one_pass_growth_reads_what_the_row_walk_read(make, t_max, need, grown):
+    # the same breakpoints, or the same error, and the same coefficients
+    # and rows memoized, from a fresh table, one holding two rows, or one
+    # already grown past t_max where the stream has the coefficients
+    def outcome(build):
+        cf = make()
+        with contextlib.suppress(DepthExhausted, DepthCapExceeded):
+            cf.rows({"fresh": 0, "two_rows": 2, "past_t_max": need + 1}[grown])
+        try:
+            result = build(cf, t_max)
+        except (DepthExhausted, DepthCapExceeded) as exc:
+            result = type(exc), str(exc)
+        return result, len(cf._coeffs), len(cf._table)
+
+    assert outcome(_built) == outcome(walked_trajectory)
 
 
 # ------------------------------------------------------------- evaluation

@@ -8,8 +8,8 @@ import pytest
 
 from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering,
                         PermutationEvent, TrajectoryReport, TupleContext,
-                        build_proof_trace, compare_errors, psi_at,
-                        serialize_report, sigma_at, sign_change_count,
+                        build_proof_trace, build_trajectory, compare_errors,
+                        psi_at, serialize_report, sigma_at, sign_change_count,
                         sqrt_of, surd_to_cf, sweep, tau_at)
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair)
@@ -232,9 +232,10 @@ def _equivalence_cases():
 @pytest.mark.parametrize("case", list(_equivalence_cases()),
                          ids=lambda case: case[0])
 def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
-    # each sweep gets a fresh context, so both start from depth-0 terms;
-    # every refinement step is logged with the enclosure it refines, so
-    # the two sweeps must refine the same terms in the same order
+    # each sweep gets a fresh context, so both start from the terms as
+    # TupleContext refined them; every refinement step is logged with the
+    # enclosure it refines, so the two sweeps must refine the same terms
+    # in the same order
     name, make = case
     fresh, reference = make(), make()
     steps = []
@@ -256,6 +257,37 @@ def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
     assert got_steps == steps
     if name.startswith("shared_prefix"):
         assert got.max_tau >= 2
+
+
+def _sweep_outcome(ctx: TupleContext):
+    """The report's fields, or the class, text, time and pair of the
+    undecided ordering the sweep raised."""
+    try:
+        report = sweep(ctx)
+    except UndecidedOrdering as exc:
+        return type(exc), str(exc), exc.time, exc.pair
+    return (report.events, list(report.perm_spans.items()), report.k_hat,
+            report.max_tau, list(report.sign_changes.items()))
+
+
+@pytest.mark.parametrize("max_compare_depth", [1, 2, None],
+                         ids=["depth1", "depth2", "default"])
+@pytest.mark.parametrize("case", list(_equivalence_cases()),
+                         ids=lambda case: case[0])
+def test_refined_terms_change_no_result(case, max_compare_depth):
+    # TupleContext hands the sweep depth-1 terms, a member's last one at
+    # depth 0; the same sweep on terms that build_trajectory left at
+    # depth 0 must give the same report at every comparison budget
+    _, make = case
+    refined, plain = make(), make()
+    plain.trajectories = tuple(build_trajectory(cf, plain.t_max)
+                               for cf in plain.cfs)
+    for tr in refined.trajectories:
+        assert [term.depth for _, term in tr.breakpoints] == (
+            [1] * (len(tr.breakpoints) - 1) + [0])
+    if max_compare_depth is not None:
+        refined.max_compare_depth = plain.max_compare_depth = max_compare_depth
+    assert _sweep_outcome(refined) == _sweep_outcome(plain)
 
 
 def rising_steps(ctx: TupleContext) -> TupleContext:
