@@ -96,6 +96,10 @@ def _covered_once(members: Iterable[int],
     return all(counts[m] == 1 for m in members)
 
 
+#: the I_j of every T_j whose jumpers all jumped at an earlier T_i
+_NONE: frozenset[int] = frozenset()
+
+
 def build_proof_trace(ctx: TupleContext,
                       report: TrajectoryReport | None = None) -> ProofTrace:
     """T_1 is the burn-in time; T_j (j >= 2) is the first time after T_1
@@ -103,12 +107,15 @@ def build_proof_trace(ctx: TupleContext,
     the inductive definition reads. sigma_1 is the first event's `before`,
     the ordering the sweep certified at T_1.
 
-    I_j collects members jumping at T_j and at no earlier T_i (i >= 2);
-    the restricted orderings of sigma_1 .. sigma_{j-1} on each I_j must
-    coincide, and that equality is evaluated, not assumed: each earlier
-    ordering's view is compared with sigma_1's through per-ordering rank
-    maps, so the check costs O(k n log n) rather than building k^2 views.
-    The maps are built only when some I_j has two or more members.
+    I_j collects members jumping at T_j and at no earlier T_i (i >= 2).
+    One walk over the events finds the new orderings and builds each I_j
+    as it finds T_j; a jumper set already fully seen gets one shared empty
+    set. The restricted orderings of sigma_1 .. sigma_{j-1} on each I_j
+    must coincide, and that equality is evaluated, not assumed: each
+    earlier ordering's view is compared with sigma_1's through
+    per-ordering rank maps, so the check costs O(k n log n) rather than
+    building k^2 views. The maps are built only when some I_j has two or
+    more members.
     """
     if report is None:
         report = sweep(ctx)
@@ -116,23 +123,23 @@ def build_proof_trace(ctx: TupleContext,
     sigmas: list[tuple[int, ...]] = [ev.before for ev in report.events[:1]]
     seen_sigmas = set(sigmas)
     new_times: list[int] = []
-    jumpers_at: dict[int, frozenset[int]] = {}
-    for ev in report.events:
-        if ev.after not in seen_sigmas:
-            seen_sigmas.add(ev.after)
-            sigmas.append(ev.after)
-            new_times.append(ev.time)
-            jumpers_at[len(sigmas)] = ev.jumpers
+    i_sets: dict[int, frozenset[int]] = {}
+    seen: set[int] = set()
+    for time, _, after, jumpers in report.events:
+        if after not in seen_sigmas:
+            seen_sigmas.add(after)
+            sigmas.append(after)
+            new_times.append(time)
+            if jumpers <= seen:
+                i_sets[len(sigmas)] = _NONE
+            else:
+                i_sets[len(sigmas)] = jumpers - seen
+                seen |= jumpers
     if len(sigmas) < 2:
         raise WindowTooShort(
             f"only one ordering appears in ({ctx.t0}, {ctx.t_max}]",
             origin="bound.build_proof_trace")
     k = len(sigmas)
-    i_sets: dict[int, frozenset[int]] = {}
-    seen: set[int] = set()
-    for j in range(2, k + 1):
-        i_sets[j] = frozenset(jumpers_at[j] - seen)
-        seen |= jumpers_at[j]
     # rank maps of sigma_1, sigma_2, ..., built only as far as some I_j
     # with two or more members needs them
     ranks: list[dict[int, int]] = []
@@ -210,16 +217,19 @@ def verify_with_retries(cfs, *, t_max: int, names=None, burn_in: int | None = No
     A proven dependence is never retried: it propagates immediately. So
     does a burn-in at or past t_max * 2^retries, which no allowed doubling
     can put inside the window: the first attempt's screening finds it.
+    The pairs are screened once per call; every attempt reads those logs.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
     cur = t_max
     last_error: Exception | None = None
+    screen_logs: dict = {}
     for attempt in range(retries + 1):
         try:
             ctx = TupleContext(cfs, t_max=cur, burn_in=burn_in, names=names,
                                screen_depth=screen_depth,
-                               max_compare_depth=max_compare_depth)
+                               max_compare_depth=max_compare_depth,
+                               screen_logs=screen_logs)
             report = sweep(ctx)
             trace = build_proof_trace(ctx, report)
             bound = check_theorem_bound(trace)

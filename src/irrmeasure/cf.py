@@ -385,6 +385,13 @@ class ErrorTerm:
     hi_num*lo_den - lo_num*hi_den = q_nu at every depth: the width is
     q_nu/(hi_den*lo_den).
 
+    A term is built at depth 0 or, with depth=1, one step refined: the
+    first step consumes a_{nu+1} and leaves the state
+    (1, 0; q_{nu+1}, q_nu), whose ends are a_{nu+2}/q_{nu+2} and
+    (a_{nu+2} + 1)/(q_{nu+2} + q_{nu+1}). That state is read off row
+    nu + 1, so the term is the depth-0 one refined once, slot for slot,
+    without the step.
+
     Refinement mutates only this term; share terms read-only across
     threads and serialize refinement per term.
     """
@@ -393,14 +400,20 @@ class ErrorTerm:
                  "_e", "_f", "_g", "_h", "_next", "_b",
                  "lo_num", "lo_den", "hi_num", "hi_den")
 
-    def __init__(self, owner: ContinuedFraction, index: int) -> None:
+    def __init__(self, owner: ContinuedFraction, index: int, *,
+                 depth: int = 0) -> None:
         if index < 0:
             raise ValueError("error-term index must be >= 0")
+        if depth not in (0, 1):
+            raise ValueError("an error term is built at depth 0 or 1")
         p, q, q_prev = owner.convergent_row(index)
         self.owner = owner
         self.index = index
         self.p, self.q, self.q_prev = p, q, q_prev
-        self._advance(0, 1, q, q_prev, index + 1)
+        if depth:
+            self._advance(1, 0, owner.convergent_row(index + 1)[1], q, index + 2)
+        else:
+            self._advance(0, 1, q, q_prev, index + 1)
 
     def _advance(self, e: int, f: int, g: int, h: int, nxt: int) -> None:
         """Take the Moebius state (e, f; g, h), whose first unconsumed

@@ -38,14 +38,20 @@ class StepTrajectory:
         return self.qs[1:]
 
 
-def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
+def build_trajectory(cf: ContinuedFraction, t_max: int, *,
+                     depth: int = 0) -> StepTrajectory:
     """All breakpoints with q_nu <= t_max plus the first denominator
     beyond, which closes the last interval.
 
     When a_1 = 1 the two index-0/1 denominators collide at q = 1; only
     the later index is kept, matching the min semantics of psi. The
     table grows in one pass up to the first q_nu > t_max, reading a_0 ..
-    a_nu. The terms are left at depth 0.
+    a_end with end that first nu. The terms are built at depth 0, or
+    with depth=1 one step refined, except the last, which stays at
+    depth 0: a refined term of index nu reads row nu + 1 and a_{nu+2},
+    both held once nu + 2 <= end, while the last one's step would read
+    a_{end+1}. So neither depth reads a coefficient or adds a row the
+    growth did not.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -53,12 +59,15 @@ def build_trajectory(cf: ContinuedFraction, t_max: int) -> StepTrajectory:
     table = cf.rows(end + 1)
     start = 1 if end >= 2 and table[1][1] == 1 else 0
     qs = tuple(table[nu][1] for nu in range(start, end))
-    terms = tuple(zip(qs, [ErrorTerm(cf, nu) for nu in range(start, end)]))
+    terms = [ErrorTerm(cf, nu, depth=depth) for nu in range(start, end - 1)]
+    terms.append(ErrorTerm(cf, end - 1))
     # consecutive terms must be certified strictly decreasing; the
-    # depth-0 enclosures already separate, this check just certifies it
-    if first_misordered([e for _, e in terms]) is not None:
+    # depth-0 enclosures already separate and refined ones nest inside
+    # them, so this check just certifies it
+    if first_misordered(terms) is not None:
         raise AssertionError("breakpoint error terms are not strictly decreasing")
-    return StepTrajectory(breakpoints=terms, qs=qs, next_q=table[end][1])
+    return StepTrajectory(breakpoints=tuple(zip(qs, terms)), qs=qs,
+                          next_q=table[end][1])
 
 
 def psi_at(traj: StepTrajectory, t: int) -> ErrorTerm:

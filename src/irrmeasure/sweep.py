@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from operator import itemgetter
 from typing import NamedTuple
 
 # the sweep no longer calls compare_errors directly; the name stays bound
@@ -45,18 +46,26 @@ class TupleContext:
     DependentTuple. The default burn-in t0 is the largest structural
     coincidence time seen by screening, floored at 100; an explicit
     burn_in overrides the policy; a burn-in outside [1, t_max) raises
-    WindowTooShort, which carries it as `burn_in`.
+    WindowTooShort, which carries it as `burn_in`. Screening does not
+    depend on t_max, so a caller that builds several contexts over the
+    same members, names and screen depth may pass one `screen_logs`
+    dict to all of them: the first fills it before it checks the window,
+    unless a pair is dependent, and the others read it instead of
+    screening again.
 
-    Every breakpoint term is refined to depth 1, except each member's
-    last, which stays at depth 0: the step reads a_{nu+2}, at most the
-    a_{N+1} the trajectory read to find next_q, so it reads no new
-    coefficient. A depth-0 enclosure is up to a factor 2 wide, and one
-    step decides most of the sweep's overlapping probes.
+    Every breakpoint term is built at depth 1 by build_trajectory,
+    except each member's last, which stays at depth 0. A refined term of
+    index nu is read off row nu + 1 and a_{nu+2}, which the trajectory
+    already grew and read to find next_q, so it reads no new coefficient
+    and takes no refinement step. A depth-0 enclosure is up to a factor
+    2 wide, and one step decides most of the sweep's overlapping probes.
     """
 
     def __init__(self, cfs, *, t_max: int, burn_in: int | None = None,
                  names=None, screen_depth: int = DEFAULT_SCAN_DEPTH,
-                 max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> None:
+                 max_compare_depth: int = DEFAULT_COMPARE_DEPTH,
+                 screen_logs: dict[tuple[int, int], CoincidenceLog] | None = None
+                 ) -> None:
         cfs = tuple(cfs)
         if len(cfs) < 2:
             raise ValueError("a tuple context needs at least two members")
@@ -73,17 +82,12 @@ class TupleContext:
         self.names = names
         self.t_max = t_max
         self.max_compare_depth = max_compare_depth
-        self.screen_logs: dict[tuple[int, int], CoincidenceLog] = {}
-        horizon = 0
-        for i in range(len(cfs)):
-            for j in range(i + 1, len(cfs)):
-                log = scan_coincidences(cfs[i], cfs[j], depth=screen_depth)
-                self.screen_logs[(i + 1, j + 1)] = log
-                if log.verdict is Verdict.DEPENDENT:
-                    raise DependentTuple(
-                        f"members {names[i]} and {names[j]} are dependent "
-                        f"({log.combination.value})", origin="sweep.TupleContext")
-                horizon = max(horizon, log.time_horizon)
+        if screen_logs is None:
+            screen_logs = {}
+        if not screen_logs:
+            screen_logs.update(_screen_pairs(cfs, names, screen_depth))
+        self.screen_logs = screen_logs
+        horizon = max(log.time_horizon for log in screen_logs.values())
         self.coincidence_horizon = horizon
         t0 = burn_in if burn_in is not None else max(DEFAULT_BURN_IN_FLOOR, horizon)
         if not 1 <= t0 < t_max:
@@ -91,10 +95,8 @@ class TupleContext:
                 f"burn-in {t0} does not satisfy 1 <= burn_in < t_max = {t_max}",
                 origin="sweep.TupleContext", burn_in=t0)
         self.t0 = t0
-        self.trajectories = tuple(build_trajectory(cf, t_max) for cf in cfs)
-        for tr in self.trajectories:
-            for _, term in tr.breakpoints[:-1]:
-                term.refine_once()
+        self.trajectories = tuple(build_trajectory(cf, t_max, depth=1)
+                                  for cf in cfs)
 
     @cached_property
     def jump_sets(self) -> tuple[frozenset[int], ...]:
@@ -105,6 +107,22 @@ class TupleContext:
     @property
     def n(self) -> int:
         return len(self.cfs)
+
+
+def _screen_pairs(cfs: tuple[ContinuedFraction, ...], names: tuple[str, ...],
+                  depth: int) -> dict[tuple[int, int], CoincidenceLog]:
+    """Every pair's coincidence log, keyed by 1-based labels; a proven
+    dependence raises DependentTuple."""
+    logs = {}
+    for i in range(len(cfs)):
+        for j in range(i + 1, len(cfs)):
+            log = scan_coincidences(cfs[i], cfs[j], depth=depth)
+            if log.verdict is Verdict.DEPENDENT:
+                raise DependentTuple(
+                    f"members {names[i]} and {names[j]} are dependent "
+                    f"({log.combination.value})", origin="sweep.TupleContext")
+            logs[(i + 1, j + 1)] = log
+    return logs
 
 
 def sigma_at(ctx: TupleContext, t: int) -> tuple[int, ...]:
@@ -194,30 +212,65 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
 
     The schedule holds every breakpoint (q, label, term) of every member
-    with t0 < q <= t_max, sorted once; equal q form one event, whose
-    jumpers come in ascending label order with their new step values, at
-    the depth TupleContext gave them: 1, or 0 for a member's last term.
-    Each event's before is the running ordering. After keeps the other
-    members in their running order and puts each jumper back by a
-    certified binary search. Then first_misordered certifies, on this
-    event's enclosures, the adjacencies of after that the event created,
-    and one out of order is an internal fault: all of after at the first
-    event and at events with two or more jumpers; otherwise the slice that
-    spans the jumper's two new neighbours and, when it left an inner slot,
-    the two members that closed its gap. Every other adjacency joins two
-    members that kept their term objects since an earlier event certified
-    them separated, and refinement only nests enclosures, so its integer
-    separation test would pass without a refinement step. Step
-    values live in a list indexed by label (slot 0 unused); after is the
-    next event's before. The loop keeps no ranks and counts no flips: the
-    report derives its sign_changes from the events when they are first
-    read.
+    with t0 < q <= t_max, sorted once by q; the sort is stable, so equal
+    q form one event whose jumpers come in ascending label order, with
+    their new step values at the depth TupleContext gave them: 1, or 0
+    for a member's last term. Each event's before is the running
+    ordering; after keeps the other members in their running order and
+    puts each jumper back by a certified binary search. Then
+    first_misordered certifies, on this event's enclosures, the
+    adjacencies of after that the event created, and one out of order is
+    an internal fault. An event takes one of two paths:
+
+    - one jumper, after the first event: the jumper is deleted from its
+      slot and put back, and the slice certified spans its two new
+      neighbours and, when it left an inner slot, the two members that
+      closed its gap;
+    - the first event, or two or more jumpers: the jumpers are taken out,
+      put back one by one, and all of after is certified.
+
+    Every other adjacency joins two members that kept their term objects
+    since an earlier event certified them separated, and refinement only
+    nests enclosures, so its integer separation test would pass without a
+    refinement step. Step values live in a list indexed by label (slot 0
+    unused); after is the next event's before. The loop keeps no ranks
+    and counts no flips: the report derives its sign_changes from the
+    events when they are first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
-    schedule = sorted((q, i, term)
-                      for i, tr in enumerate(ctx.trajectories, start=1)
-                      for q, term in tr.breakpoints if t0 < q <= ctx.t_max)
+
+    def place(i: int, x: ErrorTerm, order: list[int], t: int) -> int:
+        """Where jumper i, of step value x, goes in order: a certified
+        binary search that probes with compare_errors' own separation
+        tests and compares certified only overlapping enclosures."""
+        x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
+            x.lo_num, x.lo_den, x.hi_num, x.hi_den)
+        lo, hi = 0, len(order)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            m = order[mid]
+            y = terms[m]
+            if y.hi_num * x_lo_den <= x_lo_num * y.hi_den:
+                hi = mid
+            elif x_hi_num * y.lo_den <= y.lo_num * x_hi_den:
+                lo = mid + 1
+            else:
+                if certified_order(x, y, depth, time=t, pair=(i, m),
+                                   names=(names[i - 1], names[m - 1]),
+                                   origin="sweep.sweep") is Ordering.GREATER:
+                    hi = mid
+                else:
+                    lo = mid + 1
+                # the comparison may have refined the jumper
+                x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
+                    x.lo_num, x.lo_den, x.hi_num, x.hi_den)
+        return lo
+
+    schedule = sorted(((q, i, term)
+                       for i, tr in enumerate(ctx.trajectories, start=1)
+                       for q, term in tr.breakpoints if t0 < q <= ctx.t_max),
+                      key=itemgetter(0))
     terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
     sigma = sigma_at(ctx, t0)
     n = len(sigma)
@@ -227,53 +280,17 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     max_tau = 0
     k, stop = 0, len(schedule)
     while k < stop:
-        t = schedule[k][0]
-        jumpers = []
-        while k < stop and schedule[k][0] == t:
-            _, i, term = schedule[k]
-            terms[i] = term
-            jumpers.append(i)
-            k += 1
-        if len(jumpers) > max_tau:
-            max_tau = len(jumpers)
-        single = len(jumpers) == 1 and bool(events)
-        if single:
+        t, i, x = schedule[k]
+        terms[i] = x
+        k += 1
+        if events and (k == stop or schedule[k][0] != t):
+            # one jumper after the first event
             order = list(sigma)
-            left = order.index(jumpers[0])
+            left = order.index(i)
             del order[left]
-        else:
-            order = [m for m in sigma if m not in jumpers]
-        for i in jumpers:
-            x = terms[i]
-            x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
-                x.lo_num, x.lo_den, x.hi_num, x.hi_den)
-            lo, hi = 0, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                m = order[mid]
-                y = terms[m]
-                # compare_errors' own separation tests, then the certified
-                # comparison only for overlapping enclosures
-                if y.hi_num * x_lo_den <= x_lo_num * y.hi_den:
-                    above = True
-                elif x_hi_num * y.lo_den <= y.lo_num * x_hi_den:
-                    above = False
-                else:
-                    above = certified_order(
-                        x, y, depth, time=t, pair=(i, m),
-                        names=(names[i - 1], names[m - 1]),
-                        origin="sweep.sweep") is Ordering.GREATER
-                    # the comparison may have refined the jumper
-                    x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
-                        x.lo_num, x.lo_den, x.hi_num, x.hi_den)
-                if above:
-                    hi = mid
-                else:
-                    lo = mid + 1
+            lo = place(i, x, order, t)
             order.insert(lo, i)
-        after = tuple(order)
-        start, end = 0, n
-        if single:
+            after = tuple(order)
             # the jumper's neighbours at lo, and the pair that closed the
             # gap it left at sigma[left]: after[left:left + 2] when it moved
             # up, after[left - 1:left + 1] when it moved down
@@ -282,12 +299,29 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 end = left + 2
             elif 0 < left < lo:
                 start = left - 1
+            jumpers = frozenset((i,))
+        else:
+            # the first event, or two or more jumpers: every adjacency
+            jumping = [i]
+            while k < stop and schedule[k][0] == t:
+                _, i, x = schedule[k]
+                terms[i] = x
+                jumping.append(i)
+                k += 1
+            if len(jumping) > max_tau:
+                max_tau = len(jumping)
+            order = [m for m in sigma if m not in jumping]
+            for i in jumping:
+                order.insert(place(i, terms[i], order, t), i)
+            after = tuple(order)
+            start, end = 0, n
+            jumpers = frozenset(jumping)
         bad = first_misordered([terms[m] for m in after[start:end]], depth)
         if bad is not None:
             raise AssertionError(f"members {after[start + bad]} and "
                                  f"{after[start + bad + 1]} are out of order "
                                  f"at t = {t}")
-        events.append(PermutationEvent(t, sigma, after, frozenset(jumpers)))
+        events.append(PermutationEvent(t, sigma, after, jumpers))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         sigma, seg_start = after, t

@@ -14,7 +14,8 @@ from math import isqrt
 
 import pytest
 
-from irrmeasure import ContinuedFraction, QuadraticSurd, sqrt_of, surd_to_cf
+from irrmeasure import (ContinuedFraction, ErrorTerm, QuadraticSurd, sqrt_of,
+                        surd_to_cf)
 
 
 # ---------------------------------------------------------------- oracles
@@ -103,6 +104,11 @@ def pell_numerators(count: int) -> list[int]:
     while len(seq) < count:
         seq.append(2 * seq[-1] + seq[-2])
     return seq[:count]
+
+
+def term_slots(term: ErrorTerm) -> list:
+    """Every slot of an error term, in __slots__ order."""
+    return [getattr(term, name) for name in ErrorTerm.__slots__]
 
 
 def intervals_overlap(a: tuple[Fraction, Fraction],

@@ -228,6 +228,32 @@ def test_only_a_burn_in_past_every_doubling_fails_at_once(phi_cf, sqrt2_cf,
     assert info.value.origin == origin
 
 
+def test_pairs_are_screened_once_per_call(phi_cf, sqrt2_cf, monkeypatch):
+    # screening does not depend on t_max, so every doubling reads the first
+    # attempt's logs, also after windows too short to build a context at
+    # t_max 100, 200 and 400; the doublings and the errors stay as they were
+    sweep_module = importlib.import_module("irrmeasure.sweep")
+    scan = sweep_module.scan_coincidences
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "scan_coincidences", counted)
+    with pytest.raises(WindowTooShort) as info:
+        verify_with_retries([phi_cf, sqrt2_cf], t_max=100, burn_in=799,
+                            retries=3)
+    assert str(info.value) == ("[bound.build_proof_trace] only one ordering "
+                               "appears in (799, 800]")
+    assert len(calls) == 1
+    run = verify_with_retries([phi_cf, sqrt2_cf], t_max=230, burn_in=170,
+                              retries=8)
+    assert (run.doublings, run.ctx.t_max) == (1, 460)
+    assert len(calls) == 2
+    assert list(run.ctx.screen_logs) == [(1, 2)]
+
+
 def test_random_tuples_verify(seed=4001):
     rng = random.Random(seed)
     for n in (2, 3, 4, 5):

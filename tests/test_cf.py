@@ -21,7 +21,8 @@ from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
                                RadicandError, UndecidedComparison)
 
 from conftest import (GOLDEN, fib_sequence, intervals_overlap,
-                      oracle_sqrt_interval, pell_denominators, pell_numerators)
+                      oracle_sqrt_interval, pell_denominators, pell_numerators,
+                      term_slots)
 
 
 # ------------------------------------------------------------- convergents
@@ -456,6 +457,23 @@ def test_width_is_q_over_the_end_denominators_at_every_depth(kind):
             assert Fraction(*lower) < Fraction(*upper)
             assert term.hi - term.lo == Fraction(term.q, term.hi_den * term.lo_den)
             term.refine_once()
+
+
+@pytest.mark.parametrize("kind", ["periodic", "surd", "rule", "tail"])
+def test_a_term_built_at_depth_1_is_the_term_refined_once(kind):
+    for cf, nu in product(_determinant_streams(kind), (0, 1, 4, 11)):
+        term = ErrorTerm(cf, nu)
+        term.refine_once()
+        assert term_slots(ErrorTerm(cf, nu, depth=1)) == term_slots(term)
+    # the first step needs a_{nu+2}: past the cap, the build fails where
+    # the step does
+    capped = ContinuedFraction.periodic([1], [2], depth_cap=9)
+    for make in (lambda: ErrorTerm(capped, 8).refine_once(),
+                 lambda: ErrorTerm(capped, 8, depth=1)):
+        with pytest.raises(DepthCapExceeded, match="index 10 exceeds"):
+            make()
+    with pytest.raises(ValueError, match="depth 0 or 1"):
+        ErrorTerm(capped, 0, depth=2)
 
 
 def test_initial_enclosure_formula_everywhere():

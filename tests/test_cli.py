@@ -379,9 +379,9 @@ def _certified_work(case, monkeypatch, capsys) -> dict[str, int]:
         counts["refine"] += 1
         refine_once(term)
 
-    def counted_init(term, *args):
+    def counted_init(term, *args, **kwargs):
         counts["init"] += 1
-        init(term, *args)
+        init(term, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "irrmeasure"
@@ -396,11 +396,12 @@ def _certified_work(case, monkeypatch, capsys) -> dict[str, int]:
 def test_replay_certifies_the_pinned_amount_of_work(monkeypatch, capsys):
     # proof-trace on replay_wide8.spec. A change to how much certified
     # work a replay does has to change these numbers on purpose. The
-    # context refines every breakpoint term but each member's last by one
-    # step before the sweep; with depth-0 terms it took 714 compares and
-    # 1144 steps
+    # context builds every breakpoint term but each member's last one
+    # step refined, with no refinement step. When it refined those 934
+    # terms after a depth-0 build, the replay took 1310 steps; the sweep
+    # on depth-0 terms took 714 compares and 1144 steps
     assert _certified_work("proof-trace", monkeypatch, capsys) == {
-        "compare": 266, "refine": 1310, "init": 942}
+        "compare": 266, "refine": 376, "init": 942}
 
 
 def test_verify_certifies_the_pinned_amount_of_work(monkeypatch, capsys):

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from irrmeasure import (ContinuedFraction, Ordering, brute_force_psi_sweep,
-                        build_trajectory, compare_errors, psi_at,
-                        serialize_trajectory)
+from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering,
+                        brute_force_psi_sweep, build_trajectory, compare_errors,
+                        psi_at, serialize_trajectory)
 from irrmeasure.corpus import random_periodic_cf
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, OutOfHorizon,
                                PrecisionInsufficient)
 
 from conftest import (GOLDEN, oracle_min_scan, oracle_sqrt_interval,
-                      oracle_value_interval)
+                      oracle_value_interval, term_slots)
 
 
 # ------------------------------------------------------------ construction
@@ -83,6 +83,22 @@ def _built(cf: ContinuedFraction, t_max: int):
     return [(q, term.index) for q, term in traj.breakpoints], traj.next_q
 
 
+def _refined(cf: ContinuedFraction, t_max: int):
+    """_built with the terms built one step refined. Every term but the
+    last equals ErrorTerm(cf, nu) refined once, slot for slot, and the
+    last is at depth 0; building those references reads nothing new."""
+    traj = build_trajectory(cf, t_max, depth=1)
+    memo = len(cf._coeffs), len(cf._table)
+    *refined, (_, last) = traj.breakpoints
+    for _, term in refined:
+        want = ErrorTerm(cf, term.index)
+        want.refine_once()
+        assert term_slots(term) == term_slots(want)
+    assert term_slots(last) == term_slots(ErrorTerm(cf, last.index))
+    assert (len(cf._coeffs), len(cf._table)) == memo
+    return [(q, term.index) for q, term in traj.breakpoints], traj.next_q
+
+
 #: name -> (preperiod, period, t_max): sqrt2; phi, whose q_0 = q_1 = 1
 #: collide, with t_max = 1 too; and a longer stream with a preperiod
 GROWTH_STREAMS = {"sqrt2@12": ((1,), (2,), 12), "phi@8": ((1,), (1,), 8),
@@ -112,7 +128,8 @@ def _growth_cases():
 def test_one_pass_growth_reads_what_the_row_walk_read(make, t_max, need, grown):
     # the same breakpoints, or the same error, and the same coefficients
     # and rows memoized, from a fresh table, one holding two rows, or one
-    # already grown past t_max where the stream has the coefficients
+    # already grown past t_max where the stream has the coefficients; the
+    # refined build reads and adds what the depth-0 one does
     def outcome(build):
         cf = make()
         with contextlib.suppress(DepthExhausted, DepthCapExceeded):
@@ -123,7 +140,7 @@ def test_one_pass_growth_reads_what_the_row_walk_read(make, t_max, need, grown):
             result = type(exc), str(exc)
         return result, len(cf._coeffs), len(cf._table)
 
-    assert outcome(_built) == outcome(walked_trajectory)
+    assert outcome(_built) == outcome(walked_trajectory) == outcome(_refined)
 
 
 # ------------------------------------------------------------- evaluation
