@@ -406,12 +406,14 @@ class ErrorTerm:
             raise ValueError("error-term index must be >= 0")
         if depth not in (0, 1):
             raise ValueError("an error term is built at depth 0 or 1")
-        p, q, q_prev = owner.convergent_row(index)
+        # growing the table to row index + depth grows it to row index too
+        q_next = owner.convergent_row(index + depth)[1]
+        p, q, q_prev = owner._table[index]
         self.owner = owner
         self.index = index
         self.p, self.q, self.q_prev = p, q, q_prev
         if depth:
-            self._advance(1, 0, owner.convergent_row(index + 1)[1], q, index + 2)
+            self._advance(1, 0, q_next, q, index + 2)
         else:
             self._advance(0, 1, q, q_prev, index + 1)
 

@@ -7,14 +7,15 @@ sweep is a kinetic sorted list in the sense of Basch, Guibas and
 Hershberger ("Data Structures for Mobile Data", SODA 1997): its events
 come from one schedule of all members' breakpoints, merged and sorted
 once; at each event only the jumping members' step values change, so it
-carries the ordering forward and re-inserts just those members; and its
-certificates are the adjacencies of the ordering, and an event
-re-certifies only those it created: any other adjacency holds the same
-two enclosures that an earlier event certified separated, and enclosures
-only nest. The report counts distinct orderings on the window (the
-finite-horizon surrogate of the infinitely-recurring count) and the jump
-multiplicities; the per-pair order flips are derived from its events on
-first read, so analyses that never print them never pay for them.
+carries the ordering forward, and each jump is one move: the jumper
+leaves its slot and is put back; and its certificates are the
+adjacencies of the ordering, and a move re-certifies only those it
+created: any other adjacency holds the same two enclosures that an
+earlier move certified separated, and enclosures only nest. The report
+counts distinct orderings on the window (the finite-horizon surrogate of
+the infinitely-recurring count) and the jump multiplicities; the
+per-pair order flips are derived from its events on first read, so
+analyses that never print them never pay for them.
 """
 
 from __future__ import annotations
@@ -212,41 +213,60 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
 
     The schedule holds every breakpoint (q, label, term) of every member
-    with t0 < q <= t_max, sorted once by q; the sort is stable, so equal
-    q form one event whose jumpers come in ascending label order, with
-    their new step values at the depth TupleContext gave them: 1, or 0
-    for a member's last term. Each event's before is the running
-    ordering; after keeps the other members in their running order and
-    puts each jumper back by a certified binary search. Then
-    first_misordered certifies, on this event's enclosures, the
-    adjacencies of after that the event created, and one out of order is
-    an internal fault. An event takes one of two paths:
+    with t0 < q <= t_max, sorted once by q; the sort is stable, so the
+    entries of one q, an event, come in ascending label order, with their
+    new step values at the depth TupleContext gave them: 1, or 0 for a
+    member's last term. sigma(t0) is certified whole by first_misordered
+    before the first entry. Every entry is one move: the member takes
+    its new step value, leaves its slot in the running ordering and is
+    put back by a certified binary search; then first_misordered
+    certifies the adjacencies the move created: the member's two new
+    neighbours and, when it left an inner slot, the two members that
+    closed its gap. One out of order is an internal fault. An event's
+    after is the running ordering after its last move.
 
-    - one jumper, after the first event: the jumper is deleted from its
-      slot and put back, and the slice certified spans its two new
-      neighbours and, when it left an inner slot, the two members that
-      closed its gap;
-    - the first event, or two or more jumpers: the jumpers are taken out,
-      put back one by one, and all of after is certified.
-
-    Every other adjacency joins two members that kept their term objects
-    since an earlier event certified them separated, and refinement only
-    nests enclosures, so its integer separation test would pass without a
-    refinement step. Step values live in a list indexed by label (slot 0
-    unused); after is the next event's before. The loop keeps no ranks
-    and counts no flips: the report derives its sign_changes from the
-    events when they are first read.
+    A co-jumper that has not moved yet still holds its previous step
+    value, a true value, so the running ordering is a certified sorted
+    list before and after every move. (Members with a rational relation
+    that screening lets through can make that value equal to the
+    jumper's new one, and a probe of it is then undecided.) Every
+    adjacency an event created, one that holds a jumper or was not
+    adjacent in before, is checked on its final terms by the last move
+    that created it. Every other adjacency joins two members that kept
+    their term objects since an earlier move certified them separated,
+    and refinement only nests enclosures, so its integer separation test
+    would pass without a refinement step. Step values live in a list
+    indexed by label (slot 0 unused). The loop keeps no ranks and counts
+    no flips: the report derives its sign_changes from the events when
+    they are first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
-
-    def place(i: int, x: ErrorTerm, order: list[int], t: int) -> int:
-        """Where jumper i, of step value x, goes in order: a certified
-        binary search that probes with compare_errors' own separation
-        tests and compares certified only overlapping enclosures."""
+    schedule = sorted(((q, i, term)
+                       for i, tr in enumerate(ctx.trajectories, start=1)
+                       for q, term in tr.breakpoints if t0 < q <= ctx.t_max),
+                      key=itemgetter(0))
+    terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
+    sigma = sigma_at(ctx, t0)
+    bad = first_misordered([terms[m] for m in sigma], depth)
+    if bad is not None:
+        raise AssertionError(f"members {sigma[bad]} and {sigma[bad + 1]} "
+                             f"are out of order at t = {t0}")
+    order, last = list(sigma), len(sigma) - 1
+    events: list[PermutationEvent] = []
+    spans: dict[tuple[int, ...], tuple[int, int]] = {}
+    seg_start = t0
+    max_tau = 0
+    first, stop = 0, len(schedule)
+    for k, (t, i, x) in enumerate(schedule):
+        terms[i] = x
+        left = order.index(i)
+        del order[left]
         x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
             x.lo_num, x.lo_den, x.hi_num, x.hi_den)
-        lo, hi = 0, len(order)
+        # probes take compare_errors' own separation tests; only
+        # overlapping enclosures are compared certified
+        lo, hi = 0, last
         while lo < hi:
             mid = (lo + hi) // 2
             m = order[mid]
@@ -265,62 +285,29 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 # the comparison may have refined the jumper
                 x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
                     x.lo_num, x.lo_den, x.hi_num, x.hi_den)
-        return lo
-
-    schedule = sorted(((q, i, term)
-                       for i, tr in enumerate(ctx.trajectories, start=1)
-                       for q, term in tr.breakpoints if t0 < q <= ctx.t_max),
-                      key=itemgetter(0))
-    terms = [None, *(psi_at(tr, t0) for tr in ctx.trajectories)]
-    sigma = sigma_at(ctx, t0)
-    n = len(sigma)
-    events: list[PermutationEvent] = []
-    spans: dict[tuple[int, ...], tuple[int, int]] = {}
-    seg_start = t0
-    max_tau = 0
-    k, stop = 0, len(schedule)
-    while k < stop:
-        t, i, x = schedule[k]
-        terms[i] = x
-        k += 1
-        if events and (k == stop or schedule[k][0] != t):
-            # one jumper after the first event
-            order = list(sigma)
-            left = order.index(i)
-            del order[left]
-            lo = place(i, x, order, t)
-            order.insert(lo, i)
-            after = tuple(order)
-            # the jumper's neighbours at lo, and the pair that closed the
-            # gap it left at sigma[left]: after[left:left + 2] when it moved
-            # up, after[left - 1:left + 1] when it moved down
-            start, end = max(lo - 1, 0), lo + 2
-            if lo < left < n - 1:
-                end = left + 2
-            elif 0 < left < lo:
-                start = left - 1
+        order.insert(lo, i)
+        # the jumper's neighbours at lo, and the pair that closed the gap
+        # it left at slot left: order[left:left + 2] when it moved up,
+        # order[left - 1:left + 1] when it moved down
+        start, end = max(lo - 1, 0), lo + 2
+        if lo < left < last:
+            end = left + 2
+        elif 0 < left < lo:
+            start = left - 1
+        bad = first_misordered([terms[m] for m in order[start:end]], depth)
+        if bad is not None:
+            raise AssertionError(f"members {order[start + bad]} and "
+                                 f"{order[start + bad + 1]} are out of order "
+                                 f"at t = {t}")
+        if k + 1 < stop and schedule[k + 1][0] == t:
+            continue
+        after = tuple(order)
+        if k == first:
             jumpers = frozenset((i,))
         else:
-            # the first event, or two or more jumpers: every adjacency
-            jumping = [i]
-            while k < stop and schedule[k][0] == t:
-                _, i, x = schedule[k]
-                terms[i] = x
-                jumping.append(i)
-                k += 1
-            if len(jumping) > max_tau:
-                max_tau = len(jumping)
-            order = [m for m in sigma if m not in jumping]
-            for i in jumping:
-                order.insert(place(i, terms[i], order, t), i)
-            after = tuple(order)
-            start, end = 0, n
-            jumpers = frozenset(jumping)
-        bad = first_misordered([terms[m] for m in after[start:end]], depth)
-        if bad is not None:
-            raise AssertionError(f"members {after[start + bad]} and "
-                                 f"{after[start + bad + 1]} are out of order "
-                                 f"at t = {t}")
+            jumpers = frozenset([m for _, m, _ in schedule[first:k + 1]])
+        max_tau = max(max_tau, k + 1 - first)
+        first = k + 1
         events.append(PermutationEvent(t, sigma, after, jumpers))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)

@@ -255,8 +255,8 @@ def test_window_too_short_exits_1(pair_spec, capsys):
 
 
 def test_internal_invariant_failure_exits_3(pair_spec, monkeypatch, capsys):
-    # the sweep certifies every adjacency of each new ordering again; a
-    # certificate that contradicts the insertion is a bug, not a result
+    # the sweep certifies sigma(t0) and the adjacencies each jump created;
+    # a certificate that contradicts the insertion is a bug, not a result
     sweep_module = importlib.import_module("irrmeasure.sweep")
     monkeypatch.setattr(sweep_module, "first_misordered", lambda *args: 0)
     assert main(["trace", str(pair_spec)]) == 3
@@ -332,11 +332,14 @@ def test_flip_counts_are_derived_only_by_trace(monkeypatch, capsys):
 @pytest.mark.parametrize("scope", ["every call", "binary search only"])
 def test_inverted_comparison_fails_the_narrowed_self_check(scope, monkeypatch,
                                                           capsys):
-    # an event re-certifies only the adjacencies it created; a jumper put
+    # a jump re-certifies only the adjacencies it created; a jumper put
     # in the wrong slot sits in one of them, so the check still fires
     spec = str(DATA / "replay_wide8.spec")
     assert main(["trace", spec]) == 0
-    records = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    records, summary = capsys.readouterr().out.split("\n\n")
+    records = records.splitlines()
+    t0 = next(line.split("\t")[1] for line in summary.splitlines()
+              if line.startswith("window\t"))
     sweep_module = importlib.import_module("irrmeasure.sweep")
     certified_order = sweep_module.certified_order
     inverted = {Ordering.GREATER: Ordering.LESS, Ordering.LESS: Ordering.GREATER}
@@ -354,10 +357,11 @@ def test_inverted_comparison_fails_the_narrowed_self_check(scope, monkeypatch,
     assert "out of order" in captured.err
     assert captured.out == ""
     time = captured.err.rstrip().rsplit(" ", 1)[1]
-    at = next(r for r, line in enumerate(records) if line.split("\t")[0] == time)
     if scope == "every call":
-        assert at == 0    # sigma(t0) is wrong, and the first event checks it all
+        assert time == t0    # sigma(t0) is wrong, and is checked where it is made
     else:
+        at = next(r for r, line in enumerate(records)
+                  if line.split("\t")[0] == time)
         # a later event with one jumper, which checks only a slice
         assert at > 0 and "," not in records[at].split("\t")[3]
 

@@ -309,17 +309,34 @@ def _random_n8() -> TupleContext:
                         t_max=10 ** 30)
 
 
+def _probed_slots(slot: int, size: int) -> list[int]:
+    """The slots a binary search over `size` slots probes on its way to
+    `slot`, the first one whose member is below the searched value."""
+    probes, lo, hi = [], 0, size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        if mid >= slot:
+            hi = mid
+        else:
+            lo = mid + 1
+    return probes
+
+
 @pytest.mark.parametrize("make, shows", [
-    (lambda: shared_prefix_triple(6100), "multi"),
+    (lambda: shared_prefix_triple(6100), "stale"),
     (_random_n8, "narrowed"),
     (lambda: rising_steps(_random_n8()), "rose"),
 ], ids=["shared_prefix", "random_n8", "rising_n8"])
 def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatch):
-    # first_misordered gets one contiguous run of after's terms per event:
-    # all of after at the first event and at events with two or more
-    # jumpers, and otherwise a run that holds every adjacency the event
-    # created (a jumper in it, or a pair not adjacent in before). The
-    # rising steps make jumpers leave an inner slot upwards as well
+    # first_misordered gets all of sigma(t0), then one contiguous run of
+    # the running ordering's terms per jump: a run that holds every
+    # adjacency the move created. The reference puts each jumper back by
+    # counting the members certified above it, co-jumpers that have not
+    # moved yet at their previous step values. Over an event, the runs
+    # check every adjacency of after that holds a jumper or was not
+    # adjacent in before, on its final term objects. The rising steps
+    # make jumpers leave an inner slot upwards as well
     ctx = make()
     passed = []
     certify = SWEEP.first_misordered
@@ -330,27 +347,50 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
 
     monkeypatch.setattr(SWEEP, "first_misordered", spy)
     report = sweep(ctx)
-    assert len(passed) == len(report.events)
-    n, narrowed, multi, rose = ctx.n, 0, 0, 0
-    for k, (ev, run) in enumerate(zip(report.events, passed)):
-        after_terms = [psi_at(ctx.trajectories[m - 1], ev.time) for m in ev.after]
-        start = next(r for r, term in enumerate(after_terms) if term is run[0])
-        assert len(run) >= 2
-        assert all(a is b for a, b in zip(after_terms[start:], run, strict=False))
-        assert start + len(run) <= n
-        if k == 0 or len(ev.jumpers) > 1:
-            assert len(run) == n
-            multi += len(ev.jumpers) > 1
+    assert len(passed) == 1 + sum(len(ev.jumpers) for ev in report.events)
+    n, depth = ctx.n, ctx.max_compare_depth
+    order = list(sigma_at(ctx, ctx.t0))
+    current = [None, *(psi_at(tr, ctx.t0) for tr in ctx.trajectories)]
+    runs = iter(passed)
+    first = next(runs)
+    assert len(first) == n
+    assert all(a is current[m] for a, m in zip(first, order))
+    multi = narrowed = rose = stale = 0
+    for ev in report.events:
+        assert tuple(order) == ev.before
+        checked, moved = set(), set()
+        for i in sorted(ev.jumpers):
+            run = next(runs)
+            x = current[i] = psi_at(ctx.trajectories[i - 1], ev.time)
+            rest = [m for m in order if m != i]
+            slot = sum(compare_errors(current[m], x, depth) is Ordering.GREATER
+                       for m in rest)
+            stale += sum(rest[s] in ev.jumpers and rest[s] not in moved
+                         for s in _probed_slots(slot, len(rest)))
+            new = [*rest[:slot], i, *rest[slot:]]
+            row = [current[m] for m in new]
+            start = next(r for r, term in enumerate(row) if term is run[0])
+            assert len(run) >= 2 and start + len(run) <= n
+            assert all(a is b for a, b in zip(row[start:], run, strict=False))
+            old = set(zip(order, order[1:]))
+            for r, pair in enumerate(zip(new, new[1:])):
+                if i in pair or pair not in old:
+                    assert start <= r and r + 2 <= start + len(run)
+            checked.update((id(a), id(b)) for a, b in zip(run, run[1:]))
+            narrowed += len(run) < n
+            rose += slot < order.index(i) < n - 1
+            moved.add(i)
+            order = new
+        assert tuple(order) == ev.after
+        multi += len(ev.jumpers) > 1
         old = set(zip(ev.before, ev.before[1:]))
-        for r, pair in enumerate(zip(ev.after, ev.after[1:])):
-            if pair not in old or ev.jumpers & set(pair):
-                assert start <= r and r + 2 <= start + len(run)
-        narrowed += len(run) < n
-        if len(ev.jumpers) == 1:
-            (i,) = ev.jumpers
-            rose += ev.after.index(i) < ev.before.index(i) < n - 1
+        for upper, lower in zip(ev.after, ev.after[1:]):
+            if (upper, lower) not in old or ev.jumpers & {upper, lower}:
+                assert (id(current[upper]), id(current[lower])) in checked
     assert narrowed > 0
-    assert {"multi": multi, "narrowed": narrowed, "rose": rose}[shows] > 0
+    # stale: events with co-jumpers, and probes that hit one not yet moved
+    counts = {"stale": min(multi, stale), "narrowed": narrowed, "rose": rose}
+    assert counts[shows] > 0
 
 
 def test_serialize_report_formats_each_ordering_once(monkeypatch):
