@@ -7,9 +7,9 @@ sweep is a kinetic sorted list in the sense of Basch, Guibas and
 Hershberger ("Data Structures for Mobile Data", SODA 1997): its events
 come from one schedule of all members' breakpoints, merged and sorted
 once; at each event only the jumping members' step values change, so it
-carries the ordering forward, and each jump is one move: the jumper
-leaves its slot and is put back; and its certificates are the
-adjacencies of the ordering, and a move re-certifies only those it
+carries the ordering forward: the jumpers leave their slots, and each
+jump is one move that puts its member back; and its certificates are
+the adjacencies of the ordering, and a move re-certifies only those it
 created: any other adjacency holds the same two enclosures that an
 earlier move certified separated, and enclosures only nest. The report
 counts distinct orderings on the window (the finite-horizon surrogate of
@@ -212,33 +212,24 @@ class TrajectoryReport:
 def sweep(ctx: TupleContext) -> TrajectoryReport:
     """Visit exactly the merged breakpoint times in (t0, t_max].
 
-    The schedule holds every breakpoint (q, label, term) of every member
-    with t0 < q <= t_max, sorted once by q; the sort is stable, so the
-    entries of one q, an event, come in ascending label order, with their
-    new step values at the depth TupleContext gave them: 1, or 0 for a
-    member's last term. sigma(t0) is certified whole by first_misordered
-    before the first entry. Every entry is one move: the member takes
-    its new step value, leaves its slot in the running ordering and is
-    put back by a certified binary search; then first_misordered
-    certifies the adjacencies the move created: the member's two new
-    neighbours and, when it left an inner slot, the two members that
-    closed its gap. One out of order is an internal fault. An event's
-    after is the running ordering after its last move.
-
-    A co-jumper that has not moved yet still holds its previous step
-    value, a true value, so the running ordering is a certified sorted
-    list before and after every move. (Members with a rational relation
-    that screening lets through can make that value equal to the
-    jumper's new one, and a probe of it is then undecided.) Every
-    adjacency an event created, one that holds a jumper or was not
-    adjacent in before, is checked on its final terms by the last move
-    that created it. Every other adjacency joins two members that kept
-    their term objects since an earlier move certified them separated,
-    and refinement only nests enclosures, so its integer separation test
-    would pass without a refinement step. Step values live in a list
-    indexed by label (slot 0 unused). The loop keeps no ranks and counts
-    no flips: the report derives its sign_changes from the events when
-    they are first read.
+    The schedule holds every breakpoint (q, label, term) with t0 < q <=
+    t_max, sorted once by q; the sort is stable, so the entries of one q,
+    an event, come in ascending label order, with new step values at the
+    depth TupleContext gave them. sigma(t0) is certified whole before the
+    loop. An event's first entry takes all its jumpers out of the running
+    ordering, so a binary search never probes a co-jumper's old step
+    value, which a rational relation that screening lets through can make
+    equal to the new one. Every entry is then one move: the member takes
+    its new step value and is put back by a certified binary search, and
+    first_misordered certifies the slice from its two new neighbours to
+    every pair the removals closed; one out of order is an internal
+    fault. So every adjacency an event created, one that holds a jumper or
+    was not adjacent in before, is checked on its final terms; every other
+    joins two members that kept their term objects since an earlier move
+    certified them separated, and enclosures only nest. Step values live
+    in a list indexed by label (slot 0 unused). The loop keeps no ranks
+    and counts no flips: the report derives its sign_changes from the
+    events when they are first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
@@ -252,21 +243,36 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     if bad is not None:
         raise AssertionError(f"members {sigma[bad]} and {sigma[bad + 1]} "
                              f"are out of order at t = {t0}")
-    order, last = list(sigma), len(sigma) - 1
+    order = list(sigma)
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
-    seg_start = t0
-    max_tau = 0
-    first, stop = 0, len(schedule)
+    seg_start, max_tau = t0, 0
+    n, stop, nxt = len(order), len(schedule), 0
+    # the event's jumpers, and the slot bounds of the lower members of the
+    # pairs their removals closed (n and -1 while there are none)
+    jumping, top, bottom = [], n, -1
     for k, (t, i, x) in enumerate(schedule):
+        while nxt < stop and schedule[nxt][0] == t:
+            m = schedule[nxt][1]
+            left = order.index(m)
+            del order[left]
+            if top > left:
+                top -= 1
+            if bottom > left:
+                bottom -= 1
+            if 0 < left < len(order):
+                if left < top:
+                    top = left
+                if left > bottom:
+                    bottom = left
+            jumping.append(m)
+            nxt += 1
         terms[i] = x
-        left = order.index(i)
-        del order[left]
         x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
             x.lo_num, x.lo_den, x.hi_num, x.hi_den)
         # probes take compare_errors' own separation tests; only
         # overlapping enclosures are compared certified
-        lo, hi = 0, last
+        lo, hi = 0, len(order)
         while lo < hi:
             mid = (lo + hi) // 2
             m = order[mid]
@@ -286,32 +292,32 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
                     x.lo_num, x.lo_den, x.hi_num, x.hi_den)
         order.insert(lo, i)
-        # the jumper's neighbours at lo, and the pair that closed the gap
-        # it left at slot left: order[left:left + 2] when it moved up,
-        # order[left - 1:left + 1] when it moved down
+        # the jumper's neighbours at lo, and every closed pair; the
+        # insertion moves down a slot each one it lands above
         start, end = max(lo - 1, 0), lo + 2
-        if lo < left < last:
-            end = left + 2
-        elif 0 < left < lo:
-            start = left - 1
+        if top >= lo:
+            top += 1
+        if bottom >= lo:
+            bottom += 1
+        if top <= start:
+            start = max(top - 1, 0)
+        if bottom >= end:
+            end = bottom + 1
         bad = first_misordered([terms[m] for m in order[start:end]], depth)
         if bad is not None:
             raise AssertionError(f"members {order[start + bad]} and "
                                  f"{order[start + bad + 1]} are out of order "
                                  f"at t = {t}")
-        if k + 1 < stop and schedule[k + 1][0] == t:
+        if nxt > k + 1:
             continue
         after = tuple(order)
-        if k == first:
-            jumpers = frozenset((i,))
-        else:
-            jumpers = frozenset([m for _, m, _ in schedule[first:k + 1]])
-        max_tau = max(max_tau, k + 1 - first)
-        first = k + 1
-        events.append(PermutationEvent(t, sigma, after, jumpers))
+        if len(jumping) > max_tau:
+            max_tau = len(jumping)
+        events.append(PermutationEvent(t, sigma, after, frozenset(jumping)))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         sigma, seg_start = after, t
+        jumping, top, bottom = [], n, -1
     span = spans.get(sigma)
     spans[sigma] = (seg_start if span is None else span[0], ctx.t_max)
     return TrajectoryReport(t0=t0, t_max=ctx.t_max, events=tuple(events),

@@ -3,6 +3,7 @@
 import importlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -227,6 +228,16 @@ def _equivalence_cases():
                                                                    t_max=10 ** 30)
     for seed in range(6100, 6106):
         yield f"shared_prefix_{seed}", lambda seed=seed: shared_prefix_triple(seed)
+    # one quadratic field, neither sum nor difference an integer, so
+    # screening lets the pair through: both jump at t = 3, and the new
+    # step value of 1/3 + sqrt2 equals the one 1/2 + (3/2)sqrt2 held
+    # until then, so a jumper must never be probed against a co-jumper
+    # that has not moved yet
+    yield "same_field_tie", lambda: TupleContext(
+        [surd_to_cf(sqrt_of(2).plus_rational(Fraction(1, 3))),
+         surd_to_cf(sqrt_of(2).times_rational(Fraction(3, 2))
+                    .plus_rational(Fraction(1, 2)))],
+        t_max=50, burn_in=1)
 
 
 @pytest.mark.parametrize("case", list(_equivalence_cases()),
@@ -255,7 +266,7 @@ def test_schedule_sweep_matches_the_naive_sweep(case, monkeypatch):
     assert (got.k_hat, got.max_tau) == (want.k_hat, want.max_tau)
     assert list(got.sign_changes.items()) == list(want_counts.items())
     assert got_steps == steps
-    if name.startswith("shared_prefix"):
+    if name.startswith(("shared_prefix", "same_field")):
         assert got.max_tau >= 2
 
 
@@ -309,34 +320,32 @@ def _random_n8() -> TupleContext:
                         t_max=10 ** 30)
 
 
-def _probed_slots(slot: int, size: int) -> list[int]:
-    """The slots a binary search over `size` slots probes on its way to
-    `slot`, the first one whose member is below the searched value."""
-    probes, lo, hi = [], 0, size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes.append(mid)
-        if mid >= slot:
-            hi = mid
-        else:
-            lo = mid + 1
-    return probes
+def _shared_prefix_quad(seed: int) -> TupleContext:
+    """shared_prefix_triple with a second periodic member: when the pair
+    jumps together, removing it can close a gap between the other two."""
+    rng = random.Random(seed)
+    members = [*random_shared_prefix_pair(rng), random_periodic_cf(rng),
+               random_periodic_cf(rng)]
+    return TupleContext(members, t_max=10 ** 30, burn_in=2)
 
 
 @pytest.mark.parametrize("make, shows", [
-    (lambda: shared_prefix_triple(6100), "stale"),
+    (lambda: shared_prefix_triple(6100), "paired"),
     (_random_n8, "narrowed"),
     (lambda: rising_steps(_random_n8()), "rose"),
-], ids=["shared_prefix", "random_n8", "rising_n8"])
+    (lambda: _shared_prefix_quad(6104), "closed"),
+], ids=["shared_prefix", "random_n8", "rising_n8", "shared_prefix_quad"])
 def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatch):
     # first_misordered gets all of sigma(t0), then one contiguous run of
-    # the running ordering's terms per jump: a run that holds every
-    # adjacency the move created. The reference puts each jumper back by
-    # counting the members certified above it, co-jumpers that have not
-    # moved yet at their previous step values. Over an event, the runs
-    # check every adjacency of after that holds a jumper or was not
-    # adjacent in before, on its final term objects. The rising steps
-    # make jumpers leave an inner slot upwards as well
+    # the running ordering's terms per jump. Every jumper of an event
+    # leaves the ordering before any is put back, and the reference puts
+    # each back by counting the members certified above it: the ones that
+    # do not jump, and the co-jumpers already put back. A run holds the
+    # jumper's new adjacencies and every pair the removals made adjacent
+    # that is still adjacent. Over an event, the runs check every
+    # adjacency of after that holds a jumper or was not adjacent in
+    # before, on its final term objects. The rising steps make jumpers
+    # leave an inner slot upwards as well
     ctx = make()
     passed = []
     certify = SWEEP.first_misordered
@@ -349,47 +358,49 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
     report = sweep(ctx)
     assert len(passed) == 1 + sum(len(ev.jumpers) for ev in report.events)
     n, depth = ctx.n, ctx.max_compare_depth
-    order = list(sigma_at(ctx, ctx.t0))
     current = [None, *(psi_at(tr, ctx.t0) for tr in ctx.trajectories)]
     runs = iter(passed)
     first = next(runs)
     assert len(first) == n
-    assert all(a is current[m] for a, m in zip(first, order))
-    multi = narrowed = rose = stale = 0
+    assert all(a is current[m]
+               for a, m in zip(first, sigma_at(ctx, ctx.t0), strict=True))
+    paired = closed = narrowed = rose = 0
     for ev in report.events:
-        assert tuple(order) == ev.before
-        checked, moved = set(), set()
+        old = set(zip(ev.before, ev.before[1:]))
+        order = [m for m in ev.before if m not in ev.jumpers]
+        gaps = set(zip(order, order[1:])) - old
+        checked = set()
         for i in sorted(ev.jumpers):
             run = next(runs)
             x = current[i] = psi_at(ctx.trajectories[i - 1], ev.time)
-            rest = [m for m in order if m != i]
             slot = sum(compare_errors(current[m], x, depth) is Ordering.GREATER
-                       for m in rest)
-            stale += sum(rest[s] in ev.jumpers and rest[s] not in moved
-                         for s in _probed_slots(slot, len(rest)))
-            new = [*rest[:slot], i, *rest[slot:]]
+                       for m in order)
+            new = [*order[:slot], i, *order[slot:]]
             row = [current[m] for m in new]
             start = next(r for r, term in enumerate(row) if term is run[0])
-            assert len(run) >= 2 and start + len(run) <= n
             assert all(a is b for a, b in zip(row[start:], run, strict=False))
-            old = set(zip(order, order[1:]))
+            assert start + len(run) <= len(new)
             for r, pair in enumerate(zip(new, new[1:])):
-                if i in pair or pair not in old:
+                if i in pair or pair in gaps:
                     assert start <= r and r + 2 <= start + len(run)
             checked.update((id(a), id(b)) for a, b in zip(run, run[1:]))
             narrowed += len(run) < n
-            rose += slot < order.index(i) < n - 1
-            moved.add(i)
+            rose += slot < ev.before.index(i) < n - 1
             order = new
         assert tuple(order) == ev.after
-        multi += len(ev.jumpers) > 1
-        old = set(zip(ev.before, ev.before[1:]))
+        if len(ev.jumpers) > 1:
+            adjacent = set(zip(order, order[1:]))
+            paired += any(ev.jumpers >= set(pair) for pair in adjacent)
+            closed += bool(gaps & adjacent)
         for upper, lower in zip(ev.after, ev.after[1:]):
             if (upper, lower) not in old or ev.jumpers & {upper, lower}:
                 assert (id(current[upper]), id(current[lower])) in checked
+    assert next(runs, None) is None
     assert narrowed > 0
-    # stale: events with co-jumpers, and probes that hit one not yet moved
-    counts = {"stale": min(multi, stale), "narrowed": narrowed, "rose": rose}
+    # events with co-jumpers that end up adjacent, and ones whose removals
+    # closed a pair that after keeps
+    counts = {"paired": paired, "closed": closed, "narrowed": narrowed,
+              "rose": rose}
     assert counts[shows] > 0
 
 
