@@ -303,7 +303,11 @@ def _periodic_value(preperiod: tuple[int, ...],
         (n*m - P*R*D + 2c*(P*S - Q*R)*sqrt(D)) / (m^2 - R^2*D),
 
     all in integers: D is decomposed once, s^2*d with d square-free, and
-    only the two parts become Fractions.
+    only the two parts become Fractions. D is never a square, so d >= 2:
+    D = tr^2 - 4*det for the word's trace tr = a11 + a22 and determinant
+    det = (-1)^len. At odd length D = tr^2 + 4 with tr >= 1, and at even
+    length D = tr^2 - 4 with tr >= 3 (a11 >= 2 and a22 >= 1, as every
+    entry is >= 1), and no square lies 4 from tr^2 for such tr.
     """
     a11, a12, c, a22 = 1, 0, 0, 1
     for a in period:
@@ -313,8 +317,6 @@ def _periodic_value(preperiod: tuple[int, ...],
     try:
         s, d = surd.squarefree_decompose(D)
     except RadicandError:
-        return None
-    if d == 1:          # a square D, which QuadraticSurd refuses
         return None
     # y > 1 means sqrt(D) > 2c - A
     if 2 * c - A >= 0 and D <= (2 * c - A) ** 2:

@@ -181,8 +181,10 @@ def parse_spec(data: bytes | str) -> TupleSpecFile:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise SpecSyntaxError("input is not valid UTF-8", line=1,
-                                  column=1) from exc
+            # the first bad byte's line and column, as the parser counts them
+            lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+            raise SpecSyntaxError("input is not valid UTF-8", line=len(lines),
+                                  column=len(lines[-1])) from exc
     else:
         text = data
     globals_seen: dict[str, object] = {}

@@ -9,9 +9,10 @@ come from one schedule of all members' breakpoints, merged and sorted
 once; at each event only the jumping members' step values change, so it
 carries the ordering forward: the jumpers leave their slots, and each
 jump is one move that puts its member back; and its certificates are
-the adjacencies of the ordering, and a move re-certifies only those it
-created: any other adjacency holds the same two enclosures that an
-earlier move certified separated, and enclosures only nest. The report
+the adjacencies of the ordering, each checked by the step that creates
+it: a removal checks the pair it closes, a move the jumper's two new
+neighbours. Any other adjacency holds the same two enclosures that an
+earlier step certified separated, and enclosures only nest. The report
 counts distinct orderings on the window (the finite-horizon surrogate of
 the infinitely-recurring count) and the jump multiplicities; the
 per-pair order flips are derived from its events on first read, so
@@ -219,17 +220,19 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     loop. An event's first entry takes all its jumpers out of the running
     ordering, so a binary search never probes a co-jumper's old step
     value, which a rational relation that screening lets through can make
-    equal to the new one. Every entry is then one move: the member takes
-    its new step value and is put back by a certified binary search, and
-    first_misordered certifies the slice from its two new neighbours to
-    every pair the removals closed; one out of order is an internal
-    fault. So every adjacency an event created, one that holds a jumper or
-    was not adjacent in before, is checked on its final terms; every other
-    joins two members that kept their term objects since an earlier move
-    certified them separated, and enclosures only nest. Step values live
-    in a list indexed by label (slot 0 unused). The loop keeps no ranks
-    and counts no flips: the report derives its sign_changes from the
-    events when they are first read.
+    equal to the new one; a removal that leaves members on both sides
+    certifies the pair it closes. Every entry is then one move: the member
+    takes its new step value, is put back by a certified binary search,
+    and first_misordered certifies it against its two new neighbours; one
+    out of order is an internal fault. So a closed pair of members that do
+    not jump is checked on its final terms by the removal that closed it,
+    one that holds a co-jumper still to leave on terms certified earlier
+    (extra, but harmless), and every adjacency that holds a jumper by the
+    last move that made it; every other joins two members that kept their
+    term objects since an earlier step certified them separated, and
+    enclosures only nest. Step values live in a list indexed by label
+    (slot 0 unused). The loop keeps no ranks and counts no flips: the
+    report derives its sign_changes from the events when first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
@@ -247,24 +250,16 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start, max_tau = t0, 0
-    n, stop, nxt = len(order), len(schedule), 0
-    # the event's jumpers, and the slot bounds of the lower members of the
-    # pairs their removals closed (n and -1 while there are none)
-    jumping, top, bottom = [], n, -1
+    stop, nxt, jumping = len(schedule), 0, []
     for k, (t, i, x) in enumerate(schedule):
         while nxt < stop and schedule[nxt][0] == t:
             m = schedule[nxt][1]
             left = order.index(m)
             del order[left]
-            if top > left:
-                top -= 1
-            if bottom > left:
-                bottom -= 1
-            if 0 < left < len(order):
-                if left < top:
-                    top = left
-                if left > bottom:
-                    bottom = left
+            if 0 < left < len(order) and first_misordered(
+                    [terms[order[left - 1]], terms[order[left]]], depth) is not None:
+                raise AssertionError(f"members {order[left - 1]} and {order[left]} "
+                                     f"are out of order at t = {t}")
             jumping.append(m)
             nxt += 1
         terms[i] = x
@@ -292,18 +287,8 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
                     x.lo_num, x.lo_den, x.hi_num, x.hi_den)
         order.insert(lo, i)
-        # the jumper's neighbours at lo, and every closed pair; the
-        # insertion moves down a slot each one it lands above
-        start, end = max(lo - 1, 0), lo + 2
-        if top >= lo:
-            top += 1
-        if bottom >= lo:
-            bottom += 1
-        if top <= start:
-            start = max(top - 1, 0)
-        if bottom >= end:
-            end = bottom + 1
-        bad = first_misordered([terms[m] for m in order[start:end]], depth)
+        start = max(lo - 1, 0)
+        bad = first_misordered([terms[m] for m in order[start:lo + 2]], depth)
         if bad is not None:
             raise AssertionError(f"members {order[start + bad]} and "
                                  f"{order[start + bad + 1]} are out of order "
@@ -317,7 +302,7 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         sigma, seg_start = after, t
-        jumping, top, bottom = [], n, -1
+        jumping = []
     span = spans.get(sigma)
     spans[sigma] = (seg_start if span is None else span[0], ctx.t_max)
     return TrajectoryReport(t0=t0, t_max=ctx.t_max, events=tuple(events),

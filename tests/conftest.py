@@ -13,9 +13,16 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import settings
 
 from irrmeasure import (ContinuedFraction, ErrorTerm, QuadraticSurd, sqrt_of,
                         surd_to_cf)
+
+
+# the property tests draw the same examples on every run, and no example
+# database carries a failure from one run into the next
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 # ---------------------------------------------------------------- oracles

@@ -10,7 +10,7 @@ from irrmeasure import (TupleContext, build_proof_trace, check_theorem_bound,
                         verify_with_retries)
 from irrmeasure.bound import _covered_once
 from irrmeasure.corpus import random_independent_members
-from irrmeasure.errors import WindowTooShort
+from irrmeasure.errors import VerificationFailed, WindowTooShort
 
 
 @pytest.fixture
@@ -226,6 +226,25 @@ def test_only_a_burn_in_past_every_doubling_fails_at_once(phi_cf, sqrt2_cf,
         verify_with_retries([phi_cf, sqrt2_cf], t_max=100, burn_in=burn_in,
                             retries=3)
     assert info.value.origin == origin
+
+
+def test_a_bound_failure_is_retried_and_then_raised_with_its_trace():
+    # at t_max 3 the window holds two orderings, too few to place every
+    # member in one I_j or to meet the count bound; at t_max 12 the
+    # tuple verifies, after two doublings
+    rng = random.Random(0)
+    cfs = random_independent_members(rng, rng.randint(2, 6))
+    with pytest.raises(VerificationFailed) as info:
+        verify_with_retries(cfs, t_max=3, burn_in=1, retries=0)
+    ctx = TupleContext(cfs, t_max=3, burn_in=1)
+    assert str(info.value) == (
+        "[bound.verify_with_retries] jump coverage incomplete; count bound "
+        "violated at t_max = 3\n" + render_proof_trace(build_proof_trace(ctx)))
+    run = verify_with_retries(cfs, t_max=3, burn_in=1, retries=8)
+    assert (run.doublings, run.report.t_max) == (2, 12)
+    assert run.bound.ok
+    with pytest.raises(ValueError, match="retries must be >= 0"):
+        verify_with_retries(cfs, t_max=3, burn_in=1, retries=-1)
 
 
 def test_pairs_are_screened_once_per_call(phi_cf, sqrt2_cf, monkeypatch):

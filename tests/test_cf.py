@@ -918,6 +918,20 @@ def test_periodic_value_certifies_its_radicand_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_every_short_period_word_has_a_value_with_a_nonsquare_radicand():
+    # the fixed point's discriminant tr^2 - 4*det is never a square for a
+    # word of positive entries, so every period of 1 to 4 entries over
+    # 1..4 gets an exact value, which re-expands to the same stream
+    words = [period for length in range(1, 5)
+             for period in product(range(1, 5), repeat=length)]
+    assert len(words) == 340
+    for period in words:
+        cf = ContinuedFraction.periodic([], period)
+        value = cf.exact_value()
+        assert value is not None and value.radicand >= 2
+        assert surd_to_cf(value).prefix(12) == cf.prefix(12)
+
+
 def test_periodic_value_is_none_past_the_printable_digit_limit(monkeypatch):
     # the period [1]*12000 + [2] has a fixed-point discriminant of more
     # than 4,300 digits; the "cannot certify" message states sizes, so the

@@ -458,6 +458,16 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert main(["psi", str(missing)]) == 2
 
 
+def test_spec_that_is_not_utf8_exits_2_with_empty_stdout(tmp_path, capsys):
+    bad = tmp_path / "bad.spec"
+    bad.write_bytes(b"t_max = 5\n[x]\nkind = \xff\n")
+    assert main(["psi", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: [specfile.parse_spec] line 3, column 8: "
+                            "input is not valid UTF-8\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["not-a-command", "x"])

@@ -117,6 +117,35 @@ def test_syntax_errors_carry_position():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("data, error, message, where", [
+    (b"[x]\nkind = spiral\n", SpecSemanticError,
+     "[x] kind must be one of periodic, finite, surd", "x"),
+    (b"[x]\nkind = periodic\npreperiod = [1]\n", SpecSemanticError,
+     "[x] periodic entries need period", "x"),
+    (b"[x]\nkind = periodic\npreperiod = [1]\nperiod = 3\n", SpecSemanticError,
+     "[x] period must be an integer list [a, b, ...]", "x"),
+    (b"[x]\nkind = surd\nrational = 1/0\nroot = 1\nradicand = 2\n",
+     SpecSyntaxError, "line 3, column 12: fraction with zero denominator", (3, 12)),
+    (b"t_max = a=b\n", SpecSyntaxError,
+     "line 1, column 9: cannot parse value 'a=b'", (1, 9)),
+    (b"t_max = 5\r\n# caf\xc3\xa9 \xe9\n", SpecSyntaxError,
+     "line 2, column 8: input is not valid UTF-8", (2, 8)),
+    (b"t_max = 5\nt_max = 6\n", SpecSemanticError,
+     "[global settings] duplicate key 't_max'", "global settings"),
+    (b"[x]\nkind = finite\nkind = surd\n", SpecSemanticError,
+     "[x] duplicate key 'kind'", "x"),
+], ids=["unknown-kind", "missing-key", "wrong-type", "zero-denominator",
+        "unparseable", "invalid-utf8", "duplicate-global", "duplicate-in-block"])
+def test_hostile_input_names_its_cause(data, error, message, where):
+    with pytest.raises(error) as info:
+        parse_spec(data)
+    assert str(info.value) == f"[specfile.parse_spec] {message}"
+    if error is SpecSyntaxError:
+        assert (info.value.line, info.value.column) == where
+    else:
+        assert info.value.entity == where
+
+
 _HUGE = "1" + "0" * 5000       # past the interpreter's 4,300-digit limit
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -12,6 +13,7 @@ from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering,
 from irrmeasure.corpus import random_periodic_cf
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, OutOfHorizon,
                                PrecisionInsufficient)
+from irrmeasure.stepfunc import _dist_bracket
 
 from conftest import (GOLDEN, oracle_min_scan, oracle_sqrt_interval,
                       oracle_value_interval, term_slots)
@@ -219,6 +221,28 @@ def test_brute_force_rejects_wide_enclosures():
         brute_force_psi_sweep(Fraction(141, 100), Fraction(142, 100), 10)
     with pytest.raises(ValueError):
         brute_force_psi_sweep(Fraction(1, 2), Fraction(1, 2), 3)
+
+
+def test_dist_bracket_is_the_exact_range_of_the_distance():
+    # ||y|| is piecewise linear, so over (lo, hi) its extremes lie at the
+    # ends or at the integers and half-integers inside; every interval
+    # narrower than 1/2 with its lower end in [-2, 2), on denominators
+    # 2..20, among them ones with a half-integer inside and ones that
+    # reach an integer
+    half = straddle = 0
+    for den in range(2, 21):
+        for lo_num in range(-2 * den, 2 * den):
+            for hi_num in range(lo_num + 1, lo_num + (den - 1) // 2 + 1):
+                lo, hi = Fraction(lo_num, den), Fraction(hi_num, den)
+                points = [lo, hi, *(Fraction(k, 2) for k in
+                                    range(floor(2 * lo) + 1, ceil(2 * hi)))]
+                dist = [abs(y - round(y)) for y in points]
+                low, high = _dist_bracket(lo_num, hi_num, den)
+                assert (Fraction(low, 2 * den), Fraction(high, 2 * den)) == (
+                    min(dist), max(dist))
+                straddle += floor(lo) != floor(hi)
+                half += floor(lo) == floor(hi) and Fraction(1, 2) in dist[2:]
+    assert half > 0 and straddle > 0
 
 
 def test_trajectory_agrees_with_oracle_scan():

@@ -336,16 +336,18 @@ def _shared_prefix_quad(seed: int) -> TupleContext:
     (lambda: _shared_prefix_quad(6104), "closed"),
 ], ids=["shared_prefix", "random_n8", "rising_n8", "shared_prefix_quad"])
 def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatch):
-    # first_misordered gets all of sigma(t0), then one contiguous run of
-    # the running ordering's terms per jump. Every jumper of an event
-    # leaves the ordering before any is put back, and the reference puts
-    # each back by counting the members certified above it: the ones that
-    # do not jump, and the co-jumpers already put back. A run holds the
-    # jumper's new adjacencies and every pair the removals made adjacent
-    # that is still adjacent. Over an event, the runs check every
-    # adjacency of after that holds a jumper or was not adjacent in
-    # before, on its final term objects. The rising steps make jumpers
-    # leave an inner slot upwards as well
+    # first_misordered gets all of sigma(t0); then, per event, one
+    # two-term run for each removal that closes a pair, and one run of at
+    # most three terms per jump. Every jumper of an event leaves the
+    # ordering, in label order, before any is put back, and a removal that
+    # leaves members on both sides checks the pair it closed, on the terms
+    # in effect before the event. The reference puts each jumper back by
+    # counting the members certified above it: the ones that do not jump,
+    # and the co-jumpers already put back. Its run is the jumper and its
+    # new neighbours. Over an event, the runs check every adjacency of
+    # after that holds a jumper or was not adjacent in before, on its
+    # final term objects. The rising steps make jumpers leave an inner
+    # slot upwards as well
     ctx = make()
     passed = []
     certify = SWEEP.first_misordered
@@ -356,7 +358,6 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
 
     monkeypatch.setattr(SWEEP, "first_misordered", spy)
     report = sweep(ctx)
-    assert len(passed) == 1 + sum(len(ev.jumpers) for ev in report.events)
     n, depth = ctx.n, ctx.max_compare_depth
     current = [None, *(psi_at(tr, ctx.t0) for tr in ctx.trajectories)]
     runs = iter(passed)
@@ -367,22 +368,25 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
     paired = closed = narrowed = rose = 0
     for ev in report.events:
         old = set(zip(ev.before, ev.before[1:]))
-        order = [m for m in ev.before if m not in ev.jumpers]
-        gaps = set(zip(order, order[1:])) - old
+        order = list(ev.before)
         checked = set()
+        for i in sorted(ev.jumpers):
+            left = order.index(i)
+            del order[left]
+            if 0 < left < len(order):
+                run = next(runs)
+                assert all(a is current[m] for a, m in
+                           zip(run, order[left - 1:left + 1], strict=True))
+                checked.add((id(run[0]), id(run[1])))
+        gaps = set(zip(order, order[1:])) - old
         for i in sorted(ev.jumpers):
             run = next(runs)
             x = current[i] = psi_at(ctx.trajectories[i - 1], ev.time)
             slot = sum(compare_errors(current[m], x, depth) is Ordering.GREATER
                        for m in order)
             new = [*order[:slot], i, *order[slot:]]
-            row = [current[m] for m in new]
-            start = next(r for r, term in enumerate(row) if term is run[0])
-            assert all(a is b for a, b in zip(row[start:], run, strict=False))
-            assert start + len(run) <= len(new)
-            for r, pair in enumerate(zip(new, new[1:])):
-                if i in pair or pair in gaps:
-                    assert start <= r and r + 2 <= start + len(run)
+            assert all(a is current[m] for a, m in
+                       zip(run, new[max(slot - 1, 0):slot + 2], strict=True))
             checked.update((id(a), id(b)) for a, b in zip(run, run[1:]))
             narrowed += len(run) < n
             rose += slot < ev.before.index(i) < n - 1
