@@ -4,7 +4,6 @@ the rigidity check, and the order-reversal pattern at shared denominators.
 Run: python demos/coincidence_screening.py
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from irrmeasure import (QuadraticSurd, check_reversal_pattern, rigidity_scan,
@@ -26,12 +25,9 @@ print(log.serialize())
 
 print("rigidity scan (phi, sqrt2): hypotheses rarely align, and whenever")
 print("they do the forced equalities must hold --")
-outcomes = Counter(r.outcome.value for r in rigidity_scan(golden, sqrt2,
-                                                          max_index=20))
-print(" ", dict(outcomes))
-outcomes = Counter(r.outcome.value for r in rigidity_scan(sqrt2, shifted,
-                                                          max_index=10))
-print("on the dependent pair the confirmed cases appear:", dict(outcomes))
+print(" ", dict(rigidity_scan(golden, sqrt2, max_index=20).tally))
+print("on the dependent pair the confirmed cases appear:",
+      dict(rigidity_scan(sqrt2, shifted, max_index=10).tally))
 print()
 
 print("order reversal at the shared denominator q = 5 of (phi, sqrt2):")

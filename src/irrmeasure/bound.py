@@ -12,7 +12,7 @@ it hard.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -24,31 +24,6 @@ from .screening import DEFAULT_SCAN_DEPTH
 from .sweep import TrajectoryReport, TupleContext, format_permutation, sweep
 
 
-class RestrictedViews(Mapping[tuple[int, int], tuple[int, ...]]):
-    """Read-only mapping (j, s) -> sigma_s restricted to I_j, for j in
-    2..k and s in 1..k, in that key order. A view is computed when it is
-    looked up; nothing is stored but the orderings and the sets."""
-
-    def __init__(self, sigmas: tuple[tuple[int, ...], ...],
-                 i_sets: dict[int, frozenset[int]]) -> None:
-        self._sigmas = sigmas
-        self._i_sets = i_sets
-
-    def __getitem__(self, key: tuple[int, int]) -> tuple[int, ...]:
-        j, s = key
-        if j not in self._i_sets or not 1 <= s <= len(self._sigmas):
-            raise KeyError(key)
-        members = self._i_sets[j]
-        return tuple(m for m in self._sigmas[s - 1] if m in members)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((j, s) for j in self._i_sets
-                for s in range(1, len(self._sigmas) + 1))
-
-    def __len__(self) -> int:
-        return len(self._i_sets) * len(self._sigmas)
-
-
 @dataclass
 class ProofTrace:
     """Combinatorial skeleton of the bound on one window.
@@ -56,13 +31,15 @@ class ProofTrace:
     All member labels are the caller's original 1-based labels. The
     relabeling that makes sigma(T_1) the identity, relabeling[i-1] = the
     label of rank i, is sigma_1; n_counts maps j to n_j = |I_j|.
+    restricted maps j to sigma_1 restricted to I_j, only where I_j has two
+    or more members: views on fewer members agree by definition.
     """
 
     t1: int
     new_times: tuple[int, ...]                 # T_2 .. T_k
     sigmas: tuple[tuple[int, ...], ...]        # sigma_1 .. sigma_k
     i_sets: dict[int, frozenset[int]]          # j -> original labels
-    restricted: RestrictedViews                # (j, s) -> restricted ordering, lazy
+    restricted: dict[int, tuple[int, ...]]     # j -> sigma_1 on I_j, |I_j| >= 2
     restricted_ok: dict[int, bool]
     coverage_ok: bool
     n: int
@@ -115,7 +92,8 @@ def build_proof_trace(ctx: TupleContext,
     earlier ordering's view is compared with sigma_1's through
     per-ordering rank maps, so the check costs O(k n log n) rather than
     building k^2 views. The maps are built only when some I_j has two or
-    more members.
+    more members, and `restricted` keeps sigma_1's view on each such I_j,
+    the view every earlier one was compared with.
     """
     if report is None:
         report = sweep(ctx)
@@ -143,6 +121,7 @@ def build_proof_trace(ctx: TupleContext,
     # rank maps of sigma_1, sigma_2, ..., built only as far as some I_j
     # with two or more members needs them
     ranks: list[dict[int, int]] = []
+    restricted: dict[int, tuple[int, ...]] = {}
     restricted_ok: dict[int, bool] = {}
     for j in range(2, k + 1):
         members = i_sets[j]
@@ -153,15 +132,15 @@ def build_proof_trace(ctx: TupleContext,
         while len(ranks) < j - 1:
             ranks.append({m: r for r, m in enumerate(sigmas[len(ranks)])})
         first = sorted(members, key=ranks[0].__getitem__)
+        restricted[j] = tuple(first)
         restricted_ok[j] = all(sorted(members, key=ranks[s].__getitem__) == first
                                for s in range(1, j - 1))
     # under the window ordering, every member except the last-ranked one
     # must land in exactly one I_j once the window saw all pair flips
     coverage_ok = _covered_once(sigmas[0][:-1], i_sets.values())
-    frozen = tuple(sigmas)
-    return ProofTrace(t1=ctx.t0, new_times=tuple(new_times), sigmas=frozen,
-                      i_sets=i_sets, restricted=RestrictedViews(frozen, i_sets),
-                      restricted_ok=restricted_ok,
+    return ProofTrace(t1=ctx.t0, new_times=tuple(new_times),
+                      sigmas=tuple(sigmas), i_sets=i_sets,
+                      restricted=restricted, restricted_ok=restricted_ok,
                       coverage_ok=coverage_ok, n=ctx.n)
 
 

@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
             scan = rigidity_scan(a, b, max_index=job.max_index,
                                  max_d=job.max_d,
                                  max_compare_depth=job.max_compare_depth)
-            print(f"rigidity_scan\tchecked\t{len(scan)}\tconfirmed\t"
+            print(f"rigidity_scan\tchecked\t{scan.checked}\tconfirmed\t"
                   f"{scan.tally['CONFIRMED']}\tviolations\t{len(scan.violations)}")
             for r in scan.violations:
                 failed = True

@@ -36,7 +36,7 @@ depth cap, and a sign 0 comes only from that exact equality.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -306,55 +306,34 @@ def _check(rows_a: Sequence[tuple[int, int, int]],
     return rec
 
 
-class RigidityScan(Sequence[RigidityRecord]):
-    """Read-only sequence of the records of every triple (nu, mu, d) with
-    nu, mu <= max_index and 1 <= d <= max_d, in lexicographic order.
+class RigidityScan:
+    """The records of the triples (nu, mu, d) with nu, mu <= max_index and
+    1 <= d <= max_d that pass the denominator gate, in lexicographic
+    order; len() and iteration read those.
 
-    Only the examined records, those of triples past the denominator
-    gate, are stored. Any other triple's NOT_APPLICABLE record is built
-    when it is looked up, so such lookups return a fresh object each time.
-    `tally` counts records by first failed hypothesis (RIGIDITY_GATES,
-    in order) and by outcome ("CONFIRMED", "VIOLATION"); `violations`
-    holds the VIOLATION records in scan order.
+    `checked` counts every triple of the window. `tally` counts them by
+    first failed hypothesis (RIGIDITY_GATES, in order) and by outcome
+    ("CONFIRMED", "VIOLATION"), so its first gate counts the triples with
+    no record. `violations` holds the VIOLATION records in scan order.
     """
 
     def __init__(self, max_index: int, max_d: int,
                  examined: dict[tuple[int, int, int], RigidityRecord]) -> None:
-        self._side = max(max_index + 1, 0)
-        self._max_d = max(max_d, 0)
-        self._examined = examined
+        self.checked = max(max_index + 1, 0) ** 2 * max(max_d, 0)
+        self._records = tuple(examined.values())
         tally = dict.fromkeys(RIGIDITY_GATES + ("CONFIRMED", "VIOLATION"), 0)
-        tally[RIGIDITY_GATES[0]] = len(self) - len(examined)
-        for rec in examined.values():
+        tally[RIGIDITY_GATES[0]] = self.checked - len(self._records)
+        for rec in self._records:
             tally[rec.failed_hypothesis or rec.outcome.value] += 1
         self.tally = MappingProxyType(tally)
-        self.violations = tuple(rec for rec in examined.values()
+        self.violations = tuple(rec for rec in self._records
                                 if rec.outcome is RigidityOutcome.VIOLATION)
 
-    def _record(self, nu: int, mu: int, d: int) -> RigidityRecord:
-        rec = self._examined.get((nu, mu, d))
-        if rec is None:
-            rec = RigidityRecord(nu=nu, mu=mu, d=d,
-                                 outcome=RigidityOutcome.NOT_APPLICABLE,
-                                 failed_hypothesis=RIGIDITY_GATES[0])
-        return rec
-
     def __len__(self) -> int:
-        return self._side * self._side * self._max_d
+        return len(self._records)
 
-    def __getitem__(self, index):
-        positions = range(len(self))[index]    # list semantics, errors too
-        if isinstance(index, slice):
-            return [self[i] for i in positions]
-        cell, d = divmod(positions, self._max_d)
-        nu, mu = divmod(cell, self._side)
-        return self._record(nu, mu, d + 1)
-
-    def __iter__(self):
-        for nu in range(self._side):
-            for mu in range(self._side):
-                for d in range(1, self._max_d + 1):
-                    yield self._record(nu, mu, d)
+    def __iter__(self) -> Iterator[RigidityRecord]:
+        return iter(self._records)
 
 
 def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
@@ -363,9 +342,10 @@ def rigidity_scan(a: ContinuedFraction, b: ContinuedFraction, *,
                   max_compare_depth: int = DEFAULT_COMPARE_DEPTH) -> RigidityScan:
     """Exhaustive rigidity check over nu, mu <= max_index and d <= max_d.
 
-    Records and tally are those of the triple loop that runs
-    check_rigidity on every (nu, mu, d) in order. Both convergent tables
-    are grown to the window first, a to row max_index + 2 and then b to
+    The records are those of the triple loop that runs check_rigidity on
+    every (nu, mu, d) in order, less the ones stopped at the denominator
+    gate; the tally counts all of that loop's records. Both convergent
+    tables are grown to the window first, a to row max_index + 2 and then b to
     row max_index + max(max_d, 2), the deepest rows that loop reads; a
     stream that cannot fill the window fails the scan with its own
     growth error, a's before b's, and no sign is evaluated. One index of

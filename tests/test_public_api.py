@@ -21,6 +21,8 @@ REMOVED = [
     ("irrmeasure.stepfunc", "psi_left_limit"),
     ("irrmeasure.cf", "ContinuedFraction.a0"),
     ("irrmeasure", "sqrt_enclosure"),
+    ("irrmeasure.bound", "RestrictedViews"),
+    ("irrmeasure.screening", "RigidityScan.__getitem__"),
 ]
 
 

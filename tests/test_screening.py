@@ -233,6 +233,25 @@ def naive_rigidity_scan(a, b, *, max_index, max_d, max_compare_depth=64):
             for d in range(1, max_d + 1)]
 
 
+def naive_kept(records):
+    """What rigidity_scan keeps of the triple loop's records: the records
+    past the denominator gate, in loop order, the tally of all of them,
+    and their number. Every other record follows from its key."""
+    counts = Counter(r.failed_hypothesis or r.outcome.value for r in records)
+    return {"records": [r.serialize() for r in records
+                        if r.failed_hypothesis != RIGIDITY_GATES[0]],
+            "tally": {key: counts[key]
+                      for key in RIGIDITY_GATES + ("CONFIRMED", "VIOLATION")},
+            "checked": len(records)}
+
+
+def scan_kept(scan):
+    """A RigidityScan's records, tally and triple count, as naive_kept
+    gives them."""
+    return {"records": [r.serialize() for r in scan],
+            "tally": dict(scan.tally), "checked": scan.checked}
+
+
 def _pairs(kind):
     if kind == "independent":
         rng = random.Random(2417)
@@ -252,42 +271,39 @@ def test_rigidity_scan_matches_the_triple_loop(kind, max_d, max_index):
     for a, b in _pairs(kind):
         naive = naive_rigidity_scan(a, b, max_index=max_index, max_d=max_d)
         scan = rigidity_scan(a, b, max_index=max_index, max_d=max_d)
-        assert len(scan) == len(naive) == (max_index + 1) ** 2 * max_d
-        assert [r.serialize() for r in scan] == [r.serialize() for r in naive]
-        counts = Counter(r.failed_hypothesis or r.outcome.value for r in naive)
-        assert dict(scan.tally) == {key: counts[key] for key in scan.tally}
-        assert sum(scan.tally.values()) == len(naive)
+        assert scan.checked == len(naive) == (max_index + 1) ** 2 * max_d
+        assert scan_kept(scan) == naive_kept(naive)
+        assert len(scan) == scan.checked - scan.tally[RIGIDITY_GATES[0]]
+        assert sum(scan.tally.values()) == scan.checked
         assert scan.violations == tuple(
             r for r in naive if r.outcome is RigidityOutcome.VIOLATION)
     if kind == "dependent" and max_d >= 2:
         assert scan.tally["CONFIRMED"] == max_index + 1
 
 
-def test_rigidity_scan_is_an_indexable_sequence(phi_cf, sqrt2_cf):
-    naive = [r.serialize() for r in
-             naive_rigidity_scan(phi_cf, sqrt2_cf, max_index=6, max_d=3)]
+def test_rigidity_scan_iterates_its_examined_records(phi_cf, sqrt2_cf):
+    naive = naive_rigidity_scan(phi_cf, sqrt2_cf, max_index=6, max_d=3)
+    examined = [r for r in naive if r.failed_hypothesis != RIGIDITY_GATES[0]]
     scan = rigidity_scan(phi_cf, sqrt2_cf, max_index=6, max_d=3)
-    assert [scan[i].serialize() for i in range(-len(scan), len(scan))] == naive * 2
-    assert [r.serialize() for r in scan[5:40:7]] == naive[5:40:7]
-    with pytest.raises(IndexError):
-        scan[len(scan)]
-    assert len(rigidity_scan(phi_cf, sqrt2_cf, max_index=-1)) == 0
+    assert 0 < len(scan) == len(examined) < scan.checked == len(naive)
+    assert list(scan) == examined
+    empty = rigidity_scan(phi_cf, sqrt2_cf, max_index=-1)
+    assert len(empty) == empty.checked == 0
     assert list(rigidity_scan(phi_cf, sqrt2_cf, max_d=0)) == []
 
 
-def _outcome(scan, *args, **kwargs):
+def _outcome(run, *args, **kwargs):
     try:
-        return [r.serialize() for r in scan(*args, **kwargs)]
+        return run(*args, **kwargs)
     except (LabError, ValueError) as exc:
         return type(exc), str(exc)
 
 
 def _grow_window(a, b, *, max_index, max_d, **_):
     """Grows a to row max_index + 2, then b to row max_index + max(max_d, 2),
-    the deepest rows the triple loop reads; no records."""
+    the deepest rows the triple loop reads."""
     a.rows(max_index + 3)
     b.rows(max_index + max(max_d, 2) + 1)
-    return []
 
 
 @pytest.fixture
@@ -309,11 +325,17 @@ def _scan_like_the_loop(make_pair, sign_calls, **kwargs):
     fill the window, the triple loop's records or error; otherwise the
     error of growing fresh tables to it, a first, with no sign evaluated,
     where the loop fails too. Returns the loop's and the scan's outcome."""
-    expected = _outcome(naive_rigidity_scan, *make_pair(), **kwargs)
+    def loop(a, b):
+        return naive_kept(naive_rigidity_scan(a, b, **kwargs))
+
+    def scan(a, b):
+        return scan_kept(rigidity_scan(a, b, **kwargs))
+
+    expected = _outcome(loop, *make_pair())
     growth = _outcome(_grow_window, *make_pair(), **kwargs)
     sign_calls.clear()
-    got = _outcome(rigidity_scan, *make_pair(), **kwargs)
-    if growth == []:
+    got = _outcome(scan, *make_pair())
+    if growth is None:
         assert got == expected
     else:
         assert isinstance(expected, tuple), "the loop must fail too"
@@ -428,7 +450,7 @@ def test_rigidity_scan_rejects_a_source_that_fails_only_once(sign_calls):
     scan = rigidity_scan(a, b, max_index=6, max_d=2)
     naive = naive_rigidity_scan(a, ContinuedFraction.from_rule(lambda nu: 2, 100),
                                 max_index=6, max_d=2)
-    assert [r.serialize() for r in scan] == [r.serialize() for r in naive]
+    assert scan_kept(scan) == naive_kept(naive)
     assert failed == [5]
 
 
