@@ -27,11 +27,18 @@ flag the subcommand does not take included), a spec file that cannot be
 read or validated, or a numeric flag that is not an integer at or above
 its minimum: 2 for --scan-depth, 0 for --max-index and --retries, 1 for
 the rest.
+
+main runs the subcommand with the cyclic garbage collector paused and
+puts back the caller's setting on every exit. This is safe because the
+analyses build no reference cycles: reference counting frees everything
+they make. The collector's passes over what they keep alive (convergent
+rows, error terms, events, the proof trace) would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -112,13 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class _Job:
     """The settings its subcommand reads, and no other, plus the spec's
-    members as streams. A spec-file global is its flag, else the spec's
-    value, else the default: such a flag is None when unset and positive
-    when set (both parsers check that), so `or` picks the first one set.
-    Any other setting is its flag's value."""
+    members as the streams parse_spec built under the depth cap the job
+    reads, so each is built once. A spec-file global is its flag, else
+    the spec's value, else the default: such a flag is None when unset
+    and positive when set (both parsers check that), so `or` picks the
+    first one set. Any other setting is its flag's value."""
 
     def __init__(self, args) -> None:
-        spec = parse_spec(args.spec.read_bytes())
+        spec = parse_spec(args.spec.read_bytes(), depth_cap=args.depth_cap)
         for setting in _COMMANDS[args.command].reads:
             value = getattr(args, setting)
             if setting in GLOBAL_KEYS:
@@ -290,6 +298,8 @@ def _buffer_stdout() -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _buffer_stdout()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = _COMMANDS[args.command].run(args)
         sys.stdout.flush()    # a closed pipe shows here, not at exit
@@ -309,6 +319,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 0 success, 1 analysis failure, 2 usage or spec-file problems, 3 internal
 error (a failed self-check of the program), 141 stdout closed early."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import irrmeasure
-from irrmeasure import (ErrorTerm, Ordering, ReversalRecord, RigidityOutcome,
+from irrmeasure import (DEFAULT_DEPTH_CAP, ContinuedFraction, ErrorTerm,
+                        Ordering, ReversalRecord, RigidityOutcome,
                         RigidityRecord, RigidityScan, TrajectoryReport, cli)
 from irrmeasure.cli import main
 
@@ -708,3 +710,92 @@ def test_psi_certifies_a_surd_entry_once(hostile_spec, monkeypatch, capsys):
     monkeypatch.setattr(surd_module, "squarefree_decompose", counting)
     assert main(["psi", str(hostile_spec)]) == 0
     assert calls == [30029999999669670]
+
+
+def test_each_stream_is_built_once_per_run(tmp_path, monkeypatch):
+    # parse_spec builds every entry's stream, which checks the entry, under
+    # the depth cap the run reads: the flag, else the file's, else the
+    # default; the run then reads those streams
+    built = []
+
+    def spy(original):
+        def build(cls, *args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+        return classmethod(build)
+
+    for name in ("periodic", "from_coefficients"):
+        monkeypatch.setattr(ContinuedFraction, name,
+                            spy(getattr(ContinuedFraction, name)))
+    spec = tmp_path / "pair.spec"
+    for header, flags, cap in (("depth_cap = 300\n", ["--depth-cap", "400"], 400),
+                               ("depth_cap = 300\n", [], 300),
+                               ("", [], DEFAULT_DEPTH_CAP)):
+        spec.write_text(header + PAIR + "\n[f]\nkind = finite\n"
+                        "coefficients = [1, 2, 3, 4, 5, 6, 7, 8]\n")
+        built.clear()
+        assert main(["convergents", str(spec), "--count", "3", *flags]) == 0
+        assert [cf.depth_cap for cf in built] == [cap, cap]
+        assert [cf.prefix(3) for cf in built] == [(1, 1, 1), (1, 2, 3)]
+
+
+# ------------------------------------------------ the paused collector
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in DATA.glob("*.spec")))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_run_leaves_no_reference_cycles(command, spec, tmp_path):
+    # main pauses the cyclic collector, which is sound only while
+    # reference counting frees all that a run makes. The first run fills
+    # the process's caches; a second one under a paused collector must
+    # leave nothing for a collection to find
+    argv = [command, str(DATA / spec)]
+    if command == "plot":
+        argv += ["--out-dir", str(tmp_path)]
+    code = main(argv)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_exiting_with(code, spec, tmp_path, monkeypatch) -> list[str]:
+    """The arguments of a run that exits with `code`, after injecting the
+    fault it needs."""
+    if code == 1:
+        return ["proof-trace", spec, "--t-max", "101", "--retries", "0"]
+    if code == 2:
+        bad = tmp_path / "bad.spec"
+        bad.write_text("[x]\nkind = periodic\npreperiod = [1]\nperiod = []\n")
+        return ["psi", str(bad)]
+    if code == 3:
+        monkeypatch.setattr(importlib.import_module("irrmeasure.sweep"),
+                            "first_misordered", lambda *args: 0)
+        return ["trace", spec]
+    if code == 141:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    return ["convergents", spec]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("code", [0, 1, 2, 3, 141])
+def test_main_pauses_the_collector_and_puts_back_the_callers_state(
+        code, enabled, pair_spec, tmp_path, monkeypatch):
+    argv = _run_exiting_with(code, str(pair_spec), tmp_path, monkeypatch)
+    # the handler runs with the collector off: parse_spec records it
+    paused = []
+    parse = cli.parse_spec
+    monkeypatch.setattr(cli, "parse_spec", lambda *args, **kwargs:
+                        paused.append(not gc.isenabled()) or parse(*args, **kwargs))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True]

@@ -51,16 +51,36 @@ def _members(n):
     return [surd_to_cf(sqrt_of(d)) for d in (2, 3, 5, 6)[:n]]
 
 
-def _failure(monkeypatch, fake_sweep, n, t_max):
+def _first_line(cfs, t_max, burn_in):
     """The first line of the VerificationFailed that verify_with_retries
-    raises, with no retry, when its sweep is fake_sweep; None if it
-    passes."""
-    monkeypatch.setattr(irrmeasure.bound, "sweep", fake_sweep)
+    raises with no retry; None if it passes."""
     try:
-        verify_with_retries(_members(n), t_max=t_max, burn_in=1, retries=0)
+        verify_with_retries(cfs, t_max=t_max, burn_in=burn_in, retries=0)
     except VerificationFailed as exc:
         return str(exc).splitlines()[0]
     return None
+
+
+def _failure(monkeypatch, fake_sweep, n, t_max):
+    """_first_line on n members from burn-in 1, when the sweep is
+    fake_sweep."""
+    monkeypatch.setattr(irrmeasure.bound, "sweep", fake_sweep)
+    return _first_line(_members(n), t_max, 1)
+
+
+@pytest.mark.parametrize("t_max, problem", [
+    (3, "jump coverage incomplete at t_max = 3"), (4, None)])
+def test_verify_fails_when_the_window_is_too_short_for_every_pair_to_flip(
+        t_max, problem):
+    # sqrt 3, 5 and 13 from burn-in 2: sigma_1 = (1, 2, 3), and by t_max 3
+    # only the pair (1, 2) has flipped. The one new ordering's jumpers are
+    # 1 and 3, so member 2, ranked above the last, lies in no I_j, and
+    # coverage is the only check that fails. At t_max 4 member 2 jumps
+    # into I_3: the smallest window on which coverage holds, and every
+    # check passes there
+    cfs = [surd_to_cf(sqrt_of(d)) for d in (3, 5, 13)]
+    assert _first_line(cfs, t_max, 2) == (
+        problem and f"[bound.verify_with_retries] {problem}")
 
 
 def _replay(events, k_hat, max_tau):

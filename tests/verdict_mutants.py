@@ -47,6 +47,10 @@ MUTANTS = (
            "ok=margin_count >= 0", "ok=margin_count > 0"),
     Mutant("coverage counts[m] == 1 -> >= 1", "src/irrmeasure/bound.py",
            "counts[m] == 1", "counts[m] >= 1"),
+    Mutant("coverage skips the member above the last", "src/irrmeasure/bound.py",
+           "_covered_once(sigmas[0][:-1],", "_covered_once(sigmas[0][:-2],"),
+    Mutant("coverage problem never raised", "src/irrmeasure/bound.py",
+           "if not trace.coverage_ok:", "if False:"),
     Mutant("max_tau > k_hat -> >=", "src/irrmeasure/bound.py",
            "report.max_tau > report.k_hat", "report.max_tau >= report.k_hat"),
     Mutant("restricted check skips the last earlier ordering",
