@@ -119,14 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class _Job:
     """The settings its subcommand reads, and no other, plus the spec's
-    members as the streams parse_spec built under the depth cap the job
-    reads, so each is built once. A spec-file global is its flag, else
-    the spec's value, else the default: such a flag is None when unset
-    and positive when set (both parsers check that), so `or` picks the
-    first one set. Any other setting is its flag's value."""
+    members as streams. A spec-file global is its flag, else the spec's
+    value, else the default: such a flag is None when unset and positive
+    when set (both parsers check that), so `or` picks the first one set.
+    Any other setting is its flag's value."""
 
     def __init__(self, args) -> None:
-        spec = parse_spec(args.spec.read_bytes(), depth_cap=args.depth_cap)
+        spec = parse_spec(args.spec.read_bytes())
         for setting in _COMMANDS[args.command].reads:
             value = getattr(args, setting)
             if setting in GLOBAL_KEYS:

@@ -62,10 +62,9 @@ _LIST = re.compile(r"\[(.*)\]$")
 @dataclass(frozen=True)
 class NumberSpec:
     """One named number entry; the payload fields used depend on kind.
-    Its stream is built once per depth cap: parsing builds it, which
-    validates the entry, and to_cf returns that stream for that cap. A
-    surd entry's value is certified once, for every cap. Equality
-    compares the fields only."""
+    A surd entry's value is certified once: parsing validates it and
+    to_cf reuses it. Its stream is built once per depth cap, and pickling
+    leaves the streams out. Equality compares the fields only."""
 
     name: str
     kind: str
@@ -95,6 +94,11 @@ class NumberSpec:
     @cached_property
     def _streams(self) -> dict[int, ContinuedFraction]:
         return {}
+
+    def __getstate__(self) -> dict:
+        # a periodic or finite stream reads its terms through a lambda
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_streams"}
 
     @cached_property
     def _surd(self) -> QuadraticSurd:
@@ -150,11 +154,10 @@ def _positive_int(value, key: str, entity: str) -> int | None:
     return value
 
 
-def _build_number(name: str, pairs: dict[str, object],
-                  depth_cap: int) -> NumberSpec:
-    """The entry of one block, with its stream built under depth_cap. Its
-    value is checked by the constructor that stream comes from, and the
-    surd certification for a surd entry, whose stream stays unexpanded."""
+def _build_number(name: str, pairs: dict[str, object]) -> NumberSpec:
+    """The entry of one block. Its value is checked by the constructor it
+    feeds: to_cf() for a periodic or finite entry, the surd certification
+    for a surd entry, which stays unexpanded."""
     kind = pairs.get("kind")
     if kind not in KINDS:
         raise SpecSemanticError(f"kind must be one of {', '.join(KINDS)}",
@@ -176,19 +179,17 @@ def _build_number(name: str, pairs: dict[str, object],
         raise SpecSemanticError("preperiod must contain at least a0", entity=name)
     number = NumberSpec(name=name, **pairs)
     try:
-        number.to_cf(depth_cap)
+        if kind == "surd":
+            number._surd  # certified here once; to_cf reuses it
+        else:
+            number.to_cf()
     except (ValueError, RadicandError) as exc:
         raise SpecSemanticError(str(exc), entity=name) from exc
     return number
 
 
-def parse_spec(data: bytes | str, depth_cap: int | None = None) -> TupleSpecFile:
+def parse_spec(data: bytes | str) -> TupleSpecFile:
     """Parse and validate a tuple-spec file.
-
-    Each entry's stream is built once, under depth_cap when it is given
-    (a caller's override, as the --depth-cap flag is), else under the
-    file's depth_cap, else DEFAULT_DEPTH_CAP; to_cf with that cap returns
-    it. The result keeps the file's own depth_cap.
 
     Syntax errors carry line and column; semantic errors carry the
     offending entity's name.
@@ -244,15 +245,9 @@ def parse_spec(data: bytes | str, depth_cap: int | None = None) -> TupleSpecFile
                 entity="global settings")
         target[key] = value
 
-    # the blocks are checked before the globals, so a file depth_cap that
-    # fails its check below has them built under the default
-    build_cap = globals_seen.get("depth_cap")
-    if not isinstance(build_cap, int) or build_cap < 1:
-        build_cap = DEFAULT_DEPTH_CAP
-    numbers = tuple(_build_number(name, pairs, depth_cap or build_cap)
-                    for name, pairs in blocks)
+    numbers = tuple(_build_number(name, pairs) for name, pairs in blocks)
     globals_seen.setdefault("t_max", DEFAULT_T_MAX)
-    t_max, burn_in, file_cap, max_compare_depth = (
+    t_max, burn_in, depth_cap, max_compare_depth = (
         _positive_int(globals_seen.get(key), key, "global settings")
         for key in ("t_max", "burn_in", "depth_cap", "max_compare_depth"))
     if burn_in is not None and t_max < burn_in:
@@ -262,7 +257,7 @@ def parse_spec(data: bytes | str, depth_cap: int | None = None) -> TupleSpecFile
     if out_dir is not None and not isinstance(out_dir, str):
         out_dir = str(out_dir)
     return TupleSpecFile(numbers=numbers, t_max=t_max, burn_in=burn_in,
-                         depth_cap=file_cap, max_compare_depth=max_compare_depth,
+                         depth_cap=depth_cap, max_compare_depth=max_compare_depth,
                          out_dir=out_dir)
 
 

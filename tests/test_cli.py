@@ -713,9 +713,9 @@ def test_psi_certifies_a_surd_entry_once(hostile_spec, monkeypatch, capsys):
 
 
 def test_each_stream_is_built_once_per_run(tmp_path, monkeypatch):
-    # parse_spec builds every entry's stream, which checks the entry, under
-    # the depth cap the run reads: the flag, else the file's, else the
-    # default; the run then reads those streams
+    # parse_spec builds every periodic or finite entry's stream under the
+    # default cap, which checks the entry; a run under that cap reads the
+    # same streams from to_cf's memo
     built = []
 
     def spy(original):
@@ -728,15 +728,11 @@ def test_each_stream_is_built_once_per_run(tmp_path, monkeypatch):
         monkeypatch.setattr(ContinuedFraction, name,
                             spy(getattr(ContinuedFraction, name)))
     spec = tmp_path / "pair.spec"
-    for header, flags, cap in (("depth_cap = 300\n", ["--depth-cap", "400"], 400),
-                               ("depth_cap = 300\n", [], 300),
-                               ("", [], DEFAULT_DEPTH_CAP)):
-        spec.write_text(header + PAIR + "\n[f]\nkind = finite\n"
-                        "coefficients = [1, 2, 3, 4, 5, 6, 7, 8]\n")
-        built.clear()
-        assert main(["convergents", str(spec), "--count", "3", *flags]) == 0
-        assert [cf.depth_cap for cf in built] == [cap, cap]
-        assert [cf.prefix(3) for cf in built] == [(1, 1, 1), (1, 2, 3)]
+    spec.write_text(PAIR + "\n[f]\nkind = finite\n"
+                    "coefficients = [1, 2, 3, 4, 5, 6, 7, 8]\n")
+    assert main(["convergents", str(spec), "--count", "3"]) == 0
+    assert [cf.depth_cap for cf in built] == [DEFAULT_DEPTH_CAP] * 2
+    assert [cf.prefix(3) for cf in built] == [(1, 1, 1), (1, 2, 3)]
 
 
 # ------------------------------------------------ the paused collector

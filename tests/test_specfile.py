@@ -1,5 +1,6 @@
 """The tuple-spec file grammar: parsing, validation, round-trip."""
 
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -50,6 +51,18 @@ def test_parse_example():
     assert phi.to_cf().prefix(4) == (1, 1, 1, 1)
     assert root2.to_cf().prefix(4) == (1, 2, 2, 2)
     assert probe.to_cf().prefix(5) == (3, 1, 4, 1, 5)
+
+
+def test_a_parsed_spec_pickles_without_its_streams():
+    # to_cf keeps each stream it builds, and a periodic or finite stream
+    # reads its terms through a lambda, so pickling leaves the streams out
+    spec = parse_spec(EXAMPLE)
+    for number in spec.numbers:
+        assert number.to_cf(100) is number.to_cf(100)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    assert [n.to_cf().prefix(5) for n in copy.numbers] == [
+        (1, 1, 1, 1, 1), (1, 2, 2, 2, 2), (3, 1, 4, 1, 5)]
 
 
 def test_periodic_grammar_example_is_sqrt2():
