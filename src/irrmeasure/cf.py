@@ -536,19 +536,21 @@ def first_misordered(terms: Sequence[ErrorTerm],
 
 
 def certified_order(x: ErrorTerm, y: ErrorTerm, max_depth: int, *, time: int,
-                    pair: tuple[int, int], names: tuple[str, str],
+                    pair: tuple[int, int], names: Sequence[str],
                     origin: str) -> Ordering:
     """compare_errors for the step values of two tuple members at one time.
 
     An undecided comparison becomes UndecidedOrdering naming the time, the
-    member pair (labels as the caller numbers them) and the calling step.
+    member pair (labels as the caller numbers them, from 1) and the calling
+    step; names is the caller's whole label-to-name sequence, read at pair.
     """
     try:
         return compare_errors(x, y, max_depth)
     except UndecidedComparison as exc:
+        i, j = pair
         raise UndecidedOrdering(
-            f"cannot order members {names[0]} and {names[1]} at t = {time}",
-            origin=origin, time=time, pair=pair) from exc
+            f"cannot order members {names[i - 1]} and {names[j - 1]} "
+            f"at t = {time}", origin=origin, time=time, pair=pair) from exc
 
 
 class CombinationKind(Enum):

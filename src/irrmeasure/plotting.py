@@ -43,8 +43,6 @@ def render_step_svg(series, focus: int, markers, *, t_max: int,
 
     x_lo, x_hi = log10(xs[0]), log10(xs[1])
     y_lo, y_hi = min(map(log10, ys)), max(map(log10, ys))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT

@@ -63,8 +63,7 @@ _LIST = re.compile(r"\[(.*)\]$")
 class NumberSpec:
     """One named number entry; the payload fields used depend on kind.
     A surd entry's value is certified once: parsing validates it and
-    to_cf reuses it. Its stream is built once per depth cap, and pickling
-    leaves the streams out. Equality compares the fields only."""
+    to_cf reuses it. Equality compares the fields only."""
 
     name: str
     kind: str
@@ -76,13 +75,6 @@ class NumberSpec:
     radicand: int = 0
 
     def to_cf(self, depth_cap: int = DEFAULT_DEPTH_CAP) -> ContinuedFraction:
-        """The entry's stream under depth_cap, built on the first call
-        with that cap; every later call shares it and its memos."""
-        if depth_cap not in self._streams:
-            self._streams[depth_cap] = self._build(depth_cap)
-        return self._streams[depth_cap]
-
-    def _build(self, depth_cap: int) -> ContinuedFraction:
         if self.kind == "periodic":
             return ContinuedFraction.periodic(self.preperiod, self.period,
                                               depth_cap=depth_cap)
@@ -90,15 +82,6 @@ class NumberSpec:
             return ContinuedFraction.from_coefficients(self.coefficients,
                                                        depth_cap=depth_cap)
         return surd_to_cf(self._surd, depth_cap=depth_cap)
-
-    @cached_property
-    def _streams(self) -> dict[int, ContinuedFraction]:
-        return {}
-
-    def __getstate__(self) -> dict:
-        # a periodic or finite stream reads its terms through a lambda
-        return {key: value for key, value in self.__dict__.items()
-                if key != "_streams"}
 
     @cached_property
     def _surd(self) -> QuadraticSurd:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 # the sweep no longer calls compare_errors directly; the name stays bound
 # here because the benchmark's self-tests read sweep.compare_errors
-from .cf import (DEFAULT_COMPARE_DEPTH, ContinuedFraction, ErrorTerm, Ordering,
+from .cf import (DEFAULT_COMPARE_DEPTH, ContinuedFraction, Ordering,
                  certified_order, compare_errors, first_misordered)
 from .errors import DependentTuple, WindowTooShort
 from .screening import (DEFAULT_SCAN_DEPTH, CoincidenceLog, Verdict,
@@ -135,20 +135,12 @@ def sigma_at(ctx: TupleContext, t: int) -> tuple[int, ...]:
     terms = [psi_at(tr, t) for tr in ctx.trajectories]
 
     def cmp(i: int, j: int) -> int:
-        order = _member_order(ctx, t, i, terms[i - 1], j, terms[j - 1],
-                              "sweep.sigma_at")
+        order = certified_order(terms[i - 1], terms[j - 1],
+                                ctx.max_compare_depth, time=t, pair=(i, j),
+                                names=ctx.names, origin="sweep.sigma_at")
         return -1 if order is Ordering.GREATER else 1
 
     return tuple(sorted(range(1, ctx.n + 1), key=cmp_to_key(cmp)))
-
-
-def _member_order(ctx: TupleContext, t: int, i: int, x: ErrorTerm, j: int,
-                  y: ErrorTerm, origin: str) -> Ordering:
-    """Certified order of members i and j, whose step values at t are x
-    and y."""
-    return certified_order(x, y, ctx.max_compare_depth, time=t, pair=(i, j),
-                           names=(ctx.names[i - 1], ctx.names[j - 1]),
-                           origin=origin)
 
 
 def tau_at(ctx: TupleContext, t: int) -> int:
@@ -278,7 +270,7 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 lo = mid + 1
             else:
                 if certified_order(x, y, depth, time=t, pair=(i, m),
-                                   names=(names[i - 1], names[m - 1]),
+                                   names=names,
                                    origin="sweep.sweep") is Ordering.GREATER:
                     hi = mid
                 else:
@@ -329,9 +321,11 @@ def sign_change_count(ctx: TupleContext, i: int, j: int) -> int:
                    if ctx.t0 < t <= ctx.t_max)
 
     def order(t: int) -> Ordering:
-        return _member_order(ctx, t, i, psi_at(ctx.trajectories[i - 1], t),
-                             j, psi_at(ctx.trajectories[j - 1], t),
-                             "sweep.sign_change_count")
+        return certified_order(psi_at(ctx.trajectories[i - 1], t),
+                               psi_at(ctx.trajectories[j - 1], t),
+                               ctx.max_compare_depth, time=t, pair=(i, j),
+                               names=ctx.names,
+                               origin="sweep.sign_change_count")
 
     current = order(ctx.t0)
     flips = 0

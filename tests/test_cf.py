@@ -324,6 +324,13 @@ def test_tail_of_phi_is_fixed_point(phi_cf):
         assert phi_cf.tail(k).prefix(8) == phi_cf.prefix(8)
 
 
+def test_tail_of_a_stream_without_exact_value_has_none():
+    finite = ContinuedFraction.from_coefficients([3, 1, 4, 1, 5])
+    rule = ContinuedFraction(lambda j: j + 1, depth_cap=50)
+    assert finite.tail(2).exact_value() is None
+    assert rule.tail(3).exact_value() is None
+
+
 def test_tail_depth_check():
     cf = ContinuedFraction.from_coefficients([3, 1])
     with pytest.raises(DepthExhausted):

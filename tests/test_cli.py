@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 import irrmeasure
-from irrmeasure import (DEFAULT_DEPTH_CAP, ContinuedFraction, ErrorTerm,
-                        Ordering, ReversalRecord, RigidityOutcome,
+from irrmeasure import (ErrorTerm, Ordering, ReversalRecord, RigidityOutcome,
                         RigidityRecord, RigidityScan, TrajectoryReport, cli)
 from irrmeasure.cli import main
 
@@ -470,6 +469,21 @@ def test_spec_that_is_not_utf8_exits_2_with_empty_stdout(tmp_path, capsys):
                             "input is not valid UTF-8\n")
 
 
+@pytest.mark.parametrize("text, command, message", [
+    ("t_max = 100\n", "psi", "the spec file defines no numbers"),
+    ("[phi]\nkind = periodic\npreperiod = [1]\nperiod = [1]\n", "verify",
+     "verify needs at least two numbers"),
+])
+def test_input_the_analysis_cannot_use_exits_2(tmp_path, capsys, text,
+                                                command, message):
+    spec = tmp_path / "short.spec"
+    spec.write_text(text)
+    assert main([command, str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["not-a-command", "x"])
@@ -710,29 +724,6 @@ def test_psi_certifies_a_surd_entry_once(hostile_spec, monkeypatch, capsys):
     monkeypatch.setattr(surd_module, "squarefree_decompose", counting)
     assert main(["psi", str(hostile_spec)]) == 0
     assert calls == [30029999999669670]
-
-
-def test_each_stream_is_built_once_per_run(tmp_path, monkeypatch):
-    # parse_spec builds every periodic or finite entry's stream under the
-    # default cap, which checks the entry; a run under that cap reads the
-    # same streams from to_cf's memo
-    built = []
-
-    def spy(original):
-        def build(cls, *args, **kwargs):
-            built.append(original(*args, **kwargs))
-            return built[-1]
-        return classmethod(build)
-
-    for name in ("periodic", "from_coefficients"):
-        monkeypatch.setattr(ContinuedFraction, name,
-                            spy(getattr(ContinuedFraction, name)))
-    spec = tmp_path / "pair.spec"
-    spec.write_text(PAIR + "\n[f]\nkind = finite\n"
-                    "coefficients = [1, 2, 3, 4, 5, 6, 7, 8]\n")
-    assert main(["convergents", str(spec), "--count", "3"]) == 0
-    assert [cf.depth_cap for cf in built] == [DEFAULT_DEPTH_CAP] * 2
-    assert [cf.prefix(3) for cf in built] == [(1, 1, 1), (1, 2, 3)]
 
 
 # ------------------------------------------------ the paused collector

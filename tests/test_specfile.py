@@ -53,12 +53,14 @@ def test_parse_example():
     assert probe.to_cf().prefix(5) == (3, 1, 4, 1, 5)
 
 
-def test_a_parsed_spec_pickles_without_its_streams():
-    # to_cf keeps each stream it builds, and a periodic or finite stream
-    # reads its terms through a lambda, so pickling leaves the streams out
+def test_to_cf_builds_a_fresh_stream_and_a_parsed_spec_pickles():
+    # a spec entry is a plain value: each to_cf call builds its own
+    # stream, and pickling needs no hook
     spec = parse_spec(EXAMPLE)
     for number in spec.numbers:
-        assert number.to_cf(100) is number.to_cf(100)
+        first, second = number.to_cf(100), number.to_cf(100)
+        assert first is not second
+        assert first.prefix(5) == second.prefix(5)
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec
     assert [n.to_cf().prefix(5) for n in copy.numbers] == [
@@ -183,6 +185,10 @@ def test_global_key_validation():
         parse_spec(b"t_max = 0\n")
     with pytest.raises(SpecSemanticError):
         parse_spec(b"[x]\nkind = finite\ncoefficients = [1]\nperiod = [2]\n")
+
+
+def test_a_numeric_out_dir_is_kept_as_a_path_string():
+    assert parse_spec(b"out_dir = 5\n").out_dir == "5"
 
 
 def test_roundtrip_example():

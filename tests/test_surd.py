@@ -89,6 +89,28 @@ def test_cross_field_compare_terminates():
     assert close.compare(sqrt_of(6)) == -1
 
 
+@pytest.mark.parametrize("p, q, sign", [
+    # convergents 42 and 41 of sqrt(2), below and above it
+    (14398739476117879, 10181446324101389, 1),
+    (5964153172084899, 4217293152016490, -1),
+])
+def test_cross_field_compare_refines_past_30_digits(monkeypatch, p, q, sign):
+    # sqrt(2) - p/q is about 3.4e-33, so the 30-digit enclosures of
+    # sqrt(2) and p/q + 1e-40*sqrt(3) overlap and compare doubles the digits
+    close = QuadraticSurd(Fraction(p, q), Fraction(1, 10 ** 40), 3)
+    digits = []
+    enclosure = QuadraticSurd.enclosure
+
+    def recording(self, n):
+        digits.append(n)
+        return enclosure(self, n)
+
+    monkeypatch.setattr(QuadraticSurd, "enclosure", recording)
+    assert sqrt_of(2).compare(close) == sign
+    assert close.compare(sqrt_of(2)) == -sign
+    assert digits == [30, 30, 60, 60] * 2
+
+
 def test_enclosure_brackets_the_value():
     lo, hi = sqrt_of(2).enclosure(30)
     olo, ohi = oracle_sqrt_interval(2, 30)

@@ -16,7 +16,7 @@ from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair)
 from irrmeasure.errors import (DependentTuple, UndecidedOrdering,
                                WindowTooShort)
-from irrmeasure.sweep import _member_order
+from irrmeasure.cf import certified_order
 
 from conftest import GOLDEN
 
@@ -71,8 +71,10 @@ def naive_sweep(ctx: TupleContext) -> tuple[TrajectoryReport,
             while lo < hi:
                 mid = (lo + hi) // 2
                 m = order[mid]
-                if _member_order(ctx, t, i, terms[i - 1], m, terms[m - 1],
-                                 "sweep.sweep") is Ordering.GREATER:
+                if certified_order(terms[i - 1], terms[m - 1],
+                                   ctx.max_compare_depth, time=t, pair=(i, m),
+                                   names=ctx.names,
+                                   origin="sweep.sweep") is Ordering.GREATER:
                     hi = mid
                 else:
                     lo = mid + 1
