@@ -514,23 +514,29 @@ def compare_errors(x: ErrorTerm, y: ErrorTerm,
                 origin="cf.compare_errors", left=x, right=y)
 
 
+def certified_above(upper: ErrorTerm, lower: ErrorTerm,
+                    max_depth: int = DEFAULT_COMPARE_DEPTH) -> bool:
+    """Whether upper > lower is certified: the adjacency certificate.
+
+    It first runs the integer separation test compare_errors starts with,
+    lower.hi <= upper.lo by cross-multiplication; only overlapping
+    enclosures go to compare_errors, so the refinement steps taken are
+    exactly those of one compare_errors(upper, lower) call. An undecided
+    pair raises UndecidedComparison.
+    """
+    return (lower.hi_num * upper.lo_den <= upper.lo_num * lower.hi_den
+            or compare_errors(upper, lower, max_depth) is Ordering.GREATER)
+
+
 def first_misordered(terms: Sequence[ErrorTerm],
                      max_depth: int = DEFAULT_COMPARE_DEPTH) -> int | None:
     """Certify that terms[0] > terms[1] > ... strictly; return the index r
-    of the first adjacency (terms[r], terms[r + 1]) that is not certified
-    GREATER, or None when every one is.
-
-    Each adjacency first gets the integer separation test compare_errors
-    starts with, lower.hi <= upper.lo by cross-multiplication; only
-    overlapping enclosures go to compare_errors, so the refinement steps
-    taken are exactly those of one compare_errors(upper, lower) call per
-    adjacency. An undecided adjacency raises UndecidedComparison.
+    of the first adjacency (terms[r], terms[r + 1]) that certified_above
+    does not certify, or None when every one is. An undecided adjacency
+    raises UndecidedComparison.
     """
     for r in range(len(terms) - 1):
-        upper, lower = terms[r], terms[r + 1]
-        if lower.hi_num * upper.lo_den <= upper.lo_num * lower.hi_den:
-            continue
-        if compare_errors(upper, lower, max_depth) is not Ordering.GREATER:
+        if not certified_above(terms[r], terms[r + 1], max_depth):
             return r
     return None
 

@@ -30,7 +30,8 @@ from typing import NamedTuple
 # the sweep no longer calls compare_errors directly; the name stays bound
 # here because the benchmark's self-tests read sweep.compare_errors
 from .cf import (DEFAULT_COMPARE_DEPTH, ContinuedFraction, Ordering,
-                 certified_order, compare_errors, first_misordered)
+                 certified_above, certified_order, compare_errors,
+                 first_misordered)
 from .errors import DependentTuple, WindowTooShort
 from .screening import (DEFAULT_SCAN_DEPTH, CoincidenceLog, Verdict,
                         scan_coincidences)
@@ -215,16 +216,18 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     equal to the new one; a removal that leaves members on both sides
     certifies the pair it closes. Every entry is then one move: the member
     takes its new step value, is put back by a certified binary search,
-    and first_misordered certifies it against its two new neighbours; one
-    out of order is an internal fault. So a closed pair of members that do
-    not jump is checked on its final terms by the removal that closed it,
-    one that holds a co-jumper still to leave on terms certified earlier
-    (extra, but harmless), and every adjacency that holds a jumper by the
-    last move that made it; every other joins two members that kept their
-    term objects since an earlier step certified them separated, and
-    enclosures only nest. Step values live in a list indexed by label
-    (slot 0 unused). The loop keeps no ranks and counts no flips: the
-    report derives its sign_changes from the events when first read.
+    and certified_above certifies it against its two new neighbours, the
+    one above first; one out of order is an internal fault. So a closed
+    pair of members that do not jump is checked on its final terms by the
+    removal that closed it, one that holds a co-jumper still to leave on
+    terms certified earlier (extra, but harmless), and every adjacency
+    that holds a jumper by the last move that made it; every other joins
+    two members that kept their term objects since an earlier step
+    certified them separated, and enclosures only nest. Step values live
+    in a list indexed by label (slot 0 unused), and so do the one-member
+    jumper sets that events of a single jumper share. The loop keeps no
+    ranks and counts no flips: the report derives its sign_changes from
+    the events when first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
@@ -239,6 +242,7 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         raise AssertionError(f"members {sigma[bad]} and {sigma[bad + 1]} "
                              f"are out of order at t = {t0}")
     order = list(sigma)
+    alone = [frozenset((m,)) for m in range(ctx.n + 1)]
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start, max_tau = t0, 0
@@ -248,8 +252,8 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
             m = schedule[nxt][1]
             left = order.index(m)
             del order[left]
-            if 0 < left < len(order) and first_misordered(
-                    [terms[order[left - 1]], terms[order[left]]], depth) is not None:
+            if 0 < left < len(order) and not certified_above(
+                    terms[order[left - 1]], terms[order[left]], depth):
                 raise AssertionError(f"members {order[left - 1]} and {order[left]} "
                                      f"are out of order at t = {t}")
             jumping.append(m)
@@ -279,18 +283,21 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
                 x_lo_num, x_lo_den, x_hi_num, x_hi_den = (
                     x.lo_num, x.lo_den, x.hi_num, x.hi_den)
         order.insert(lo, i)
-        start = max(lo - 1, 0)
-        bad = first_misordered([terms[m] for m in order[start:lo + 2]], depth)
-        if bad is not None:
-            raise AssertionError(f"members {order[start + bad]} and "
-                                 f"{order[start + bad + 1]} are out of order "
-                                 f"at t = {t}")
+        if lo and not certified_above(terms[order[lo - 1]], x, depth):
+            raise AssertionError(f"members {order[lo - 1]} and {i} are out "
+                                 f"of order at t = {t}")
+        if lo + 1 < len(order) and not certified_above(
+                x, terms[order[lo + 1]], depth):
+            raise AssertionError(f"members {i} and {order[lo + 1]} are out "
+                                 f"of order at t = {t}")
         if nxt > k + 1:
             continue
         after = tuple(order)
         if len(jumping) > max_tau:
             max_tau = len(jumping)
-        events.append(PermutationEvent(t, sigma, after, frozenset(jumping)))
+        events.append(PermutationEvent._make((
+            t, sigma, after,
+            alone[i] if len(jumping) == 1 else frozenset(jumping))))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         sigma, seg_start = after, t

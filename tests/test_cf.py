@@ -14,7 +14,7 @@ from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
                         Ordering, QuadraticSurd, build_trajectory,
                         compare_errors, convergents, integer_combination_check,
                         scan_coincidences, sqrt_of, star_value, surd_to_cf)
-from irrmeasure.cf import first_misordered
+from irrmeasure.cf import certified_above, first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
@@ -763,6 +763,39 @@ def test_first_misordered_agrees_with_compare_errors():
         assert (x.depth, y.depth) == (rx.depth, ry.depth)
         refined += (x.depth, y.depth) != (depth_x, depth_y)
     assert refined > 20
+
+
+def test_certified_above_agrees_with_compare_errors():
+    rng = random.Random(8107)
+    streams = _kernel_streams(rng)
+    # shared-prefix partners at equal indices overlap, so compare_errors
+    # refines; the same term twice never separates
+    pairs = [(streams[i], streams[i + 1], nu, nu)
+             for i in range(len(streams) - 6, len(streams), 2) for nu in range(8)]
+    pairs += [(cf, cf, 3, 3) for cf in streams[:3]]
+    pairs += [(rng.choice(streams), rng.choice(streams),
+               rng.randrange(25), rng.randrange(25)) for _ in range(300)]
+    refined = undecided = 0
+    for a, b, nu, mu in pairs:
+        depth_x, depth_y = rng.randint(0, 3), rng.randint(0, 3)
+        max_depth = rng.choice((4, 8, 64))
+        x, y = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
+        rx, ry = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
+        try:
+            expected = compare_errors(rx, ry, max_depth) is Ordering.GREATER
+        except UndecidedComparison as exc:
+            expected = str(exc)
+        try:
+            got = certified_above(x, y, max_depth)
+        except UndecidedComparison as exc:
+            got = str(exc)
+            undecided += 1
+        assert got == expected
+        assert (x.depth, y.depth) == (rx.depth, ry.depth)
+        assert (x.interval(), y.interval()) == (rx.interval(), ry.interval())
+        refined += (x.depth, y.depth) != (depth_x, depth_y)
+    assert refined > 20
+    assert undecided >= 3
 
 
 class _NoFraction:

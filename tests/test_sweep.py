@@ -338,35 +338,40 @@ def _shared_prefix_quad(seed: int) -> TupleContext:
     (lambda: _shared_prefix_quad(6104), "closed"),
 ], ids=["shared_prefix", "random_n8", "rising_n8", "shared_prefix_quad"])
 def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatch):
-    # first_misordered gets all of sigma(t0); then, per event, one
-    # two-term run for each removal that closes a pair, and one run of at
-    # most three terms per jump. Every jumper of an event leaves the
-    # ordering, in label order, before any is put back, and a removal that
-    # leaves members on both sides checks the pair it closed, on the terms
-    # in effect before the event. The reference puts each jumper back by
-    # counting the members certified above it: the ones that do not jump,
-    # and the co-jumpers already put back. Its run is the jumper and its
-    # new neighbours. Over an event, the runs check every adjacency of
-    # after that holds a jumper or was not adjacent in before, on its
-    # final term objects. The rising steps make jumpers leave an inner
-    # slot upwards as well
+    # first_misordered gets all of sigma(t0); then, per event,
+    # certified_above gets one pair for each removal that closes a pair,
+    # and per jump the jumper's new neighbour above, then the one below.
+    # Every jumper of an event leaves the ordering, in label order, before
+    # any is put back, and a removal that leaves members on both sides
+    # checks the pair it closed, on the terms in effect before the event.
+    # The reference puts each jumper back by counting the members certified
+    # above it: the ones that do not jump, and the co-jumpers already put
+    # back. Its run is the jumper and its new neighbours. Over an event,
+    # the certified pairs cover every adjacency of after that holds a
+    # jumper or was not adjacent in before, on its final term objects. The
+    # rising steps make jumpers leave an inner slot upwards as well
     ctx = make()
-    passed = []
-    certify = SWEEP.first_misordered
+    chains, pairs = [], []
+    chain, certify = SWEEP.first_misordered, SWEEP.certified_above
 
-    def spy(terms, max_depth):
-        passed.append(list(terms))
-        return certify(terms, max_depth)
+    def chain_spy(terms, max_depth):
+        chains.append(list(terms))
+        return chain(terms, max_depth)
 
-    monkeypatch.setattr(SWEEP, "first_misordered", spy)
+    def spy(upper, lower, max_depth):
+        pairs.append((upper, lower))
+        return certify(upper, lower, max_depth)
+
+    monkeypatch.setattr(SWEEP, "first_misordered", chain_spy)
+    monkeypatch.setattr(SWEEP, "certified_above", spy)
     report = sweep(ctx)
     n, depth = ctx.n, ctx.max_compare_depth
     current = [None, *(psi_at(tr, ctx.t0) for tr in ctx.trajectories)]
-    runs = iter(passed)
-    first = next(runs)
+    [first] = chains
     assert len(first) == n
     assert all(a is current[m]
                for a, m in zip(first, sigma_at(ctx, ctx.t0), strict=True))
+    certified = iter(pairs)
     paired = closed = narrowed = rose = 0
     for ev in report.events:
         old = set(zip(ev.before, ev.before[1:]))
@@ -376,20 +381,21 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
             left = order.index(i)
             del order[left]
             if 0 < left < len(order):
-                run = next(runs)
-                assert all(a is current[m] for a, m in
-                           zip(run, order[left - 1:left + 1], strict=True))
-                checked.add((id(run[0]), id(run[1])))
+                upper, lower = next(certified)
+                assert upper is current[order[left - 1]]
+                assert lower is current[order[left]]
+                checked.add((id(upper), id(lower)))
         gaps = set(zip(order, order[1:])) - old
         for i in sorted(ev.jumpers):
-            run = next(runs)
             x = current[i] = psi_at(ctx.trajectories[i - 1], ev.time)
             slot = sum(compare_errors(current[m], x, depth) is Ordering.GREATER
                        for m in order)
             new = [*order[:slot], i, *order[slot:]]
-            assert all(a is current[m] for a, m in
-                       zip(run, new[max(slot - 1, 0):slot + 2], strict=True))
-            checked.update((id(a), id(b)) for a, b in zip(run, run[1:]))
+            run = new[max(slot - 1, 0):slot + 2]
+            for a, b in zip(run, run[1:]):
+                upper, lower = next(certified)
+                assert upper is current[a] and lower is current[b]
+                checked.add((id(upper), id(lower)))
             narrowed += len(run) < n
             rose += slot < ev.before.index(i) < n - 1
             order = new
@@ -401,7 +407,7 @@ def test_each_event_certifies_the_adjacencies_it_created(make, shows, monkeypatc
         for upper, lower in zip(ev.after, ev.after[1:]):
             if (upper, lower) not in old or ev.jumpers & {upper, lower}:
                 assert (id(current[upper]), id(current[lower])) in checked
-    assert next(runs, None) is None
+    assert next(certified, None) is None
     assert narrowed > 0
     # events with co-jumpers that end up adjacent, and ones whose removals
     # closed a pair that after keeps

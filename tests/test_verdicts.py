@@ -16,7 +16,8 @@ import pytest
 
 import irrmeasure.bound
 from irrmeasure import (PermutationEvent, RigidityOutcome, TrajectoryReport,
-                        sqrt_of, surd_to_cf, sweep, verify_with_retries)
+                        Verdict, parse_spec, scan_coincidences, sqrt_of,
+                        surd_to_cf, sweep, verify_with_retries)
 from irrmeasure.cli import main
 from irrmeasure.errors import VerificationFailed
 from irrmeasure.screening import _check
@@ -43,6 +44,22 @@ def test_rigidity_conclusion_needs_d_equal_2(d, outcome):
     assert rec.failed_hypothesis is None
     assert rec.outcome is outcome
     assert rec.detail["star_a(nu+2)"] == rec.detail["star_b(mu+2)"]
+
+
+# ------------------------------------------------ screening verdict
+
+@pytest.mark.parametrize("depth, verdict", [(38, Verdict.UNDECIDED),
+                                            (39, Verdict.INDEPENDENT_LIKELY)])
+def test_screening_needs_every_coincidence_in_the_first_half(depth, verdict):
+    # scan_coincidences: INDEPENDENT_LIKELY needs
+    # 2 * (max(last_nu, last_mu) + 1) < depth. The last shared pair of
+    # m1 and m2 is (18, 18), so depth 38 sits on the boundary, where < and
+    # <= differ, and 39 is the first depth that passes
+    spec = parse_spec((DATA / "verify_pairs3.spec").read_text())
+    m1, m2 = (number.to_cf() for number in spec.numbers[:2])
+    log = scan_coincidences(m1, m2, depth=depth)
+    assert log.shared_pairs[-1] == (18, 18)
+    assert log.verdict is verdict
 
 
 # ------------------------------------ problems of verify_with_retries
@@ -138,18 +155,27 @@ def test_verify_fails_when_a_step_adds_too_many_members(
 # ------------------------------------------------ internal-fault guards
 
 def test_a_removal_that_closes_a_misordered_pair_exits_3(monkeypatch, capsys):
-    # the removal check certifies the pair a leaving jumper closes, with a
-    # two-term call; a move check always holds the jumper. A certificate
-    # that fails on every two-term call is first met at a removal on this
-    # spec: the two members it names flank the event's single jumper
+    # the removal check certifies the pair a leaving jumper closes; a move
+    # check always holds the jumper's new term, whose q is the event time,
+    # the largest q any check has held yet. Every removal of an event comes
+    # before its moves, so a removal's two terms have q at most the largest
+    # of the earlier checks. A certificate that fails when both q are below
+    # it fails only removals, and on this spec it is first met at one: the
+    # two members it names flank the event's single jumper
     spec = DATA / "replay_wide8.spec"
     assert main(["trace", str(spec)]) == 0
     records = capsys.readouterr().out.split("\n\n")[0].splitlines()
     sweep_module = importlib.import_module("irrmeasure.sweep")
-    first_misordered = sweep_module.first_misordered
-    monkeypatch.setattr(sweep_module, "first_misordered",
-                        lambda terms, *rest: 0 if len(terms) == 2
-                        else first_misordered(terms, *rest))
+    certified_above = sweep_module.certified_above
+    latest = [0]
+
+    def fault(upper, lower, *rest):
+        if max(upper.q, lower.q) < latest[0]:
+            return False
+        latest[0] = max(latest[0], upper.q, lower.q)
+        return certified_above(upper, lower, *rest)
+
+    monkeypatch.setattr(sweep_module, "certified_above", fault)
     assert main(["trace", str(spec)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

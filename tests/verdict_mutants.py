@@ -3,10 +3,11 @@
 Each mutant is one exact string replacement in one file under src/. The
 runner first runs the tier-1 suite on an unchanged copy of the
 repository, which must pass. Then, for each mutant, it applies the
-replacement in a fresh temporary copy, runs the suite there and prints
-one table row: how many tests fail, and in which files. A mutant that
-no test kills is either equivalent, and its entry gives the reason, or
-a verdict no test can flip yet.
+replacement in a fresh temporary copy, runs the suite there, less the
+table test that checks the mutants against the unmutated sources, and
+prints one table row: how many tests fail, and in which files. A mutant
+that no test kills is either equivalent, and its entry gives the reason,
+or a verdict no test can flip yet.
 
 pytest does not collect this file. Run it from anywhere, optionally
 naming mutants:
@@ -28,6 +29,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: checks each mutant's `old` text against the unmutated sources, so it
+#: fails in every mutated copy and kills no mutant by what it tests
+TABLE_TEST = "tests/test_verdict_mutants_table.py"
 
 
 class Mutant(NamedTuple):
@@ -75,8 +79,13 @@ MUTANTS = (
     Mutant("verify ignores a failed reversal", "src/irrmeasure/cli.py",
            "if r.applicable and r.reversal_at_alpha_prev is False:", "if False:"),
     Mutant("sweep removal check never fires", "src/irrmeasure/sweep.py",
-           "if 0 < left < len(order) and first_misordered(",
-           "if False and first_misordered("),
+           "if 0 < left < len(order) and not certified_above(",
+           "if False and not certified_above("),
+    Mutant("move check skips the neighbour above", "src/irrmeasure/sweep.py",
+           "if lo and not certified_above(", "if False and not certified_above("),
+    Mutant("move check skips the neighbour below", "src/irrmeasure/sweep.py",
+           "if lo + 1 < len(order) and not certified_above(",
+           "if False and not certified_above("),
     Mutant("breakpoint decrease check never fires", "src/irrmeasure/stepfunc.py",
            "if first_misordered(terms) is not None:", "if False:"),
 )
@@ -105,7 +114,8 @@ def run_suite(mutant: Mutant | None) -> list[str]:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+             "--continue-on-collection-errors",
+             *(() if mutant is None else (f"--ignore={TABLE_TEST}",))],
             cwd=copy, env=env, capture_output=True, text=True)
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
               for line in result.stdout.splitlines()
