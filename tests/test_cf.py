@@ -735,38 +735,11 @@ def test_first_misordered_finds_the_out_of_order_adjacency(sqrt2_cf, phi_cf):
     assert first_misordered([]) is first_misordered(terms[:1]) is None
 
 
-def test_first_misordered_agrees_with_compare_errors():
+def _check_agrees_with_compare_errors(certify):
+    """certify(x, y, max_depth) must give compare_errors(x, y) is GREATER,
+    or raise its UndecidedComparison message, and leave both terms at the
+    depths and enclosures compare_errors leaves them."""
     rng = random.Random(8106)
-    streams = _kernel_streams(rng)
-    # shared-prefix partners at equal indices overlap, so compare_errors
-    # refines; the same term twice never separates
-    pairs = [(streams[i], streams[i + 1], nu, nu)
-             for i in range(len(streams) - 6, len(streams), 2) for nu in range(8)]
-    pairs += [(cf, cf, 3, 3) for cf in streams[:3]]
-    pairs += [(rng.choice(streams), rng.choice(streams),
-               rng.randrange(25), rng.randrange(25)) for _ in range(300)]
-    refined = 0
-    for a, b, nu, mu in pairs:
-        depth_x, depth_y = rng.randint(0, 3), rng.randint(0, 3)
-        max_depth = rng.choice((4, 8, 64))
-        x, y = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
-        rx, ry = ErrorTerm(a, nu).refine_to(depth_x), ErrorTerm(b, mu).refine_to(depth_y)
-        try:
-            expected = None if compare_errors(rx, ry, max_depth) is Ordering.GREATER else 0
-        except UndecidedComparison as exc:
-            expected = str(exc)
-        try:
-            got = first_misordered([x, y], max_depth)
-        except UndecidedComparison as exc:
-            got = str(exc)
-        assert got == expected
-        assert (x.depth, y.depth) == (rx.depth, ry.depth)
-        refined += (x.depth, y.depth) != (depth_x, depth_y)
-    assert refined > 20
-
-
-def test_certified_above_agrees_with_compare_errors():
-    rng = random.Random(8107)
     streams = _kernel_streams(rng)
     # shared-prefix partners at equal indices overlap, so compare_errors
     # refines; the same term twice never separates
@@ -786,7 +759,7 @@ def test_certified_above_agrees_with_compare_errors():
         except UndecidedComparison as exc:
             expected = str(exc)
         try:
-            got = certified_above(x, y, max_depth)
+            got = certify(x, y, max_depth)
         except UndecidedComparison as exc:
             got = str(exc)
             undecided += 1
@@ -796,6 +769,15 @@ def test_certified_above_agrees_with_compare_errors():
         refined += (x.depth, y.depth) != (depth_x, depth_y)
     assert refined > 20
     assert undecided >= 3
+
+
+def test_first_misordered_agrees_with_compare_errors():
+    _check_agrees_with_compare_errors(
+        lambda x, y, max_depth: first_misordered([x, y], max_depth) is None)
+
+
+def test_certified_above_agrees_with_compare_errors():
+    _check_agrees_with_compare_errors(certified_above)
 
 
 class _NoFraction:
