@@ -224,9 +224,10 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
     that holds a jumper by the last move that made it; every other joins
     two members that kept their term objects since an earlier step
     certified them separated, and enclosures only nest. Step values live
-    in a list indexed by label (slot 0 unused). The loop keeps no ranks
-    and counts no flips: the report derives its sign_changes from the
-    events when first read.
+    in a list indexed by label (slot 0 unused), and so do the one-member
+    jumper sets that events of a single jumper share. The loop keeps no
+    ranks and counts no flips: the report derives its sign_changes from
+    the events when first read.
     """
     t0 = ctx.t0
     depth, names = ctx.max_compare_depth, ctx.names
@@ -241,6 +242,7 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         raise AssertionError(f"members {sigma[bad]} and {sigma[bad + 1]} "
                              f"are out of order at t = {t0}")
     order = list(sigma)
+    alone = [frozenset((m,)) for m in range(ctx.n + 1)]
     events: list[PermutationEvent] = []
     spans: dict[tuple[int, ...], tuple[int, int]] = {}
     seg_start, max_tau = t0, 0
@@ -293,7 +295,8 @@ def sweep(ctx: TupleContext) -> TrajectoryReport:
         after = tuple(order)
         if len(jumping) > max_tau:
             max_tau = len(jumping)
-        events.append(PermutationEvent(t, sigma, after, frozenset(jumping)))
+        events.append(PermutationEvent(
+            t, sigma, after, alone[i] if len(jumping) == 1 else frozenset(jumping)))
         span = spans.get(sigma)
         spans[sigma] = (seg_start if span is None else span[0], t - 1)
         sigma, seg_start = after, t
