@@ -204,12 +204,12 @@ def _error_sign(a: ContinuedFraction, nu: int, b: ContinuedFraction, mu: int,
     neither reads a coefficient past index +max_depth. Otherwise, and when
     one of its reads raises, the enclosures decide: a strict separation
     proves the sign. When they still overlap at max_depth or at a depth
-    cap (equal values never separate), the exact surds decide, if both
-    members carry one; otherwise the comparison's error is raised as is.
-    A read that raised in _tail_sign raises again there (a source error
-    repeats on retry), so signs of 0, error classes and messages are
-    those of the enclosures alone; compare_errors also rejects a budget
-    below 1.
+    cap (equal values never separate), the exact surds decide in a fixed
+    number of operations, if both members carry one; otherwise the
+    comparison's error is raised as is. A read that raised in _tail_sign
+    raises again there (a source error repeats on retry), so signs of 0,
+    error classes and messages are those of the enclosures alone;
+    compare_errors also rejects a budget below 1.
     """
     if max_depth >= 1:
         try:

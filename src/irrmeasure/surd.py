@@ -1,9 +1,9 @@
 """Exact elements rational + coef*sqrt(radicand) of real quadratic fields.
 
-Radicands are normalized square-free, so equality is field-wise and every
-comparison is decidable: same-field differences reduce to rational sign
-tests, and distinct-field values are provably unequal, which guarantees
-that decimal refinement separates them.
+Radicands are normalized square-free, so equality is field-wise. Every
+comparison is decided exactly by rational sign tests: the sign of
+r + c*sqrt(d) follows from comparing r*r with c*c*d, and two surds, in one
+field or two, are ordered by squaring once (see QuadraticSurd.compare).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def sqrt_enclosure(d: int, digits: int) -> tuple[Fraction, Fraction]:
 
 
 def _sign_linear(r: Fraction, c: Fraction, d: int) -> int:
-    """Exact sign of r + c*sqrt(d) for square-free d >= 2."""
+    """Exact sign of r + c*sqrt(d) for a non-square d >= 2."""
     if c == 0:
         return (r > 0) - (r < 0)
     if r == 0:
@@ -157,24 +157,20 @@ class QuadraticSurd:
         return _sign_linear(self.rational - Fraction(x), self.coef, self.radicand)
 
     def compare(self, other: "QuadraticSurd") -> int:
-        """Exact sign of self - other; 0 means exact equality."""
-        if self.radicand == other.radicand:
-            dc = self.coef - other.coef
-            dr = self.rational - other.rational
-            if dc == 0:
-                return (dr > 0) - (dr < 0)
-            return _sign_linear(dr, dc, self.radicand)
-        # distinct square-free radicands can never be equal, so the
-        # enclosures must separate at some precision
-        digits = 30
-        while True:
-            a_lo, a_hi = self.enclosure(digits)
-            b_lo, b_hi = other.enclosure(digits)
-            if a_hi <= b_lo:
-                return -1
-            if b_hi <= a_lo:
-                return 1
-            digits *= 2
+        """Exact sign of self - other; 0 means exact equality.
+
+        self - other = A - B with A = (r - r') + c*sqrt(d), B = c'*sqrt(d'),
+        both nonzero as d, d' are non-squares. A decides if the signs differ,
+        else sign(A) * sign(A^2 - B^2) does, A^2 - B^2 being in Q(sqrt(d)).
+        Fixed cost in one field or two: two _sign_linear calls, no enclosure.
+        """
+        dr, c, d = self.rational - other.rational, self.coef, self.radicand
+        sign_a = _sign_linear(dr, c, d)
+        if (sign_a > 0) != (other.coef > 0):
+            return sign_a
+        return sign_a * _sign_linear(dr * dr + c * c * d
+                                     - other.coef * other.coef * other.radicand,
+                                     2 * dr * c, d)
 
     def enclosure(self, digits: int) -> tuple[Fraction, Fraction]:
         """Strict rational interval containing the value."""

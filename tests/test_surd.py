@@ -1,13 +1,16 @@
 """Exact quadratic-field elements: canonical form, signs, enclosures."""
 
+import decimal
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import irrmeasure.surd as surd_module
-from irrmeasure import QuadraticSurd, sqrt_of, squarefree_decompose
+from irrmeasure import (SQUAREFREE_POOL, QuadraticSurd, sqrt_of,
+                        squarefree_decompose)
 from irrmeasure.errors import RadicandError
 
 from conftest import oracle_sqrt_interval
@@ -89,26 +92,110 @@ def test_cross_field_compare_terminates():
     assert close.compare(sqrt_of(6)) == -1
 
 
+@pytest.fixture
+def no_enclosures(monkeypatch):
+    """compare must decide without any decimal enclosure."""
+    def refuse(*args):
+        raise AssertionError("compare computed an enclosure")
+
+    monkeypatch.setattr(QuadraticSurd, "enclosure", refuse)
+    monkeypatch.setattr(surd_module, "sqrt_enclosure", refuse)
+
+
 @pytest.mark.parametrize("p, q, sign", [
     # convergents 42 and 41 of sqrt(2), below and above it
     (14398739476117879, 10181446324101389, 1),
     (5964153172084899, 4217293152016490, -1),
 ])
-def test_cross_field_compare_refines_past_30_digits(monkeypatch, p, q, sign):
-    # sqrt(2) - p/q is about 3.4e-33, so the 30-digit enclosures of
-    # sqrt(2) and p/q + 1e-40*sqrt(3) overlap and compare doubles the digits
+def test_cross_field_compare_refines_past_30_digits(no_enclosures, p, q, sign):
+    # sqrt(2) - p/q is about 3.4e-33, so 30-digit enclosures of sqrt(2)
+    # and p/q + 1e-40*sqrt(3) would overlap; compare squares instead
     close = QuadraticSurd(Fraction(p, q), Fraction(1, 10 ** 40), 3)
-    digits = []
-    enclosure = QuadraticSurd.enclosure
-
-    def recording(self, n):
-        digits.append(n)
-        return enclosure(self, n)
-
-    monkeypatch.setattr(QuadraticSurd, "enclosure", recording)
     assert sqrt_of(2).compare(close) == sign
     assert close.compare(sqrt_of(2)) == -sign
-    assert digits == [30, 30, 60, 60] * 2
+
+
+def test_compare_accepts_non_square_radicands_that_are_not_square_free(
+        no_enclosures):
+    # _trusted keeps radicand 8 as given; equal values must still give 0
+    def surd(r, c, d):
+        return QuadraticSurd._trusted(Fraction(r), Fraction(c), d)
+
+    pairs = [(surd(0, 2, 2), surd(0, 1, 8), 0),                  # 2√2 = √8
+             (surd(0, 1, 2), surd(0, 1, 8), -1),                 # √2 < √8
+             (surd(1, 1, 2), surd(1, Fraction(1, 2), 8), 0)]     # 1 + ½√8
+    for x, y, sign in pairs:
+        assert x.compare(y) == sign
+        assert y.compare(x) == -sign
+
+
+def _decimal_sign(x: QuadraticSurd, y: QuadraticSurd) -> int:
+    """Sign of x - y from 220-digit decimal arithmetic; canonical surds
+    are equal exactly when their parts are."""
+    if x == y:
+        return 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 220
+
+        def value(s):
+            return (Decimal(s.rational.numerator) / s.rational.denominator
+                    + Decimal(s.coef.numerator) / s.coef.denominator
+                    * Decimal(s.radicand).sqrt())
+
+        gap = value(x) - value(y)
+    assert abs(gap) > Decimal(10) ** -200, (x, y)
+    return 1 if gap > 0 else -1
+
+
+def test_compare_matches_a_decimal_oracle():
+    rng = random.Random(26)
+
+    def part(nonzero=False):
+        num = rng.randint(-30, 30)
+        while nonzero and num == 0:
+            num = rng.randint(-30, 30)
+        return Fraction(num, rng.randint(1, 12))
+
+    equal = same_field = 0
+    for _ in range(2400):
+        x = QuadraticSurd(part(), part(True), rng.choice(SQUAREFREE_POOL))
+        kind = rng.random()
+        if kind < 0.05:
+            # the same value, built from a radicand with a square factor
+            s = rng.randint(1, 4)
+            y = QuadraticSurd(x.rational, x.coef / s, x.radicand * s * s)
+        elif kind < 0.35:
+            y = QuadraticSurd(rng.choice((x.rational, part())),
+                              rng.choice((x.coef, -x.coef, part(True))),
+                              x.radicand)
+        else:
+            y = QuadraticSurd(part(), part(True), rng.choice(SQUAREFREE_POOL))
+        sign = _decimal_sign(x, y)
+        equal += sign == 0
+        same_field += x.radicand == y.radicand
+        assert x.compare(y) == sign, (x, y)
+        assert y.compare(x) == -sign, (x, y)
+    assert equal >= 100 and 700 <= same_field <= 1000
+
+
+def _sqrt2_convergent(k: int) -> tuple[int, int]:
+    """The first convergent p/q of sqrt(2) with q*q > 10**(k + 5)."""
+    p, q = 1, 1
+    while q * q <= 10 ** (k + 5):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+@pytest.mark.parametrize("k", [40, 80, 150])
+@pytest.mark.parametrize("coef_sign", [1, -1])
+def test_compare_near_ties_match_a_decimal_oracle(no_enclosures, k, coef_sign):
+    # |sqrt(2) - p/q| < 1/q**2 < 10**-(k+5), so the gap is about 10**-k*sqrt(3)
+    p, q = _sqrt2_convergent(k)
+    close = QuadraticSurd(Fraction(p, q), Fraction(coef_sign, 10 ** k), 3)
+    sign = _decimal_sign(close, sqrt_of(2))
+    assert sign == coef_sign
+    assert close.compare(sqrt_of(2)) == sign
+    assert sqrt_of(2).compare(close) == -sign
 
 
 def test_enclosure_brackets_the_value():

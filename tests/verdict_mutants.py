@@ -88,6 +88,11 @@ MUTANTS = (
            "if False and not certified_above("),
     Mutant("breakpoint decrease check never fires", "src/irrmeasure/stepfunc.py",
            "if first_misordered(terms) is not None:", "if False:"),
+    Mutant("surd compare opposite-sign test inverted", "src/irrmeasure/surd.py",
+           "if (sign_a > 0) != (other.coef > 0):",
+           "if (sign_a > 0) == (other.coef > 0):"),
+    Mutant("surd compare drops the A^2 - B^2 factor", "src/irrmeasure/surd.py",
+           "return sign_a * _sign_linear(", "return sign_a or _sign_linear("),
 )
 
 def _ignore(directory: str, names: list[str]) -> list[str]:
