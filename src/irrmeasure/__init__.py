@@ -12,7 +12,7 @@ from .bound import (BoundVerdict, NjCheck, ProofTrace, VerifiedRun,
                     verify_with_retries)
 from .cf import (DEFAULT_DEPTH_CAP, CombinationKind, ContinuedFraction,
                  Convergent, ErrorTerm, Ordering, compare_errors, convergents,
-                 integer_combination_check, star_value, surd_to_cf)
+                 star_value, surd_to_cf)
 from .corpus import (SQUAREFREE_POOL, random_independent_members,
                      random_periodic_cf, random_surd)
 from .screening import (CoincidenceLog, ReversalRecord, RigidityOutcome,
@@ -40,8 +40,7 @@ __all__ = [
     "brute_force_psi_sweep", "build_proof_trace", "build_trajectory",
     "check_reversal_pattern", "check_rigidity", "check_theorem_bound",
     "compare_errors", "convergents", "errors", "format_permutation",
-    "integer_combination_check", "parse_spec", "psi_at",
-    "random_independent_members",
+    "parse_spec", "psi_at", "random_independent_members",
     "random_periodic_cf", "random_surd", "render_proof_trace",
     "rigidity_scan", "scan_coincidences", "serialize_report",
     "serialize_spec", "serialize_trajectory", "sigma_at", "sign_change_count",

@@ -560,23 +560,9 @@ def certified_order(x: ErrorTerm, y: ErrorTerm, max_depth: int, *, time: int,
 
 
 class CombinationKind(Enum):
-    SUM_INTEGER = "SUM_INTEGER"
-    DIFF_INTEGER = "DIFF_INTEGER"
+    """Two exact values in one quadratic field (SAME_FIELD) or in two."""
+    SAME_FIELD = "SAME_FIELD"
     NEITHER = "NEITHER"
-
-
-def integer_combination_check(a: QuadraticSurd, b: QuadraticSurd) -> CombinationKind:
-    """Exact symbolic test whether a+b or a-b is an integer.
-
-    Canonical forms make this field-wise: the root parts must cancel
-    (sum) or agree (difference) and the rational part must be integral.
-    """
-    if a.radicand == b.radicand:
-        if a.coef == -b.coef and (a.rational + b.rational).denominator == 1:
-            return CombinationKind.SUM_INTEGER
-        if a.coef == b.coef and (a.rational - b.rational).denominator == 1:
-            return CombinationKind.DIFF_INTEGER
-    return CombinationKind.NEITHER
 
 
 def _floor_quadratic(p: int, s: int, q: int) -> int:

@@ -15,13 +15,14 @@ Each subcommand takes a tuple-spec file and exactly the flags it reads:
 override the spec-file global of the same name; a subcommand reads only
 the globals whose flags it takes.
 
-Exit codes: 0 success, 1 analysis failure (undecided, dependent, window
-too short, ...), 2 usage or spec-file error, 3 internal error (a
-self-check of the program failed, reported as `internal error: ...` on
-stderr; this is a bug, never an analysis result), 141 the reader of
-stdout closed it early (as `irrmeasure ... | head` does; nothing is
-printed on stderr). All numbers print as
-exact rationals num/den unless --approx adds a decimal display column.
+Exit codes: 0 success, 1 analysis failure (undecided, dependent: two
+members in one quadratic field, window too short, ...), 2 usage or
+spec-file error, 3 internal error (a self-check of the program failed,
+as a CONFIRMED rigidity record on members in two fields does, reported
+as `internal error: ...` on stderr; this is a bug, never an analysis
+result), 141 the reader of stdout closed it early (as `irrmeasure ... |
+head` does; nothing is printed on stderr). All numbers print as exact
+rationals num/den unless --approx adds a decimal display column.
 Exit code 2, with nothing printed, is an unknown subcommand or flag (a
 flag the subcommand does not take included), a spec file that cannot be
 read or validated, or a numeric flag that is not an integer at or above
@@ -200,6 +201,10 @@ def _cmd_verify(args) -> int:
             scan = rigidity_scan(a, b, max_index=job.max_index,
                                  max_d=job.max_d,
                                  max_compare_depth=job.max_compare_depth)
+            if scan.tally["CONFIRMED"] and log.combination is not None:
+                raise AssertionError(   # NEITHER: two fields, independent
+                    f"rigidity CONFIRMED on {job.names[i]} and {job.names[j]}, "
+                    "exact values in two quadratic fields")
             print(f"rigidity_scan\tchecked\t{scan.checked}\tconfirmed\t"
                   f"{scan.tally['CONFIRMED']}\tviolations\t{len(scan.violations)}")
             for r in scan.violations:

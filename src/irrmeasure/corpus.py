@@ -63,9 +63,9 @@ def random_independent_members(rng: random.Random, n: int, *,
                                max_attempts: int = 200) -> list[ContinuedFraction]:
     """n pairwise-independent surd-backed streams.
 
-    Members get distinct radicands, which makes every cross comparison
-    terminate (values in distinct fields are never equal); screening
-    still runs and rejects anything not cleanly independent-looking.
+    Members get distinct radicands, so distinct fields: every pair is
+    independent, no screening verdict is DEPENDENT, and every cross
+    comparison terminates. Screening still rejects late coincidences.
     """
     if n > len(SQUAREFREE_POOL):
         raise ValueError("not enough distinct radicands in the pool")

@@ -54,7 +54,7 @@ class PrecisionInsufficient(LabError):
 
 
 class DependentTuple(LabError):
-    """Two tuple members were proven dependent (sum or difference in Z)."""
+    """Two tuple members were proven dependent (one quadratic field)."""
 
 
 class WindowTooShort(LabError):

@@ -3,9 +3,10 @@
 Two streams can share convergent structure only in limited ways: equal
 reversed-word ratios force equal denominator pairs, and infinitely many
 shared (q, q') pairs would force the values' sum or difference into Z.
-This module logs such coincidences, screens pairs for independence, and
-runs the executable forms of the rigidity and order-reversal consequences
-on concrete index windows.
+This module logs such coincidences, screens pairs for independence
+(exactly for exact quadratic values: they are dependent exactly when
+they share a field), and runs the executable forms of the rigidity and
+order-reversal consequences on concrete index windows.
 
 A coincidence scan is one intersection of the two streams' pair indexes
 (q_nu, q_{nu+1}) -> nu, each built once per stream in O(depth). Equal
@@ -43,8 +44,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cf import (DEFAULT_COMPARE_DEPTH, CombinationKind, ContinuedFraction,
-                 ErrorTerm, Ordering, certified_order, compare_errors,
-                 integer_combination_check)
+                 ErrorTerm, Ordering, certified_order, compare_errors)
 from .errors import (DepthCapExceeded, DepthExhausted, LabError,
                      UndecidedComparison)
 from .stepfunc import build_trajectory, psi_at
@@ -96,11 +96,12 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     The index asserts every row coprime, so q_{nu-1}/q_nu = r_{mu-1}/r_mu
     exactly when (nu - 1, mu - 1) is a shared pair.
 
-    DEPENDENT needs a symbolic proof (sum or difference in Z) from exact
-    values, which periodic backings derive automatically. Otherwise the
-    verdict is INDEPENDENT_LIKELY only when every coincidence sits in the
-    first half of the scanned range; late coincidences force UNDECIDED
-    because finiteness of coincidences carries no a-priori bound.
+    Exact values (surd and periodic backings carry one) are dependent
+    exactly when they lie in one quadratic field: SAME_FIELD, equal
+    square-free radicands, gives DEPENDENT. Otherwise the verdict is
+    INDEPENDENT_LIKELY only when every coincidence sits in the first half
+    of the scanned range; late coincidences force UNDECIDED because
+    finiteness of coincidences carries no a-priori bound.
     """
     if depth < 2:
         raise ValueError("scan depth must be >= 2")
@@ -116,9 +117,10 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     combination = None
     va, vb = a.exact_value(), b.exact_value()
     if va is not None and vb is not None:
-        combination = integer_combination_check(va, vb)
+        combination = (CombinationKind.SAME_FIELD if va.radicand == vb.radicand
+                       else CombinationKind.NEITHER)
 
-    if combination in (CombinationKind.SUM_INTEGER, CombinationKind.DIFF_INTEGER):
+    if combination is CombinationKind.SAME_FIELD:
         verdict = Verdict.DEPENDENT
     elif not shared or 2 * (max(last_nu, last_mu) + 1) < depth:
         verdict = Verdict.INDEPENDENT_LIKELY

@@ -10,9 +10,8 @@ from math import isqrt, lcm
 import pytest
 
 import irrmeasure.surd
-from irrmeasure import (CombinationKind, ContinuedFraction, ErrorTerm,
-                        Ordering, QuadraticSurd, build_trajectory,
-                        compare_errors, convergents, integer_combination_check,
+from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering, QuadraticSurd,
+                        build_trajectory, compare_errors, convergents,
                         scan_coincidences, sqrt_of, star_value, surd_to_cf)
 from irrmeasure.cf import certified_above, first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
@@ -1069,17 +1068,29 @@ def test_surd_expansion_computes_only_what_is_read():
     assert len(cf._coeffs) == 12
 
 
-# ------------------------------------------------- integer combinations
+# --------------------------------------------------- square-free radicands
 
-def test_integer_combination_examples():
-    r2 = sqrt_of(2)
-    assert integer_combination_check(
-        r2, QuadraticSurd(Fraction(1), Fraction(-1), 2)) is CombinationKind.SUM_INTEGER
-    assert integer_combination_check(
-        r2, QuadraticSurd(Fraction(3), Fraction(1), 2)) is CombinationKind.DIFF_INTEGER
-    assert integer_combination_check(r2, sqrt_of(3)) is CombinationKind.NEITHER
-    assert integer_combination_check(
-        r2, QuadraticSurd(Fraction(1, 2), Fraction(1), 2)) is CombinationKind.NEITHER
+def _square_free(d: int) -> bool:
+    return d >= 2 and all(d % (k * k) for k in range(2, isqrt(d) + 1))
+
+
+def test_every_exact_value_has_a_square_free_radicand():
+    # screening reads equal radicands as one quadratic field, which holds
+    # only when every radicand is square-free: surds given with a square
+    # factor, periodic fixed points, tails and error terms all keep it so
+    rng = random.Random(2805)
+    streams = [surd_to_cf(QuadraticSurd(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                         Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                                         d * k * k))
+               for d in (2, 3, 5, 6, 7, 10) for k in (1, 2, 3, 6)]
+    streams += [random_periodic_cf(rng) for _ in range(40)]
+    streams += [cf.tail(nu) for cf in streams[::3] for nu in (1, 2, 5)]
+    values = [cf.exact_value() for cf in streams]
+    values += [ErrorTerm(cf, nu).exact_value()
+               for cf in streams[::2] for nu in (0, 1, 4)]
+    assert None not in values
+    assert sum(value.radicand > 10 for value in values) >= 20
+    assert all(_square_free(value.radicand) for value in values)
 
 
 # ------------------------------------------------------------- validation

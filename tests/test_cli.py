@@ -17,7 +17,8 @@ import pytest
 
 import irrmeasure
 from irrmeasure import (ErrorTerm, Ordering, ReversalRecord, RigidityOutcome,
-                        RigidityRecord, RigidityScan, TrajectoryReport, cli)
+                        RigidityRecord, RigidityScan, TrajectoryReport, cli,
+                        sqrt_of, surd_to_cf)
 from irrmeasure.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -166,6 +167,57 @@ def test_verify_dependent_pair_exits_1_and_is_not_scanned(tmp_path, capsys):
         assert sum(line.startswith("rigidity_scan\t") for line in blocks[pair]) == 1
 
 
+#: sqrt2, 2*sqrt2 = sqrt8 and sqrt3: r2 and r8 share a field, but neither
+#: their sum nor their difference is an integer
+ROOTS = """\
+[r2]
+kind = surd
+rational = 0
+root = 1
+radicand = 2
+
+[r8]
+kind = surd
+rational = 0
+root = 2
+radicand = 2
+
+[r3]
+kind = surd
+rational = 0
+root = 1
+radicand = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["kindex", "proof-trace"])
+def test_a_same_field_pair_stops_the_sweep_as_dependent(tmp_path, capsys,
+                                                        command):
+    path = tmp_path / "roots.spec"
+    path.write_text(ROOTS)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [sweep.TupleContext] members r2 and r8 "
+                            "are dependent (SAME_FIELD)\n")
+    assert captured.out == ""
+
+
+def test_verify_prints_a_same_field_pair_dependent_and_scans_the_rest(
+        tmp_path, capsys):
+    path = tmp_path / "roots.spec"
+    path.write_text(ROOTS)
+    assert main(["verify", str(path), "--max-index", "10"]) == 1
+    blocks = _verify_blocks(capsys.readouterr().out)
+    assert list(blocks) == [("r2", "r8"), ("r2", "r3"), ("r8", "r3")]
+    assert blocks["r2", "r8"] == ["verdict\tDEPENDENT", "combination\tSAME_FIELD",
+                                  "coincidence_horizon\t0"]
+    for pair in [("r2", "r3"), ("r8", "r3")]:
+        assert "verdict\tINDEPENDENT_LIKELY" in blocks[pair]
+        assert "combination\tNEITHER" in blocks[pair]
+        assert blocks[pair][-1] == ("rigidity_scan\tchecked\t484\tconfirmed\t0"
+                                    "\tviolations\t0")
+
+
 def test_verify_rigidity_violation_exits_1_and_is_printed(pair_spec, monkeypatch,
                                                           capsys):
     # a VIOLATION certificate flags an arithmetic bug; verify prints it
@@ -177,6 +229,33 @@ def test_verify_rigidity_violation_exits_1_and_is_printed(pair_spec, monkeypatch
     out = capsys.readouterr().out
     assert "violations\t1\n" in out
     assert "\nrigidity\t0\t1\t2\tVIOLATION\n" in out
+
+
+@pytest.mark.parametrize("root2, code", [
+    ("kind = surd\nrational = 0\nroot = 1\nradicand = 2", 3),
+    (f"kind = finite\ncoefficients = {[1] + [2] * 150}", 0)],
+    ids=["exact", "finite"])
+def test_verify_confirmed_record_exits_3_only_on_exact_members(
+        tmp_path, monkeypatch, capsys, root2, code):
+    # phi and sqrt2 lie in two quadratic fields, so 1, phi and sqrt2 are
+    # independent and no rigidity triple can be CONFIRMED: a CONFIRMED
+    # record there is a program fault. Members without an exact value
+    # prove nothing, and the record is only counted
+    path = tmp_path / "pair.spec"
+    path.write_text("[phi]\nkind = periodic\npreperiod = [1]\nperiod = [1]\n\n"
+                    f"[root2]\n{root2}\n")
+    confirmed = RigidityRecord(nu=0, mu=1, d=2, outcome=RigidityOutcome.CONFIRMED)
+    monkeypatch.setattr(cli, "rigidity_scan", lambda a, b, *, max_index, max_d, **_:
+                        RigidityScan(max_index, max_d, {(0, 1, 2): confirmed}))
+    assert main(["verify", str(path), "--max-index", "10"]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err == ("internal error: rigidity CONFIRMED on phi and "
+                                "root2, exact values in two quadratic fields\n")
+        assert "rigidity_scan" not in captured.out
+    else:
+        assert captured.err == ""
+        assert "\tconfirmed\t1\tviolations\t0\n" in captured.out
 
 
 @pytest.mark.parametrize("applicable, code", [(True, 1), (False, 0)])
@@ -192,10 +271,14 @@ def test_verify_failed_reversal_exits_1_only_when_applicable(
 
 def test_verify_names_an_unorderable_reversal_pair_by_the_spec(tmp_path, capsys):
     # ||12*r2|| = ||6*r8|| makes the two step values equal on [12, 28], so
-    # the reversal check cannot order the members at t = 28
+    # the reversal check cannot order the members at t = 28. As surds the
+    # two share a field and screen DEPENDENT; as finite entries with the
+    # same 150 leading coefficients they carry no exact value
     path = tmp_path / "roots.spec"
-    path.write_text("[r2]\nkind = surd\nrational = 0\nroot = 1\nradicand = 2\n\n"
-                    "[r8]\nkind = surd\nrational = 0\nroot = 2\nradicand = 2\n")
+    r2, r8 = (list(surd_to_cf(sqrt_of(2).times_rational(c)).prefix(150))
+              for c in (1, 2))
+    path.write_text(f"[r2]\nkind = finite\ncoefficients = {r2}\n\n"
+                    f"[r8]\nkind = finite\ncoefficients = {r8}\n")
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ("error: [screening.check_reversal_pattern] cannot "

@@ -23,6 +23,10 @@ REMOVED = [
     ("irrmeasure", "sqrt_enclosure"),
     ("irrmeasure.bound", "RestrictedViews"),
     ("irrmeasure.screening", "RigidityScan.__getitem__"),
+    ("irrmeasure", "integer_combination_check"),
+    ("irrmeasure.cf", "integer_combination_check"),
+    ("irrmeasure.cf", "CombinationKind.SUM_INTEGER"),
+    ("irrmeasure.cf", "CombinationKind.DIFF_INTEGER"),
 ]
 
 

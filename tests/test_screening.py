@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,6 @@ from irrmeasure import (CoincidenceLog, CombinationKind, ContinuedFraction,
                         RigidityOutcome, Verdict, check_reversal_pattern,
                         check_rigidity, compare_errors, convergents,
                         rigidity_scan, scan_coincidences, sqrt_of, surd_to_cf)
-from irrmeasure.cf import integer_combination_check
 from irrmeasure.corpus import (random_independent_members, random_periodic_cf,
                                random_shared_prefix_pair, random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
@@ -78,6 +77,77 @@ def test_late_coincidences_force_undecided():
     assert log.verdict is Verdict.UNDECIDED
 
 
+#: two periodic members with the preperiod [2, 3]: the periods (1) and
+#: (4) have the fixed points phi and 2 + sqrt5, so both lie in Q(sqrt5)
+PERIODIC_SQRT5 = (ContinuedFraction.periodic([2, 3], [1]),
+                  ContinuedFraction.periodic([2, 3], [4]))
+
+
+@pytest.mark.parametrize("a, b", [
+    (surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(2).times_rational(2))),
+    (surd_to_cf(sqrt_of(2)),
+     surd_to_cf(sqrt_of(2).times_rational(Fraction(1, 3))
+                .plus_rational(Fraction(1, 7)))),
+    (surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(2).plus_rational(3))),
+    (surd_to_cf(sqrt_of(2)), surd_to_cf(QuadraticSurd(Fraction(1), Fraction(-1), 2))),
+    (surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(2).plus_rational(Fraction(1, 2)))),
+    PERIODIC_SQRT5,
+], ids=["2sqrt2", "sqrt2/3+1/7", "3+sqrt2", "1-sqrt2", "1/2+sqrt2", "periodic_sqrt5"])
+def test_one_field_is_dependent(a, b):
+    # an integer difference (3 + sqrt2) or sum (1 - sqrt2) is one case of
+    # a shared field; the others have no integer combination
+    for x, y in ((a, b), (b, a)):
+        log = scan_coincidences(x, y)
+        assert log.combination is CombinationKind.SAME_FIELD
+        assert log.verdict is Verdict.DEPENDENT
+
+
+@pytest.mark.parametrize("a, b", [
+    (surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(3))),
+    (surd_to_cf(sqrt_of(2).times_rational(Fraction(1, 3))
+                .plus_rational(Fraction(1, 7))), surd_to_cf(sqrt_of(5))),
+    (surd_to_cf(sqrt_of(8)), surd_to_cf(sqrt_of(12))),
+    (PERIODIC_SQRT5[0], ContinuedFraction.periodic([2, 3], [2])),
+], ids=["sqrt2_sqrt3", "sqrt2/3+1/7_sqrt5", "sqrt8_sqrt12", "periodic_sqrt5_sqrt2"])
+def test_two_fields_stay_independent_likely(a, b):
+    for x, y in ((a, b), (b, a)):
+        log = scan_coincidences(x, y)
+        assert log.combination is CombinationKind.NEITHER
+        assert log.verdict is Verdict.INDEPENDENT_LIKELY
+
+
+def test_shared_prefix_draws_are_dependent_exactly_in_one_field():
+    # triples drawn like the verify_pairs benchmark's: two periodic members
+    # sharing 10 to 25 leading coefficients, with periods of 1 to 4
+    # coefficients in 1..9, and one unrelated periodic member. Nothing
+    # rejects a draw here. Two quadratic fields are one exactly when the
+    # product of their radicands is a square
+    rng = random.Random("shared-prefix-fields")
+    verdicts = Counter()
+    for _ in range(400):
+        shared = [rng.randint(1, 9) for _ in range(rng.randint(10, 25))]
+        periods = [tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
+                   for _ in range(2)]
+        members = [ContinuedFraction.periodic(shared, period) for period in periods]
+        members.append(random_periodic_cf(rng))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = members[i], members[j]
+            product = a.exact_value().radicand * b.exact_value().radicand
+            one_field = isqrt(product) ** 2 == product
+            verdict = scan_coincidences(a, b, depth=60).verdict
+            assert (verdict is Verdict.DEPENDENT) == one_field
+            if j == 2:
+                kind = "unrelated"
+            else:
+                kind = "same_period" if periods[0] == periods[1] else "prefix"
+            verdicts[kind, verdict] += 1
+    # one field with distinct periods, such as (4) and (1, 1)
+    assert verdicts["prefix", Verdict.DEPENDENT] >= 2
+    assert verdicts["same_period", Verdict.DEPENDENT] >= 1
+    assert verdicts["unrelated", Verdict.DEPENDENT] >= 10
+    assert verdicts["prefix", Verdict.INDEPENDENT_LIKELY] >= 300
+
+
 def naive_scan_coincidences(a, b, depth=40):
     """The per-pair scan scan_coincidences replaced, kept as its reference:
     two dict joins over the raw denominator lists, the star join keyed by
@@ -109,10 +179,12 @@ def naive_scan_coincidences(a, b, depth=40):
     combination = None
     va, vb = a.exact_value(), b.exact_value()
     if va is not None and vb is not None:
-        combination = integer_combination_check(va, vb)
+        # equal square-free radicands: one quadratic field
+        combination = (CombinationKind.SAME_FIELD if va.radicand == vb.radicand
+                       else CombinationKind.NEITHER)
     locations = [max(nu + 1, mu + 1) for nu, mu in shared_pairs]
     locations += [max(nu, mu) for nu, mu in equal_stars]
-    if combination in (CombinationKind.SUM_INTEGER, CombinationKind.DIFF_INTEGER):
+    if combination is CombinationKind.SAME_FIELD:
         verdict = Verdict.DEPENDENT
     elif not locations or 2 * max(locations) < depth:
         verdict = Verdict.INDEPENDENT_LIKELY
@@ -840,7 +912,7 @@ def test_reversal_prediction_holds_past_burn_in(sqrt2_cf):
     # partners crafted to share the denominator 169 with sqrt2 well past
     # the default burn-in; every applicable record must show the
     # predicted reversal at the a-side previous denominator
-    for period in ([5], [3, 1], [2, 7], [1, 1, 6]):
+    for period in ([5], [3, 1], [2, 7], [1, 1, 5]):
         b = ContinuedFraction.periodic([1, 2, 84], period)
         log = scan_coincidences(sqrt2_cf, b, depth=40)
         assert log.verdict is Verdict.INDEPENDENT_LIKELY

@@ -220,6 +220,12 @@ def test_incremental_orderings_match_sigma_at(n, pair_ctx):
                 assert report.sign_changes[(i, j)] == sign_change_count(ctx, i, j)
 
 
+def without_value(s, depth_cap=200):
+    """The expansion of the surd s as a rule backing: the same
+    coefficients, and no exact value."""
+    return ContinuedFraction.from_rule(surd_to_cf(s).coefficient, depth_cap)
+
+
 def _equivalence_cases():
     yield "pair_ctx", lambda: TupleContext(
         [surd_to_cf(GOLDEN), surd_to_cf(sqrt_of(2))], t_max=10_000, burn_in=1,
@@ -230,15 +236,15 @@ def _equivalence_cases():
                                                                    t_max=10 ** 30)
     for seed in range(6100, 6106):
         yield f"shared_prefix_{seed}", lambda seed=seed: shared_prefix_triple(seed)
-    # one quadratic field, neither sum nor difference an integer, so
-    # screening lets the pair through: both jump at t = 3, and the new
-    # step value of 1/3 + sqrt2 equals the one 1/2 + (3/2)sqrt2 held
-    # until then, so a jumper must never be probed against a co-jumper
-    # that has not moved yet
+    # the coefficients of two members of one quadratic field, behind
+    # rule backings that carry no exact value, so screening cannot prove
+    # the pair dependent: both jump at t = 3, and the new step value of
+    # 1/3 + sqrt2 equals the one 1/2 + (3/2)sqrt2 held until then, so a
+    # jumper must never be probed against a co-jumper that has not moved
     yield "same_field_tie", lambda: TupleContext(
-        [surd_to_cf(sqrt_of(2).plus_rational(Fraction(1, 3))),
-         surd_to_cf(sqrt_of(2).times_rational(Fraction(3, 2))
-                    .plus_rational(Fraction(1, 2)))],
+        [without_value(sqrt_of(2).plus_rational(Fraction(1, 3))),
+         without_value(sqrt_of(2).times_rational(Fraction(3, 2))
+                       .plus_rational(Fraction(1, 2)))],
         t_max=50, burn_in=1)
 
 
@@ -458,9 +464,9 @@ def test_sweep_undecided_ordering_matches_sigma_at():
 
 def test_sweep_undecided_at_an_event_names_the_jumper_pair():
     # ||12*sqrt2|| = ||6*sqrt8||: sqrt2 jumps at 12 onto the value sqrt8
-    # has held since 6, and at t0 = 5 the two still differ
-    from irrmeasure import sqrt_of, surd_to_cf
-    ctx = TupleContext([surd_to_cf(sqrt_of(2)), surd_to_cf(sqrt_of(8))],
+    # has held since 6, and at t0 = 5 the two still differ. Without exact
+    # values, screening cannot prove the pair dependent
+    ctx = TupleContext([without_value(sqrt_of(2)), without_value(sqrt_of(8))],
                        t_max=20, burn_in=5, max_compare_depth=12)
     swept = _undecided(lambda: sweep(ctx))
     direct = _undecided(lambda: sigma_at(ctx, swept.time))

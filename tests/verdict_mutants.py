@@ -5,9 +5,11 @@ runner first runs the tier-1 suite on an unchanged copy of the
 repository, which must pass. Then, for each mutant, it applies the
 replacement in a fresh temporary copy, runs the suite there, less the
 table test that checks the mutants against the unmutated sources, and
-prints one table row: how many tests fail, and in which files. A mutant
-that no test kills is either equivalent, and its entry gives the reason,
-or a verdict no test can flip yet.
+prints one table row: how many tests fail, and in which files. Each
+test directory runs on its own, and one still running after
+SUITE_TIMEOUT_S is stopped and named in the row; that kills the mutant
+too. A mutant that no test kills is either equivalent, and its entry
+gives the reason, or a verdict no test can flip yet.
 
 pytest does not collect this file. Run it from anywhere, optionally
 naming mutants:
@@ -32,6 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: checks each mutant's `old` text against the unmutated sources, so it
 #: fails in every mutated copy and kills no mutant by what it tests
 TABLE_TEST = "tests/test_verdict_mutants_table.py"
+#: pyproject's testpaths, run one at a time, so that a mutant that hangs
+#: one of them still shows what fails in the others
+TESTPATHS = ("tests", "bench")
+#: a test directory still running after this many seconds kills its
+#: mutant: a loop that draws until a verdict comes can run forever
+SUITE_TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -93,6 +101,16 @@ MUTANTS = (
            "if (sign_a > 0) == (other.coef > 0):"),
     Mutant("surd compare drops the A^2 - B^2 factor", "src/irrmeasure/surd.py",
            "return sign_a * _sign_linear(", "return sign_a or _sign_linear("),
+    Mutant("screening field test == -> !=", "src/irrmeasure/screening.py",
+           "SAME_FIELD if va.radicand == vb.radicand",
+           "SAME_FIELD if va.radicand != vb.radicand"),
+    Mutant("screening SAME_FIELD -> NEITHER", "src/irrmeasure/screening.py",
+           "(CombinationKind.SAME_FIELD if va.radicand",
+           "(CombinationKind.NEITHER if va.radicand"),
+    Mutant("verify ignores a CONFIRMED record on exact members",
+           "src/irrmeasure/cli.py",
+           'if scan.tally["CONFIRMED"] and log.combination is not None:',
+           "if False:"),
 )
 
 def _ignore(directory: str, names: list[str]) -> list[str]:
@@ -103,9 +121,10 @@ def _ignore(directory: str, names: list[str]) -> list[str]:
     return [name for name in names if name in skip]
 
 
-def run_suite(mutant: Mutant | None) -> list[str]:
+def run_suite(mutant: Mutant | None) -> tuple[list[str], list[str]]:
     """The ids of the tier-1 tests that fail in a copy of the repository
-    with `mutant` applied, or with none."""
+    with `mutant` applied, or with none, and the test directories still
+    running after SUITE_TIMEOUT_S."""
     with tempfile.TemporaryDirectory(prefix="verdict-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_ignore)
@@ -117,19 +136,28 @@ def run_suite(mutant: Mutant | None) -> list[str]:
                                  f"{text.count(mutant.old)} times in {mutant.path}")
             target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors",
-             *(() if mutant is None else (f"--ignore={TABLE_TEST}",))],
-            cwd=copy, env=env, capture_output=True, text=True)
-    failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
-              for line in result.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    # exit code 1 is "some tests failed"; any other failure is the run's own
-    if result.returncode not in (0, 1) or (result.returncode == 1) != bool(failed):
-        raise SystemExit(f"pytest exited {result.returncode}:\n"
-                         f"{result.stdout[-2000:]}{result.stderr[-2000:]}")
-    return failed
+        failed, hung = [], []
+        for testpath in TESTPATHS:
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
+                     "no:cacheprovider", "--continue-on-collection-errors",
+                     *(() if mutant is None else (f"--ignore={TABLE_TEST}",)),
+                     testpath],
+                    cwd=copy, env=env, capture_output=True, text=True,
+                    timeout=SUITE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                hung.append(testpath)
+                continue
+            ids = [line.split(" ", 1)[1].split(" - ", 1)[0]
+                   for line in result.stdout.splitlines()
+                   if line.startswith(("FAILED ", "ERROR "))]
+            # exit code 1 is "some tests failed"; any other is the run's own
+            if result.returncode not in (0, 1) or (result.returncode == 1) != bool(ids):
+                raise SystemExit(f"pytest exited {result.returncode}:\n"
+                                 f"{result.stdout[-2000:]}{result.stderr[-2000:]}")
+            failed += ids
+    return failed, hung
 
 
 def main(names: list[str]) -> int:
@@ -137,19 +165,24 @@ def main(names: list[str]) -> int:
     if names and len(chosen) != len(names):
         known = {m.name for m in MUTANTS}
         raise SystemExit(f"unknown mutants: {sorted(set(names) - known)}")
-    failed = run_suite(None)
+    failed, hung = run_suite(None)
+    if hung:
+        print(f"the unmutated suite runs past {SUITE_TIMEOUT_S} s in", *hung)
+        return 1
     if failed:
         print("the unmutated suite fails:", *failed, sep="\n  ")
         return 1
     print("| mutant (file) | tier-1 tests that fail | in files |")
     print("|---|---|---|")
     for mutant in chosen:
-        failed = run_suite(mutant)
+        failed, hung = run_suite(mutant)
         files = Counter(test.split("::")[0].rsplit("/", 1)[-1] for test in failed)
         where = ", ".join(f"{name} ({n})" for name, n in sorted(files.items()))
-        count = f"{len(failed)}" if failed else (
+        count = f"{len(failed)}" if failed or hung else (
             f"0, equivalent: {mutant.equivalent}" if mutant.equivalent
             else "**0**")
+        if hung:
+            count += f"; {', '.join(hung)}/ still running after {SUITE_TIMEOUT_S} s"
         print(f"| {mutant.name} (`{Path(mutant.path).name}`) | {count} | "
               f"{where or '-'} |", flush=True)
     return 0
