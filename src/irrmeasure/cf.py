@@ -25,9 +25,8 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from . import surd
-from .errors import (DepthCapExceeded, DepthExhausted, RadicandError,
-                     UndecidedComparison, UndecidedOrdering)
+from .errors import (DepthCapExceeded, DepthExhausted, UndecidedComparison,
+                     UndecidedOrdering)
 from .surd import QuadraticSurd
 
 #: default hard cap on coefficient indices, so no stream can be read
@@ -278,8 +277,7 @@ class ContinuedFraction:
         given to surd_to_cf, or the fixed-point value of a periodic
         backing. A tail steps its parent's value forward by
         x -> 1/(x - a_j), so it has a value exactly when the parent has.
-        None for rule and finite backings, and for periodic ones whose
-        radicand cannot be certified square-free."""
+        None for rule and finite backings only."""
         if callable(self._exact):
             self._exact = self._exact()
         return self._exact
@@ -289,9 +287,9 @@ class ContinuedFraction:
 
 
 def _periodic_value(preperiod: tuple[int, ...],
-                    period: tuple[int, ...]) -> QuadraticSurd | None:
-    """Exact value of an eventually periodic stream, or None when the
-    fixed point's discriminant cannot be certified square-free.
+                    period: tuple[int, ...]) -> QuadraticSurd:
+    """Exact value of an eventually periodic stream, with the fixed
+    point's discriminant D as its radicand.
 
     The purely periodic part is the fixed point y = (A + sqrt(D))/(2c) > 1
     of the period word's Moebius map (a11, a12; c, a22): A = a11 - a22 and
@@ -302,22 +300,19 @@ def _periodic_value(preperiod: tuple[int, ...],
 
         (n*m - P*R*D + 2c*(P*S - Q*R)*sqrt(D)) / (m^2 - R^2*D),
 
-    all in integers: D is decomposed once, s^2*d with d square-free, and
-    only the two parts become Fractions. D is never a square, so d >= 2:
-    D = tr^2 - 4*det for the word's trace tr = a11 + a22 and determinant
-    det = (-1)^len. At odd length D = tr^2 + 4 with tr >= 1, and at even
-    length D = tr^2 - 4 with tr >= 3 (a11 >= 2 and a22 >= 1, as every
-    entry is >= 1), and no square lies 4 from tr^2 for such tr.
+    all in integers, and only the two parts become Fractions. D is never
+    factored, so the cost is that of the fold's integer arithmetic alone.
+    D is never a square: D = tr^2 - 4*det for the word's trace
+    tr = a11 + a22 and determinant det = (-1)^len. At odd length
+    D = tr^2 + 4 with tr >= 1, and at even length D = tr^2 - 4 with tr >= 3
+    (a11 >= 2 and a22 >= 1, as every entry is >= 1), and no square lies 4
+    from tr^2 for such tr.
     """
     a11, a12, c, a22 = 1, 0, 0, 1
     for a in period:
         a11, a12, c, a22 = a11 * a + a12, a11, c * a + a22, c
     A = a11 - a22
     D = A * A + 4 * a12 * c
-    try:
-        s, d = surd.squarefree_decompose(D)
-    except RadicandError:
-        return None
     # y > 1 means sqrt(D) > 2c - A
     if 2 * c - A >= 0 and D <= (2 * c - A) ** 2:
         raise AssertionError("periodic fixed point is not > 1")
@@ -326,8 +321,8 @@ def _periodic_value(preperiod: tuple[int, ...],
         P, Q, R, S = P * a + Q, P, R * a + S, R
     n, m = P * A + 2 * c * Q, R * A + 2 * c * S
     norm = m * m - R * R * D
-    return QuadraticSurd._trusted(Fraction(n * m - P * R * D, norm),
-                                  Fraction(2 * c * (P * S - Q * R) * s, norm), d)
+    return QuadraticSurd(Fraction(n * m - P * R * D, norm),
+                         Fraction(2 * c * (P * S - Q * R), norm), D)
 
 
 @dataclass(frozen=True)

@@ -37,18 +37,19 @@ def random_shared_prefix_pair(rng: random.Random, *,
 
     With m shared coefficients they share q_0 .. q_{m-1}, so matched
     denominators are frequent, yet they lie in distinct quadratic fields,
-    which makes 1, a, b linearly independent over Q.
+    which makes 1, a, b linearly independent over Q. Gives up with
+    RuntimeError after 200 draws.
     """
-    while True:
+    for _ in range(200):
         shared = [rng.randint(1, max_coeff) for _ in range(rng.randint(*prefix))]
         periods = [[rng.randint(1, max_coeff)
                     for _ in range(rng.randint(1, max_period))]
                    for _ in range(2)]
         a, b = (ContinuedFraction.periodic(shared, period, depth_cap=depth_cap)
                 for period in periods)
-        va, vb = a.exact_value(), b.exact_value()
-        if va is not None and vb is not None and va.radicand != vb.radicand:
+        if not a.exact_value().same_field(b.exact_value()):
             return a, b
+    raise RuntimeError("could not draw a pair in two quadratic fields")
 
 
 def random_surd(rng: random.Random, *, radicand: int | None = None) -> QuadraticSurd:

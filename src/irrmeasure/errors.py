@@ -73,8 +73,8 @@ class OutOfHorizon(LabError):
 
 
 class RadicandError(LabError):
-    """A radicand is unusable: non-positive, a perfect square, or too
-    large for trial factoring to certify square-freeness."""
+    """A radicand is unusable: non-positive, a perfect square, or (only in
+    squarefree_decompose) too large for trial factoring to certify."""
 
 
 class VerificationFailed(LabError):

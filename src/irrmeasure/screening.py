@@ -97,11 +97,12 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     exactly when (nu - 1, mu - 1) is a shared pair.
 
     Exact values (surd and periodic backings carry one) are dependent
-    exactly when they lie in one quadratic field: SAME_FIELD, equal
-    square-free radicands, gives DEPENDENT. Otherwise the verdict is
-    INDEPENDENT_LIKELY only when every coincidence sits in the first half
-    of the scanned range; late coincidences force UNDECIDED because
-    finiteness of coincidences carries no a-priori bound.
+    exactly when they lie in one quadratic field: SAME_FIELD, radicands
+    whose product is a square (same_field, no factoring), gives DEPENDENT.
+    Otherwise the verdict is INDEPENDENT_LIKELY only when every
+    coincidence sits in the first half of the scanned range; late
+    coincidences force UNDECIDED because finiteness of coincidences
+    carries no a-priori bound.
     """
     if depth < 2:
         raise ValueError("scan depth must be >= 2")
@@ -117,7 +118,7 @@ def scan_coincidences(a: ContinuedFraction, b: ContinuedFraction,
     combination = None
     va, vb = a.exact_value(), b.exact_value()
     if va is not None and vb is not None:
-        combination = (CombinationKind.SAME_FIELD if va.radicand == vb.radicand
+        combination = (CombinationKind.SAME_FIELD if va.same_field(vb)
                        else CombinationKind.NEITHER)
 
     if combination is CombinationKind.SAME_FIELD:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .cf import ContinuedFraction, DEFAULT_DEPTH_CAP, surd_to_cf
 from .errors import RadicandError, SpecSemanticError, SpecSyntaxError
@@ -62,8 +61,8 @@ _LIST = re.compile(r"\[(.*)\]$")
 @dataclass(frozen=True)
 class NumberSpec:
     """One named number entry; the payload fields used depend on kind.
-    A surd entry's value is certified once: parsing validates it and
-    to_cf reuses it. Equality compares the fields only."""
+    A surd entry's radicand is kept as given, never factored. Equality
+    compares the fields only."""
 
     name: str
     kind: str
@@ -81,11 +80,8 @@ class NumberSpec:
         if self.kind == "finite":
             return ContinuedFraction.from_coefficients(self.coefficients,
                                                        depth_cap=depth_cap)
-        return surd_to_cf(self._surd, depth_cap=depth_cap)
-
-    @cached_property
-    def _surd(self) -> QuadraticSurd:
-        return QuadraticSurd(self.rational, self.root, self.radicand)
+        return surd_to_cf(QuadraticSurd(self.rational, self.root, self.radicand),
+                          depth_cap=depth_cap)
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,8 @@ def _positive_int(value, key: str, entity: str) -> int | None:
 
 def _build_number(name: str, pairs: dict[str, object]) -> NumberSpec:
     """The entry of one block. Its value is checked by the constructor it
-    feeds: to_cf() for a periodic or finite entry, the surd certification
-    for a surd entry, which stays unexpanded."""
+    feeds, through to_cf(); a surd entry's expansion stays lazy, so no
+    coefficient is computed here."""
     kind = pairs.get("kind")
     if kind not in KINDS:
         raise SpecSemanticError(f"kind must be one of {', '.join(KINDS)}",
@@ -162,10 +158,7 @@ def _build_number(name: str, pairs: dict[str, object]) -> NumberSpec:
         raise SpecSemanticError("preperiod must contain at least a0", entity=name)
     number = NumberSpec(name=name, **pairs)
     try:
-        if kind == "surd":
-            number._surd  # certified here once; to_cf reuses it
-        else:
-            number.to_cf()
+        number.to_cf()
     except (ValueError, RadicandError) as exc:
         raise SpecSemanticError(str(exc), entity=name) from exc
     return number

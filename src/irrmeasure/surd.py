@@ -1,9 +1,11 @@
 """Exact elements rational + coef*sqrt(radicand) of real quadratic fields.
 
-Radicands are normalized square-free, so equality is field-wise. Every
-comparison is decided exactly by rational sign tests: the sign of
-r + c*sqrt(d) follows from comparing r*r with c*c*d, and two surds, in one
-field or two, are ordered by squaring once (see QuadraticSurd.compare).
+A radicand is kept as given, a positive non-square that no surd
+operation factors: == and hash compare values, and same_field tests
+fields by one isqrt. Every comparison is decided exactly by rational sign
+tests: the sign of r + c*sqrt(d) follows from comparing r*r with c*c*d,
+and two surds, in one field or two, are ordered by squaring once (see
+QuadraticSurd.compare).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import isqrt, sqrt
 
 from .errors import RadicandError
 
-#: trial-division bound used when certifying square-freeness of radicands
+#: default trial-division bound of squarefree_decompose
 SQUAREFREE_BOUND = 10 ** 6
 
 
@@ -79,18 +81,13 @@ def _sign_linear(r: Fraction, c: Fraction, d: int) -> int:
     return 1 if rhs > lhs else -1
 
 
-def _nonzero(coef: Fraction) -> Fraction:
-    if coef == 0:
-        raise RadicandError("root coefficient must be nonzero (value "
-                            "would be rational)", origin="surd.QuadraticSurd")
-    return coef
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticSurd:
-    """Canonical a + b*sqrt(d): d square-free >= 2, b != 0.
+    """a + b*sqrt(d): rational a, b != 0, and d >= 2 not a perfect square.
 
-    Canonical form makes dataclass equality value equality.
+    The radicand stays as given. Equality and hashing go by value, keyed
+    on (a, b > 0, b*b*d): as sqrt(d) is irrational, a + b*sqrt(d) equals
+    a' + b'*sqrt(d') exactly when the keys are equal.
     """
 
     rational: Fraction
@@ -99,50 +96,59 @@ class QuadraticSurd:
 
     def __post_init__(self) -> None:
         rational = Fraction(self.rational)
-        coef = _nonzero(Fraction(self.coef))
-        s, d = squarefree_decompose(int(self.radicand))
-        if d == 1:
+        coef = Fraction(self.coef)
+        d = int(self.radicand)
+        if coef == 0:
+            raise RadicandError("root coefficient must be nonzero (value "
+                                "would be rational)", origin="surd.QuadraticSurd")
+        if d <= 0:
+            raise RadicandError(f"radicand must be positive, got {d}",
+                                origin="surd.QuadraticSurd")
+        if isqrt(d) ** 2 == d:
             raise RadicandError(
-                f"radicand {self.radicand} is a perfect square (value would "
+                f"radicand {d} is a perfect square (value would "
                 "be rational)", origin="surd.QuadraticSurd")
         object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "coef", coef * s)
+        object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "radicand", d)
 
-    @classmethod
-    def _trusted(cls, rational: Fraction, coef: Fraction,
-                 radicand: int) -> "QuadraticSurd":
-        """Same field as a canonical surd: the radicand is already
-        certified square-free, so only the nonzero root part is checked.
-        Both parts must already be Fractions."""
-        surd = object.__new__(cls)
-        object.__setattr__(surd, "rational", rational)
-        object.__setattr__(surd, "coef", _nonzero(coef))
-        object.__setattr__(surd, "radicand", radicand)
-        return surd
+    def _key(self) -> tuple[Fraction, bool, Fraction]:
+        return self.rational, self.coef > 0, self.coef * self.coef * self.radicand
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def same_field(self, other: "QuadraticSurd") -> bool:
+        """Whether both lie in one quadratic field: Q(sqrt(d)) equals
+        Q(sqrt(d')) exactly when d*d' is a perfect square."""
+        product = self.radicand * other.radicand
+        return isqrt(product) ** 2 == product
 
     # -- arithmetic used by the expansion and error-term machinery --
-    # results stay in this surd's field, so they skip re-certification
+    # results stay in this surd's field and keep its radicand
 
     def plus_rational(self, x) -> "QuadraticSurd":
-        return QuadraticSurd._trusted(self.rational + Fraction(x), self.coef,
-                                      self.radicand)
+        return QuadraticSurd(self.rational + Fraction(x), self.coef, self.radicand)
 
     def times_rational(self, x) -> "QuadraticSurd":
         x = Fraction(x)
         if x == 0:
             raise ValueError("scaling a surd by zero degenerates it")
-        return QuadraticSurd._trusted(self.rational * x, self.coef * x,
-                                      self.radicand)
+        return QuadraticSurd(self.rational * x, self.coef * x, self.radicand)
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd._trusted(-self.rational, -self.coef, self.radicand)
+        return QuadraticSurd(-self.rational, -self.coef, self.radicand)
 
     def reciprocal(self) -> "QuadraticSurd":
         norm = self.rational * self.rational - self.coef * self.coef * self.radicand
         # norm == 0 would make sqrt(radicand) rational
-        return QuadraticSurd._trusted(self.rational / norm, -self.coef / norm,
-                                      self.radicand)
+        return QuadraticSurd(self.rational / norm, -self.coef / norm,
+                             self.radicand)
 
     def sign(self) -> int:
         return _sign_linear(self.rational, self.coef, self.radicand)

@@ -15,6 +15,7 @@ from math import isqrt
 import pytest
 from hypothesis import settings
 
+import irrmeasure.surd
 from irrmeasure import (ContinuedFraction, ErrorTerm, QuadraticSurd, sqrt_of,
                         surd_to_cf)
 
@@ -126,6 +127,15 @@ def intervals_overlap(a: tuple[Fraction, Fraction],
 # ---------------------------------------------------------------- fixtures
 
 GOLDEN = QuadraticSurd(Fraction(1, 2), Fraction(1, 2), 5)
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    """No radicand may be factored: squarefree_decompose raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a radicand was factored")
+
+    monkeypatch.setattr(irrmeasure.surd, "squarefree_decompose", refuse)
 
 
 @pytest.fixture

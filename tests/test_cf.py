@@ -4,7 +4,7 @@ certified comparison, and the expansion of quadratic values."""
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt, lcm
 
 import pytest
@@ -12,12 +12,13 @@ import pytest
 import irrmeasure.surd
 from irrmeasure import (ContinuedFraction, ErrorTerm, Ordering, QuadraticSurd,
                         build_trajectory, compare_errors, convergents,
-                        scan_coincidences, sqrt_of, star_value, surd_to_cf)
+                        scan_coincidences, sqrt_of, squarefree_decompose,
+                        star_value, surd_to_cf)
 from irrmeasure.cf import certified_above, first_misordered
 from irrmeasure.corpus import (random_periodic_cf, random_shared_prefix_pair,
                                random_surd)
 from irrmeasure.errors import (DepthCapExceeded, DepthExhausted, LabError,
-                               RadicandError, UndecidedComparison)
+                               UndecidedComparison)
 
 from conftest import (GOLDEN, fib_sequence, intervals_overlap,
                       oracle_sqrt_interval, pell_denominators, pell_numerators,
@@ -880,8 +881,6 @@ def test_periodic_value_matches_the_stepwise_fold():
         period = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
         cf = ContinuedFraction.periodic(pre, period)
         value = cf.exact_value()
-        if value is None:         # radicand too large to certify
-            continue
         assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
         # tails past the preperiod are purely periodic (empty preperiod,
         # rotated period); their value is x_{k+1} = 1/(x_k - a_k) stepped
@@ -899,8 +898,7 @@ def test_periodic_value_matches_the_stepwise_fold():
 
 def test_periodic_value_matches_the_fold_on_long_periods():
     # periods of up to 8 coefficients of 1..40, preperiods empty or led by
-    # a negative a0: the closed form gives the fold's value, and None
-    # exactly where the fold cannot certify its radicand
+    # a negative a0: the closed form gives the fold's value
     rng = random.Random(5303)
     lengths, kinds = set(), Counter()
     for _ in range(60):
@@ -910,33 +908,30 @@ def test_periodic_value_matches_the_fold_on_long_periods():
             pre = [rng.randint(-12, 12)] + [rng.randint(1, 40)
                                             for _ in range(rng.randint(0, 5))]
         value = ContinuedFraction.periodic(pre, period).exact_value()
-        if value is None:
-            with pytest.raises(RadicandError):
-                stepwise_periodic_value(pre, period)
-        else:
-            assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
+        assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
         lengths.add(len(period))
-        kinds["none" if value is None else "value"] += 1
         kinds["empty" if not pre else "negative" if pre[0] < 0 else "other"] += 1
     assert lengths == set(range(1, 9))
     assert min(kinds.values()) > 0, kinds
 
 
-def test_periodic_value_certifies_its_radicand_once(monkeypatch):
+def test_periodic_value_certifies_its_radicand_once(monkeypatch, no_factoring):
+    # the value is built once, and its radicand, the discriminant, is
+    # checked a non-square by one isqrt; nothing is factored
     calls = []
-    decompose = irrmeasure.surd.squarefree_decompose
+    root = irrmeasure.surd.isqrt
 
-    def counted(n, *args):
+    def counted(n):
         calls.append(n)
-        return decompose(n, *args)
+        return root(n)
 
-    monkeypatch.setattr(irrmeasure.surd, "squarefree_decompose", counted)
+    monkeypatch.setattr(irrmeasure.surd, "isqrt", counted)
     for pre, period in (([], [1]), ([-3, 2], [1, 2, 3]), ([7], [40, 1, 9, 2])):
         calls.clear()
         cf = ContinuedFraction.periodic(pre, period)
-        assert cf.exact_value() is not None
-        assert cf.exact_value() is cf.exact_value()
-        assert len(calls) == 1
+        value = cf.exact_value()
+        assert value is not None and value is cf.exact_value()
+        assert calls == [value.radicand]
 
 
 def test_every_short_period_word_has_a_value_with_a_nonsquare_radicand():
@@ -953,17 +948,14 @@ def test_every_short_period_word_has_a_value_with_a_nonsquare_radicand():
         assert surd_to_cf(value).prefix(12) == cf.prefix(12)
 
 
-def test_periodic_value_is_none_past_the_printable_digit_limit(monkeypatch):
+def test_periodic_value_exists_past_the_printable_digit_limit(no_factoring):
     # the period [1]*12000 + [2] has a fixed-point discriminant of more
-    # than 4,300 digits; the "cannot certify" message states sizes, so the
-    # RadicandError is raised, and caught, instead of str()'s ValueError.
-    # A small trial-division bound keeps this fast; the message is the same
-    decompose = irrmeasure.surd.squarefree_decompose
-    monkeypatch.setattr(irrmeasure.surd, "squarefree_decompose",
-                        lambda n: decompose(n, bound=1000))
+    # than 4,300 digits, which str() refuses to print; it is the radicand
+    # as it stands, never factored, and the value re-expands to the stream
     cf = ContinuedFraction.periodic([1], [1] * 12000 + [2])
-    assert cf.exact_value() is None
-    assert cf.prefix(3) == (1, 1, 1)
+    value = cf.exact_value()
+    assert value is not None and value.radicand.bit_length() > 16000
+    assert surd_to_cf(value).prefix(60) == cf.prefix(60)
 
 
 def _round_trip_surds():
@@ -976,25 +968,19 @@ def _round_trip_surds():
 
 
 def test_periodic_value_round_trips_random_surds():
-    # long periods give fixed-point discriminants k^2*d whose k has prime
-    # factors past the trial-division bound; such streams have no exact
-    # value (RadicandError -> None), and the stepwise fold fails on them too
-    uncertified = 0
+    # long periods (up to 322 coefficients here) give fixed-point
+    # discriminants k^2*d with large k; each is the radicand as it
+    # stands, so every rebuilt stream has its exact value
     for s in _round_trip_surds():
         pre, period = eager_expansion(s)
         value = ContinuedFraction.periodic(pre, period).exact_value()
-        if value is None:
-            with pytest.raises(RadicandError):
-                stepwise_periodic_value(pre, period)
-            uncertified += 1
-        else:
-            assert _fields(value) == _fields(s)
-    assert uncertified <= 10
+        assert value is not None and value == s, s
+        assert _fields(value) == _fields(stepwise_periodic_value(pre, period))
 
 
 def test_surd_tails_step_the_exact_value():
-    # a periodic rebuild of the tail would lose the value on the surds
-    # whose fixed-point discriminant cannot be certified
+    # a tail's value is its parent's stepped forward, in the parent's
+    # radicand, not a periodic rebuild of the tail
     for s in _round_trip_surds():
         cf = surd_to_cf(s)
         step = s
@@ -1068,16 +1054,13 @@ def test_surd_expansion_computes_only_what_is_read():
     assert len(cf._coeffs) == 12
 
 
-# --------------------------------------------------- square-free radicands
+# ----------------------------------------------------- one field per value
 
-def _square_free(d: int) -> bool:
-    return d >= 2 and all(d % (k * k) for k in range(2, isqrt(d) + 1))
-
-
-def test_every_exact_value_has_a_square_free_radicand():
-    # screening reads equal radicands as one quadratic field, which holds
-    # only when every radicand is square-free: surds given with a square
-    # factor, periodic fixed points, tails and error terms all keep it so
+def test_same_field_agrees_with_square_free_parts_of_exact_values():
+    # exact values keep the radicand they were built with, square factors
+    # included: surds given with one, periodic fixed points (the
+    # discriminant), tails and error terms. same_field still reads one
+    # quadratic field exactly where the square-free parts agree
     rng = random.Random(2805)
     streams = [surd_to_cf(QuadraticSurd(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                                          Fraction(rng.randint(1, 3), rng.randint(1, 3)),
@@ -1089,8 +1072,13 @@ def test_every_exact_value_has_a_square_free_radicand():
     values += [ErrorTerm(cf, nu).exact_value()
                for cf in streams[::2] for nu in (0, 1, 4)]
     assert None not in values
-    assert sum(value.radicand > 10 for value in values) >= 20
-    assert all(_square_free(value.radicand) for value in values)
+    parts = [squarefree_decompose(value.radicand)[1] for value in values]
+    assert sum(part != value.radicand for value, part in zip(values, parts)) >= 20
+    same = 0
+    for (x, px), (y, py) in combinations(zip(values, parts), 2):
+        assert x.same_field(y) == (px == py), (x, y)
+        same += px == py and x.radicand != y.radicand
+    assert same >= 100
 
 
 # ------------------------------------------------------------- validation

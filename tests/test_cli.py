@@ -774,7 +774,7 @@ def test_reports_are_byte_deterministic(pair_spec, tmp_path, capsys):
 
 
 #: 30030 * 999999999989, square-free: sqrt of it has a period far too long
-#: to build, and certifying it square-free trial-divides up to 10^6
+#: to build, and factoring it would trial-divide up to 10^6
 HOSTILE = ("t_max = 1000000\n\n[h]\nkind = surd\nrational = 0\n"
            "root = 1\nradicand = 30029999999669670\n")
 
@@ -795,18 +795,48 @@ def test_psi_on_a_huge_period_reads_only_what_it_prints(hostile_spec, capsys):
     assert qs == sorted(qs) and qs[-1] <= 10 ** 6
 
 
-def test_psi_certifies_a_surd_entry_once(hostile_spec, monkeypatch, capsys):
-    surd_module = importlib.import_module("irrmeasure.surd")
-    original = surd_module.squarefree_decompose
-    calls = []
-
-    def counting(n, *args):
-        calls.append(n)
-        return original(n, *args)
-
-    monkeypatch.setattr(surd_module, "squarefree_decompose", counting)
+def test_psi_certifies_a_surd_entry_once(hostile_spec, no_factoring, capsys):
+    # the entry's radicand is only checked a non-square, never factored;
+    # the digest is that of the output from when it was still factored
     assert main(["psi", str(hostile_spec)]) == 0
-    assert calls == [30029999999669670]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c6010dad1fe7f1d485840f6477fb98fb4130f408f77e09fc057ad10857f10a30")
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_output_digests_need_no_factoring(case, no_factoring, capsys):
+    assert _golden_digest_matches(case, capsys)
+
+
+#: sqrt(2) and 1/3 + sqrt(2*(10^9+7)^2): one field, though the second
+#: radicand's prime square factor is past squarefree_decompose's bound
+BIG_SQUARE_FACTOR = f"""\
+[r2]
+kind = surd
+rational = 0
+root = 1
+radicand = 2
+
+[big]
+kind = surd
+rational = 1/3
+root = 1
+radicand = {2 * (10 ** 9 + 7) ** 2}
+"""
+
+
+def test_verify_finds_one_field_past_a_large_square_factor(
+        tmp_path, no_factoring, capsys):
+    path = tmp_path / "big.spec"
+    path.write_text(BIG_SQUARE_FACTOR)
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert _verify_blocks(captured.out) == {
+        ("r2", "big"): ["shared_pair\t0\t1", "equal_star\t1\t2",
+                        "verdict\tDEPENDENT", "combination\tSAME_FIELD",
+                        "coincidence_horizon\t2"]}
+    assert captured.err == ""
 
 
 # ------------------------------------------------ the paused collector

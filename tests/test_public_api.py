@@ -27,6 +27,7 @@ REMOVED = [
     ("irrmeasure.cf", "integer_combination_check"),
     ("irrmeasure.cf", "CombinationKind.SUM_INTEGER"),
     ("irrmeasure.cf", "CombinationKind.DIFF_INTEGER"),
+    ("irrmeasure.surd", "QuadraticSurd._trusted"),
 ]
 
 

@@ -148,6 +148,21 @@ def test_shared_prefix_draws_are_dependent_exactly_in_one_field():
     assert verdicts["prefix", Verdict.INDEPENDENT_LIKELY] >= 300
 
 
+def test_shared_prefix_pair_gives_up_after_200_draws(monkeypatch):
+    # a field test that puts every pair in one field must fail fast, not
+    # draw forever
+    calls = []
+
+    def one_field(self, other):
+        calls.append(other)
+        return True
+
+    monkeypatch.setattr(QuadraticSurd, "same_field", one_field)
+    with pytest.raises(RuntimeError, match="two quadratic fields"):
+        random_shared_prefix_pair(random.Random(0))
+    assert len(calls) == 200
+
+
 def naive_scan_coincidences(a, b, depth=40):
     """The per-pair scan scan_coincidences replaced, kept as its reference:
     two dict joins over the raw denominator lists, the star join keyed by
@@ -179,8 +194,10 @@ def naive_scan_coincidences(a, b, depth=40):
     combination = None
     va, vb = a.exact_value(), b.exact_value()
     if va is not None and vb is not None:
-        # equal square-free radicands: one quadratic field
-        combination = (CombinationKind.SAME_FIELD if va.radicand == vb.radicand
+        # one quadratic field exactly when the product of the radicands
+        # is a square
+        product = va.radicand * vb.radicand
+        combination = (CombinationKind.SAME_FIELD if isqrt(product) ** 2 == product
                        else CombinationKind.NEITHER)
     locations = [max(nu + 1, mu + 1) for nu, mu in shared_pairs]
     locations += [max(nu, mu) for nu, mu in equal_stars]

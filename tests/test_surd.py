@@ -1,9 +1,11 @@
-"""Exact quadratic-field elements: canonical form, signs, enclosures."""
+"""Exact quadratic-field elements: value equality, fields, signs,
+enclosures."""
 
 import decimal
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,11 +50,46 @@ def test_squarefree_decompose_roundtrip(n):
         assert d % (f * f) != 0
 
 
-def test_canonical_form_normalizes_radicand():
+def test_radicand_is_kept_and_equality_is_by_value():
     a = QuadraticSurd(Fraction(0), Fraction(1), 8)
     b = QuadraticSurd(Fraction(0), Fraction(2), 2)
-    assert a == b
-    assert a.radicand == 2 and a.coef == 2
+    assert a == b and hash(a) == hash(b)
+    assert a.radicand == 8 and a.coef == 1
+    assert a.same_field(b)
+
+
+def test_value_equality_and_hash_across_square_factors():
+    # r + c*sqrt(d) and r + (c/k)*sqrt(k*k*d) are one value; flipping the
+    # root's sign or scaling only the radicand gives another
+    rng = random.Random(2906)
+    for _ in range(300):
+        d = rng.choice(SQUAREFREE_POOL)
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        k = rng.randint(2, 12)
+        x = QuadraticSurd(r, c, d)
+        y = QuadraticSurd(r, c / k, d * k * k)
+        assert x == y and hash(x) == hash(y) and x.compare(y) == 0
+        assert len({x, y, QuadraticSurd(r, c * k, d)}) == 2
+        assert {x: "x"}[y] == "x"
+        for other in (QuadraticSurd(r, -c, d), QuadraticSurd(r, c / k, d),
+                      QuadraticSurd(r + 1, c / k, d * k * k), -y):
+            assert x != other and other != y
+    assert sqrt_of(2) != 2 ** 0.5 and sqrt_of(2) != (0, 1, 2)
+
+
+def test_same_field_agrees_with_square_free_parts():
+    # Q(sqrt(a)) = Q(sqrt(b)) exactly when a and b have one square-free
+    # part; same_field decides it without factoring
+    nonsquares = [n for n in range(2, 301) if isqrt(n) ** 2 != n]
+    parts = {n: squarefree_decompose(n)[1] for n in nonsquares}
+    roots = {n: sqrt_of(n) for n in nonsquares}
+    same = 0
+    for a in nonsquares:
+        for b in nonsquares:
+            assert roots[a].same_field(roots[b]) == (parts[a] == parts[b]), (a, b)
+            same += a != b and parts[a] == parts[b]
+    assert len(nonsquares) == 283 and same >= 300
 
 
 def test_degenerate_surds_rejected():
@@ -117,9 +154,11 @@ def test_cross_field_compare_refines_past_30_digits(no_enclosures, p, q, sign):
 
 def test_compare_accepts_non_square_radicands_that_are_not_square_free(
         no_enclosures):
-    # _trusted keeps radicand 8 as given; equal values must still give 0
+    # the constructor keeps radicand 8 as given; equal values give 0
     def surd(r, c, d):
-        return QuadraticSurd._trusted(Fraction(r), Fraction(c), d)
+        return QuadraticSurd(Fraction(r), Fraction(c), d)
+
+    assert surd(0, 1, 8).radicand == 8
 
     pairs = [(surd(0, 2, 2), surd(0, 1, 8), 0),                  # 2√2 = √8
              (surd(0, 1, 2), surd(0, 1, 8), -1),                 # √2 < √8
@@ -130,8 +169,8 @@ def test_compare_accepts_non_square_radicands_that_are_not_square_free(
 
 
 def _decimal_sign(x: QuadraticSurd, y: QuadraticSurd) -> int:
-    """Sign of x - y from 220-digit decimal arithmetic; canonical surds
-    are equal exactly when their parts are."""
+    """Sign of x - y from 220-digit decimal arithmetic; == is value
+    equality."""
     if x == y:
         return 0
     with decimal.localcontext() as ctx:
@@ -172,7 +211,7 @@ def test_compare_matches_a_decimal_oracle():
             y = QuadraticSurd(part(), part(True), rng.choice(SQUAREFREE_POOL))
         sign = _decimal_sign(x, y)
         equal += sign == 0
-        same_field += x.radicand == y.radicand
+        same_field += x.same_field(y)
         assert x.compare(y) == sign, (x, y)
         assert y.compare(x) == -sign, (x, y)
     assert equal >= 100 and 700 <= same_field <= 1000
@@ -217,9 +256,10 @@ def test_reciprocal_and_shift_arithmetic():
     assert (-x).abs() == x
 
 
-def test_field_preserving_operations_skip_recertification(monkeypatch):
-    # each derived surd equals the one the certifying constructor builds
-    # from the same parts, though none runs squarefree_decompose again
+def test_field_preserving_operations_skip_recertification(no_factoring):
+    # each derived surd keeps its radicand, square factors included, and
+    # is the one the constructor builds from the same parts; no operation
+    # and no construction factors a radicand
     rng = random.Random(2026)
     surds = [QuadraticSurd(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
@@ -238,11 +278,11 @@ def test_field_preserving_operations_skip_recertification(monkeypatch):
             yield -s, (-s.rational, -s.coef, s.radicand)
             yield s.reciprocal(), (s.rational / norm, -s.coef / norm, s.radicand)
 
-    expected = [QuadraticSurd(*parts) for _, parts in derived()]
-    monkeypatch.setattr(surd_module, "squarefree_decompose", None)
-    assert [value for value, _ in derived()] == expected
-    with pytest.raises(RadicandError):
-        QuadraticSurd._trusted(Fraction(1), Fraction(0), 2)
+    for value, parts in derived():
+        assert (value.rational, value.coef, value.radicand) == parts
+        assert value == QuadraticSurd(*parts)
+    with pytest.raises(ValueError, match="scaling a surd by zero"):
+        surds[0].times_rational(0)
 
 
 @given(st.fractions(min_value=-3, max_value=3),

@@ -101,12 +101,18 @@ MUTANTS = (
            "if (sign_a > 0) == (other.coef > 0):"),
     Mutant("surd compare drops the A^2 - B^2 factor", "src/irrmeasure/surd.py",
            "return sign_a * _sign_linear(", "return sign_a or _sign_linear("),
-    Mutant("screening field test == -> !=", "src/irrmeasure/screening.py",
-           "SAME_FIELD if va.radicand == vb.radicand",
-           "SAME_FIELD if va.radicand != vb.radicand"),
+    Mutant("screening field test negated", "src/irrmeasure/screening.py",
+           "SAME_FIELD if va.same_field(vb)",
+           "SAME_FIELD if not va.same_field(vb)"),
     Mutant("screening SAME_FIELD -> NEITHER", "src/irrmeasure/screening.py",
-           "(CombinationKind.SAME_FIELD if va.radicand",
-           "(CombinationKind.NEITHER if va.radicand"),
+           "(CombinationKind.SAME_FIELD if va.same_field",
+           "(CombinationKind.NEITHER if va.same_field"),
+    Mutant("value key drops the sign", "src/irrmeasure/surd.py",
+           "return self.rational, self.coef > 0, self.coef * self.coef",
+           "return self.rational, self.coef * self.coef"),
+    Mutant("same_field as radicand equality", "src/irrmeasure/surd.py",
+           "return isqrt(product) ** 2 == product",
+           "return self.radicand == other.radicand"),
     Mutant("verify ignores a CONFIRMED record on exact members",
            "src/irrmeasure/cli.py",
            'if scan.tally["CONFIRMED"] and log.combination is not None:',
